@@ -31,12 +31,15 @@ from .coefficients import (
     CoefficientProfile,
     Grid,
     InitialData,
+    build_damping_plateau,
+    build_potential_example1,
     compute_data_norms,
     gaussian_bump,
     make_initial_data,
+    make_profile,
 )
-from .diagnostics import EnergyRecord
-from .errors import FitError, HypothesisError
+from .diagnostics import EnergyRecord, Recorder
+from .errors import ConfigError, FitError, HypothesisError
 
 QUANTITY_FLOOR = 1e-300
 MIN_FIT_RECORDS = 10
@@ -74,12 +77,25 @@ def fit_decay(
     """Least-squares slope of log(quantity) vs log(1+t) on the window,
     plus the sup of quantity * (1+t)^claimed_rate over the same window."""
     t, q = series_quantity(records, quantity)
+    return fit_series(t, q, quantity, window, claimed_rate)
+
+
+def fit_series(
+    t: np.ndarray,
+    q: np.ndarray,
+    quantity: str,
+    window: tuple[float, float],
+    claimed_rate: float = 1.0,
+) -> FitResult:
+    """fit_decay on a bare (t, values) series, e.g. a CSV column."""
     t_lo, t_hi = window
     sel = (t >= t_lo) & (t <= t_hi)
     if sel.sum() < MIN_FIT_RECORDS:
         raise FitError(
             f"window [{t_lo}, {t_hi}] holds {int(sel.sum())} records; need {MIN_FIT_RECORDS}"
         )
+    if not np.all(np.isfinite(q[sel])):
+        raise FitError(f"{quantity} is not finite throughout the window [{t_lo}, {t_hi}]")
     ts, qs = t[sel], np.clip(q[sel], QUANTITY_FLOOR, None)
     x = np.log1p(ts)
     y = np.log(qs)
@@ -299,14 +315,16 @@ def classify_outcome(result: solver.RunResult, t_end: float) -> str:
 
 def _sweep_cell(args) -> tuple[int, int, str]:
     (i, j, p, i0, base) = args
-    outcome = _run_sweep_cell(p, i0, base)
+    try:
+        outcome = _run_sweep_cell(p, i0, base)
+    except (ConfigError, HypothesisError) as exc:
+        outcome = f"error({type(exc).__name__})"
     return i, j, outcome
 
 
-def _run_sweep_cell(p: float, i0: float, base: SweepBase) -> str:
-    from .coefficients import build_damping_plateau, build_potential_example1, make_profile
-    from .diagnostics import Recorder
-
+def _sweep_problem(base: SweepBase) -> tuple[CoefficientProfile, InitialData]:
+    """The profile and unit-amplitude data every cell of a sweep shares.
+    Raises ConfigError/HypothesisError when they are invalid for every cell."""
     # truncation radius of the unit gaussian bump at the data floor
     radius = base.data_width * math.sqrt(2.0 * math.log(1e14))
     grid = solver.domain_for_radius(radius, base.t_end, base.dx, base.padding)
@@ -316,8 +334,13 @@ def _run_sweep_cell(p: float, i0: float, base: SweepBase) -> str:
     data = make_initial_data(
         grid, gaussian_bump(grid, 1.0, base.data_width), np.zeros(grid.n_nodes)
     )
-    data = scale_data_to_i0(data, profile, i0)
+    solver.check_semilinear_support(data, profile)
+    return profile, data
 
+
+def _run_sweep_cell(p: float, i0: float, base: SweepBase) -> str:
+    profile, data = _sweep_problem(base)
+    data = scale_data_to_i0(data, profile, i0)
     recorder = Recorder(profile, None, data, None)
     config = solver.RunConfig(
         profile=profile, data=data, t_end=base.t_end, cfl=base.cfl,
@@ -334,10 +357,13 @@ def semilinear_sweep(
     base: SweepBase | None = None,
     workers: int = 1,
 ) -> SemilinearSweep:
-    """Outcome matrix over (p, I0). Individual run failures become outcome
-    tokens, never abort the sweep. workers > 1 dispatches cells to a
-    process pool; aggregation order is deterministic either way."""
+    """Outcome matrix over (p, I0). A base that is invalid for every cell
+    raises ConfigError/HypothesisError before any cell runs; a cell that
+    fails on its own becomes an error(<exception name>) outcome token and
+    never aborts the sweep. workers > 1 dispatches cells to a process
+    pool; aggregation order is deterministic either way."""
     base = replace(base or SweepBase(), beta=beta)
+    _sweep_problem(base)
     cells = [
         (i, j, p, i0, base)
         for i, p in enumerate(p_values)

@@ -30,7 +30,7 @@ from . import __version__
 from . import analysis, config as cfg, runner, solver
 from .coefficients import Grid
 from .diagnostics import CSV_COLUMNS
-from .errors import ConfigError, ConvergenceError, GridDomainError, HypothesisError
+from .errors import ConfigError, ConvergenceError, FitError, GridDomainError, HypothesisError
 from .spectral import estimate_c_star, poincare_problem
 
 EXIT_OK = 0
@@ -224,34 +224,34 @@ def cmd_fit(args) -> int:
     else:
         print(f"unknown quantity {name!r}; columns: {', '.join(columns)}", file=sys.stderr)
         return EXIT_ERROR
-    t = columns["t"]
-    sel = (t >= args.window[0]) & (t <= args.window[1])
-    if sel.sum() < analysis.MIN_FIT_RECORDS:
-        print(f"fit window holds {int(sel.sum())} records; need at least "
-              f"{analysis.MIN_FIT_RECORDS}", file=sys.stderr)
+    try:
+        fit = analysis.fit_series(columns["t"], q, name, tuple(args.window), args.claimed_rate)
+    except FitError as exc:
+        print(f"cannot fit: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    x = np.log1p(t[sel])
-    y = np.log(np.clip(q[sel], analysis.QUANTITY_FLOOR, None))
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((y - fitted) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    sup_scaled = float(np.max(q[sel] * (1.0 + t[sel]) ** args.claimed_rate))
     print("quantity,t_lo,t_hi,exponent,r_squared,sup_scaled,claimed_rate")
-    print(f"{name},{_fmt(args.window[0])},{_fmt(args.window[1])},"
-          f"{_fmt(slope)},{_fmt(r2)},{_fmt(sup_scaled)},{_fmt(args.claimed_rate)}")
+    print(f"{name},{_fmt(fit.window[0])},{_fmt(fit.window[1])},{_fmt(fit.exponent)},"
+          f"{_fmt(fit.r_squared)},{_fmt(fit.sup_scaled)},{_fmt(fit.claimed_rate)}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    p_values = [float(v) for v in args.p.split(",")]
-    i0_values = [float(v) for v in args.i0.split(",")]
+    try:
+        p_values = [float(v) for v in args.p.split(",")]
+        i0_values = [float(v) for v in args.i0.split(",")]
+    except ValueError as exc:
+        print(f"invalid sweep configuration: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     base = analysis.SweepBase(
         beta=args.beta, V0=args.V0, L=args.L, eps1=args.eps1,
         t_end=args.t_end, dx=args.dx,
     )
-    sweep = analysis.semilinear_sweep(args.beta, p_values, i0_values,
-                                      base=base, workers=args.workers)
+    try:
+        sweep = analysis.semilinear_sweep(args.beta, p_values, i0_values,
+                                          base=base, workers=args.workers)
+    except _VALIDATION_ERRORS as exc:
+        print(f"invalid sweep configuration: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     out = _out_dir(args.out)
     path = out / f"{args.name}.csv"
     header = "p\\I0," + ",".join(_fmt(v) for v in sweep.I0_values)

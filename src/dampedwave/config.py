@@ -423,5 +423,5 @@ def run_config_from_spec(
     p = spec.nonlinearity.p if spec.nonlinearity.kind == "power" else None
     return solver.RunConfig(
         profile=profile, data=data, t_end=spec.time.t_end, cfl=spec.time.cfl,
-        p=p, record_every=spec.time.record_every, domain_padding=spec.grid.padding,
+        p=p, record_every=spec.time.record_every,
     )

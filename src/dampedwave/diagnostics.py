@@ -112,36 +112,41 @@ def derive_multiplier_config(
     )
 
 
-def energy(state: WaveState, profile: CoefficientProfile) -> float:
-    """Total energy E_u(t); u_x via centered differences, trapezoid in space."""
+def _energy_parts(state: WaveState, profile: CoefficientProfile):
+    """(u_x, E_u, energy norm) from one set of the three energy integrals
+    ||u_t||^2, ||u_x||^2, ||sqrt(V) u||^2; u_x by centered differences,
+    trapezoid in space."""
     grid = profile.grid
     ux = np.gradient(state.u, grid.dx, edge_order=2)
-    return 0.5 * (
-        grid.integrate(state.u_t**2)
-        + grid.integrate(ux**2)
-        + grid.integrate(profile.V * state.u**2)
-    )
+    kinetic = grid.integrate(state.u_t**2)
+    gradient = grid.integrate(ux**2)
+    potential = grid.integrate(profile.V * state.u**2)
+    e_u = 0.5 * (kinetic + gradient + potential)
+    return ux, e_u, np.sqrt(kinetic) + np.sqrt(gradient) + np.sqrt(potential)
+
+
+def energy(state: WaveState, profile: CoefficientProfile) -> float:
+    """Total energy E_u(t) = (||u_t||^2 + ||u_x||^2 + ||sqrt(V) u||^2) / 2."""
+    return _energy_parts(state, profile)[1]
 
 
 def energy_norm(state: WaveState, profile: CoefficientProfile) -> float:
     """||u_t|| + ||u_x|| + ||sqrt(V) u||, the semilinear bootstrap norm."""
-    grid = profile.grid
-    ux = np.gradient(state.u, grid.dx, edge_order=2)
-    return (
-        np.sqrt(grid.integrate(state.u_t**2))
-        + np.sqrt(grid.integrate(ux**2))
-        + np.sqrt(grid.integrate(profile.V * state.u**2))
-    )
+    return _energy_parts(state, profile)[2]
 
 
-def g_k(state: WaveState, profile: CoefficientProfile, mc: MultiplierConfig) -> float:
+def _g_k(state: WaveState, profile: CoefficientProfile, mc: MultiplierConfig,
+         ux: np.ndarray, e_u: float) -> float:
     grid = profile.grid
-    ux = np.gradient(state.u, grid.dx, edge_order=2)
     cross = grid.integrate(state.u_t * profile.phi * grid.x * ux)
     pairing = grid.integrate(state.u_t * state.u)
     damped_mass = grid.integrate(profile.a * state.u**2)
-    return cross + mc.alpha * pairing + 0.5 * mc.alpha * damped_mass \
-        + mc.k * energy(state, profile)
+    return cross + mc.alpha * pairing + 0.5 * mc.alpha * damped_mass + mc.k * e_u
+
+
+def g_k(state: WaveState, profile: CoefficientProfile, mc: MultiplierConfig) -> float:
+    ux, e_u, _ = _energy_parts(state, profile)
+    return _g_k(state, profile, mc, ux, e_u)
 
 
 @dataclass(frozen=True)
@@ -241,16 +246,12 @@ class Recorder:
 
     def __call__(self, state: WaveState, dissipation_cum: float, au2_cum: float) -> EnergyRecord:
         profile, grid = self.profile, self.profile.grid
-        e_u = energy(state, profile)
+        ux, e_u, e_norm = _energy_parts(state, profile)
         if self._e0 is None:
             self._e0 = e_u
-        ux = np.gradient(state.u, grid.dx, edge_order=2)
-        e_norm = (np.sqrt(grid.integrate(state.u_t**2))
-                  + np.sqrt(grid.integrate(ux**2))
-                  + np.sqrt(grid.integrate(profile.V * state.u**2)))
         l2_u = float(np.sqrt(grid.integrate(state.u**2)))
         l2_local = float(self._w_inner @ (state.u * state.u))
-        gk = g_k(state, profile, self.mc) if self.mc is not None else float("nan")
+        gk = _g_k(state, profile, self.mc, ux, e_u) if self.mc is not None else float("nan")
 
         if self._v_positive:
             vx = np.gradient(state.v, grid.dx, edge_order=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 import dampedwave as dw
 from dampedwave import analysis
-from dampedwave.analysis import SweepBase, _run_sweep_cell, interpolation_ratio, scale_data_to_i0
+from dampedwave.analysis import (
+    SweepBase, _run_sweep_cell, _sweep_cell, interpolation_ratio, scale_data_to_i0,
+)
 from dampedwave.diagnostics import EnergyRecord
-from dampedwave.errors import FitError, HypothesisError
+from dampedwave.errors import ConfigError, FitError, HypothesisError
 
 from helpers import example1_profile
 
@@ -52,6 +55,13 @@ class TestFitDecay:
             dw.fit_decay(records, "E_u", (99.0, 100.0))
         with pytest.raises(FitError):
             dw.fit_decay(records, "no_such_field", (0.0, 100.0))
+
+    def test_no_finite_values_rejected(self):
+        # G_k of a hypothesis-failing run (e.g. a free wave) is all NaN
+        records = synthetic_records(lambda t: 1.0 / (1.0 + t), np.linspace(0, 100, 50))
+        records = [dataclasses.replace(r, G_k=float("nan")) for r in records]
+        with pytest.raises(FitError):
+            dw.fit_decay(records, "G_k", (10.0, 100.0))
 
 
 class TestPStar:
@@ -167,3 +177,22 @@ class TestSemilinearSweep:
     def test_single_cell_supercritical_decays(self):
         outcome = _run_sweep_cell(11.0, 1e-4, SweepBase(t_end=30.0, dx=0.05))
         assert outcome == "decayed_at_rate"
+
+    def test_invalid_cell_becomes_error_token(self):
+        base = SweepBase(t_end=2.0, dx=0.1)
+        assert _sweep_cell((0, 1, 0.5, 1e-3, base)) == (0, 1, "error(ConfigError)")
+        assert _sweep_cell((1, 0, 3.0, -1.0, base)) == (1, 0, "error(HypothesisError)")
+
+    def test_mixed_sweep_keeps_valid_cells(self):
+        sweep = dw.semilinear_sweep(2.0, [0.5, 11.0], [1e-4], base=SweepBase(t_end=5.0, dx=0.1))
+        assert sweep.outcomes[0] == ("error(ConfigError)",)
+        assert sweep.outcomes[1][0] in ("decayed_at_rate", "bounded")
+
+    @pytest.mark.parametrize("base", [SweepBase(L=10.0, t_end=5.0), SweepBase(dx=0.0, t_end=5.0)])
+    def test_base_invalid_for_every_cell_raises_before_marching(self, base, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a cell was dispatched")
+        monkeypatch.setattr(analysis.solver, "run", never)
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", never)
+        with pytest.raises(ConfigError):
+            dw.semilinear_sweep(2.0, [11.0], [1e-3], base=base, workers=2)

@@ -187,6 +187,25 @@ class TestCli:
         manifest = json.loads((tmp_path / "sw.manifest.json").read_text())
         assert manifest["p_critical"] == 9.0
 
+    @pytest.mark.parametrize("extra", [["--L", "10"], ["--dx", "0"]])
+    def test_sweep_invalid_for_every_cell_exits_2(self, extra, tmp_path, capsys):
+        code = cli.main(["sweep", "--p", "11", "--i0", "1e-3", "--t-end", "5", *extra,
+                         "--workers", "1", "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert "invalid sweep configuration: " in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_fit_all_nan_column_exits_1(self, tmp_path, capsys):
+        rows = [",".join(cli.CSV_COLUMNS)]
+        for t in np.linspace(0.0, 40.0, 41):
+            values = {name: 1.0 / (1.0 + t) for name in cli.CSV_COLUMNS}
+            values.update(t=t, G_k=float("nan"))
+            rows.append(",".join(cli._fmt(values[name]) for name in cli.CSV_COLUMNS))
+        path = tmp_path / "fw.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert cli.main(["fit", str(path), "--quantity", "G_k", "--window", "10", "30"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_plot_generates_four_panels(self, demo_config, tmp_path, capsys):
         out = tmp_path / "out"
         cli.main(["run", str(demo_config), "--out", str(out)])

@@ -147,6 +147,16 @@ class TestRunControl:
         with pytest.raises(ConfigError):
             solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=0.5))
 
+    def test_non_finite_coefficients_rejected(self):
+        # the light-cone skip relies on V u = a u = 0 wherever u = 0
+        grid = dw.Grid(-10.0, 10.0, 200)
+        data = reference_data(grid, width=0.5)
+        for field in ("V", "a"):
+            profile = example1_profile(grid)
+            getattr(profile, field)[0] = np.inf
+            with pytest.raises(ConfigError):
+                solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0))
+
     def test_blowup_signal_for_subcritical_power(self):
         grid = solver.domain_for_radius(2.0, 20.0, 0.05, 2.0)
         profile = example1_profile(grid)
@@ -167,3 +177,151 @@ class TestRunControl:
         result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0))
         assert result.termination.kind == solver.INSTABILITY
         assert result.termination.time is not None
+
+
+def oracle_levels(config, dt, n_levels):
+    """u^0 .. u^n_levels by a plain first_step + leapfrog_step loop on the
+    whole grid."""
+    prof, data, p = config.profile, config.data, config.p
+    levels = [data.u0, solver.first_step(data.u0, data.u1, prof, dt, p)]
+    while len(levels) <= n_levels:
+        levels.append(solver.leapfrog_step(levels[-1], levels[-2], prof, dt, p))
+    return levels
+
+
+def oracle_fields(levels, level, dt, u1, final=False):
+    """(u, u_t, v) at a level, reconstructed the way run() documents."""
+    v = np.zeros_like(levels[0])
+    for k in range(1, level + 1):
+        v = v + 0.5 * dt * (levels[k - 1] + levels[k])
+    if level == 0:
+        u_t = u1
+    elif final:
+        u_t = (3.0 * levels[level] - 4.0 * levels[level - 1] + levels[level - 2]) / (2.0 * dt)
+    else:
+        u_t = (levels[level + 1] - levels[level - 1]) / (2.0 * dt)
+    return levels[level], u_t, v
+
+
+def assert_state_matches(state, levels, dt, u1, final=False):
+    level = round(state.t / dt)
+    u, u_t, v = oracle_fields(levels, level, dt, u1, final)
+    assert np.array_equal(state.u, u), f"u differs at level {level}"
+    assert np.array_equal(state.u_t, u_t), f"u_t differs at level {level}"
+    assert np.array_equal(state.v, v), f"v differs at level {level}"
+    if level > 0:
+        assert np.array_equal(state.u_prev, levels[level - 1])
+    else:
+        assert state.u_prev is None
+
+
+def bump_config(p, amplitude, t_end=3.0, record_every=5):
+    # support radius 2 > L = 1, and X = 6 leaves the light cone inside the grid
+    grid = solver.domain_for_radius(2.0, t_end, 0.05, 1.0)
+    profile = example1_profile(grid)
+    data = dw.make_initial_data(grid, dw.polynomial_bump(grid, amplitude, 2.0),
+                                dw.polynomial_bump(grid, 0.5 * amplitude, 1.5))
+    return solver.RunConfig(profile=profile, data=data, t_end=t_end, p=p,
+                            record_every=record_every)
+
+
+class TestWindowedMarch:
+    @pytest.mark.parametrize("p, amplitude", [(None, 1e-3), (3.0, 0.5), (2.5, 0.5)])
+    def test_final_state_equals_full_grid_oracle(self, p, amplitude):
+        config = bump_config(p, amplitude)
+        result = solver.run(config)
+        assert result.termination.kind == solver.COMPLETED
+        levels = oracle_levels(config, result.dt, result.n_steps)
+        assert_state_matches(result.final_state, levels, result.dt, config.data.u1, final=True)
+        # the window never reached the ends, so the skipped nodes were live zeros
+        assert np.all(result.final_state.u[:5] == 0.0) and np.all(result.final_state.u[-5:] == 0.0)
+
+    def test_forcing_is_above_roundoff(self):
+        # guards the p = 3 oracle case above against a forcing lost in rounding
+        linear = solver.run(bump_config(None, 0.5)).final_state.u
+        forced = solver.run(bump_config(3.0, 0.5)).final_state.u
+        assert np.max(np.abs(forced - linear)) > 1e-3 * np.max(np.abs(linear))
+
+    def test_blowup_final_state_is_level_k_minus_2(self):
+        grid = solver.domain_for_radius(2.0, 20.0, 0.05, 2.0)
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 4.0, 2.0),
+                                    np.zeros(grid.n_nodes))
+        config = solver.RunConfig(profile=example1_profile(grid), data=data,
+                                  t_end=20.0, p=2.0)
+        result = solver.run(config)
+        assert result.termination.kind == solver.BLOWUP
+        k = round(result.termination.time / result.dt)
+        state = result.final_state
+        assert round(state.t / result.dt) == k - 2
+        levels = oracle_levels(config, result.dt, k - 1)
+        assert_state_matches(state, levels, result.dt, data.u1)
+
+    def test_states_kept_by_a_hook_are_not_overwritten(self):
+        config = bump_config(3.0, 0.5, record_every=1)
+        kept = []
+        result = solver.run(config, lambda state, d, a2: kept.append(state))
+        assert len(kept) == result.n_steps + 1
+        levels = oracle_levels(config, result.dt, result.n_steps)
+        for state in kept[:-1]:
+            assert_state_matches(state, levels, result.dt, config.data.u1)
+        assert_state_matches(kept[-1], levels, result.dt, config.data.u1, final=True)
+
+    def test_zero_data(self):
+        grid = dw.Grid(-10.0, 10.0, 400)
+        zeros = np.zeros(grid.n_nodes)
+        data = dw.make_initial_data(grid, zeros, zeros)
+        kept = []
+        result = solver.run(solver.RunConfig(profile=example1_profile(grid), data=data,
+                                             t_end=2.0, p=3.0, record_every=4),
+                            lambda state, d, a2: kept.append((state.u.any(), d, a2)))
+        assert len(kept) == result.n_steps // 4 + 1
+        assert all(record == (False, 0.0, 0.0) for record in kept)
+        final = result.final_state
+        assert not (final.u.any() or final.u_t.any() or final.v.any())
+
+    def test_support_touching_boundary_nodes(self):
+        # u0 is nonzero on the left end node and u1 on the right one; the
+        # march holds both at zero but v and u_t at level 1 remember u0
+        grid = dw.Grid(-5.0, 5.0, 200)
+        profile = example1_profile(grid)
+        u0 = np.exp(-((grid.x + 5.0) ** 2))
+        u1 = np.exp(-((grid.x - 5.0) ** 2))
+        data = dw.InitialData(u0, u1, 10.0)
+        config = solver.RunConfig(profile=profile, data=data, t_end=1.0, record_every=1)
+        kept = []
+        result = solver.run(config, lambda state, d, a2: kept.append(state))
+        levels = oracle_levels(config, result.dt, result.n_steps)
+        assert u0[0] != 0.0 and kept[1].v[0] != 0.0
+        for state in kept[:-1]:
+            assert_state_matches(state, levels, result.dt, u1)
+        assert_state_matches(result.final_state, levels, result.dt, u1, final=True)
+
+
+class TestAbsPower:
+    @pytest.mark.parametrize("p", range(2, 14))
+    def test_integer_power_within_rounding_bound_of_np_power(self, p):
+        # each of the chain's multiplies rounds once: (p - 1) unit roundoffs,
+        # plus one ulp for np.power's own rounding
+        x = np.random.default_rng(p).uniform(-2.0, 2.0, 20000)
+        ref = np.power(np.abs(x), float(p))
+        got = solver.abs_power(x, p)
+        bound = (p - 1) * 2.0**-53 * ref + np.spacing(ref)
+        assert np.all(np.abs(got - ref) <= bound)
+        assert np.array_equal(got, solver.abs_power(x, float(p)))
+
+    def test_small_powers_within_4_ulp(self):
+        x = np.random.default_rng(0).uniform(-2.0, 2.0, 20000)
+        for p in range(2, 8):
+            ref = np.power(np.abs(x), float(p))
+            assert np.all(np.abs(solver.abs_power(x, p) - ref) <= 4 * np.spacing(ref))
+
+    def test_inf_and_nan_pass_through(self):
+        x = np.array([np.inf, -np.inf, np.nan, 0.0, -2.0])
+        for p in (2.0, 11.0, 2.5):
+            got = solver.abs_power(x, p)
+            assert np.array_equal(got, np.power(np.abs(x), p), equal_nan=True)
+
+    def test_non_integer_power_is_np_power(self):
+        x = np.random.default_rng(1).uniform(-2.0, 2.0, 1000)
+        for p in (1.5, 2.5, 0.5):
+            assert np.array_equal(solver.abs_power(x, p), np.power(np.abs(x), p))
