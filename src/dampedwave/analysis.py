@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import solver
 from .coefficients import (
@@ -96,6 +95,8 @@ def fit_series(
         )
     if not np.all(np.isfinite(q[sel])):
         raise FitError(f"{quantity} is not finite throughout the window [{t_lo}, {t_hi}]")
+    if np.any(q[sel] < 0.0):
+        raise FitError(f"{quantity} is negative in the window [{t_lo}, {t_hi}]")
     ts, qs = t[sel], np.clip(q[sel], QUANTITY_FLOOR, None)
     x = np.log1p(ts)
     y = np.log(qs)
@@ -145,6 +146,10 @@ def _convolution_nodes(t: float, n: int) -> np.ndarray:
 
 
 def _scaled_convolution_sup(theta: float, t_max: float, n_quadrature: int) -> float:
+    # deferred: scipy.integrate costs every process ~0.45 s and 270 modules,
+    # and no CLI command reaches this check
+    from scipy.integrate import simpson
+
     t_values = np.concatenate(([0.0], np.geomspace(1e-2, t_max, 160)))
     t_values[-1] = t_max
     sup = 0.0
@@ -211,11 +216,7 @@ def check_gagliardo_nirenberg(
     ratios = np.empty(n_samples)
     for i in range(n_samples):
         u = np.convolve(rng.standard_normal(grid.n_nodes), kernel, mode="same") * taper
-        l2 = math.sqrt(grid.integrate(u**2))
-        ux = np.gradient(u, grid.dx, edge_order=2)
-        h1 = math.sqrt(grid.integrate(ux**2))
-        l2p = grid.integrate(np.abs(u) ** (2.0 * p)) ** (1.0 / (2.0 * p))
-        ratios[i] = l2p / (l2 ** (1.0 - theta) * h1**theta)
+        ratios[i] = interpolation_ratio(grid, u, p)
     return InterpolationReport(
         p=p, theta=theta, n_samples=n_samples,
         max_ratio=float(ratios.max()), mean_ratio=float(ratios.mean()),
@@ -223,7 +224,7 @@ def check_gagliardo_nirenberg(
 
 
 def interpolation_ratio(grid: Grid, u: np.ndarray, p: float) -> float:
-    """The Gagliardo-Nirenberg ratio for one sample (used by scaling tests)."""
+    """||u||_2p / (||u||^(1-theta) ||u_x||^theta), theta = (p-1)/(2p), for one sample."""
     theta = (p - 1.0) / (2.0 * p)
     l2 = math.sqrt(grid.integrate(u**2))
     ux = np.gradient(u, grid.dx, edge_order=2)

@@ -242,7 +242,6 @@ class Recorder:
         else:
             self._bound_denom = None
         self._e0: float | None = None
-        self.records: list[EnergyRecord] = []
 
     def __call__(self, state: WaveState, dissipation_cum: float, au2_cum: float) -> EnergyRecord:
         profile, grid = self.profile, self.profile.grid
@@ -268,7 +267,7 @@ class Recorder:
         else:
             lhs = rhs = residual = ratio = float("nan")
 
-        rec = EnergyRecord(
+        return EnergyRecord(
             t=state.t,
             E_u=e_u,
             energy_norm=float(e_norm),
@@ -284,8 +283,6 @@ class Recorder:
             au2=trapezoid(profile.a * state.u**2, grid.dx),
             au2_cum=au2_cum,
         )
-        self.records.append(rec)
-        return rec
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,11 @@ def cfl_timestep(profile: CoefficientProfile, cfl: float) -> float:
     return cfl * dx / math.sqrt(1.0 + vmax * dx * dx / 4.0)
 
 
+# Floating-point errors the march lets pass: |u|^p may overflow to inf,
+# which the blowup check then reports.
+_QUIET = dict(over="ignore", invalid="ignore", under="ignore")
+
+
 def abs_power(u: np.ndarray, p: float, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:
     """|u|^p elementwise into out (work is scratch of u's shape).
@@ -139,26 +144,29 @@ def abs_power(u: np.ndarray, p: float, out: np.ndarray | None = None,
     Integer p >= 1 uses repeated squaring (|u|^11 is five multiplies);
     each multiply rounds once, so the result is within (p - 1) unit
     roundoffs of the exact power, against np.power's one. Any other p
-    uses np.power. inf and nan pass through.
+    uses np.power. inf and nan pass through, without a warning.
     """
     out = np.empty_like(u) if out is None else out
     work = np.empty_like(u) if work is None else work
-    np.abs(u, out=work)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        if not (float(p).is_integer() and p >= 1):
-            return np.power(work, p, out=out)
-        e, started = int(p), False
-        while True:
-            if e & 1:
-                if started:
-                    np.multiply(out, work, out=out)
-                else:
-                    np.copyto(out, work)
-                    started = True
-            e >>= 1
-            if not e:
-                return out
-            np.multiply(work, work, out=work)
+    with np.errstate(**_QUIET):
+        return _abs_power(u, p, out, work)
+
+
+def _abs_power(u, p, out, work):
+    """abs_power under the caller's floating-point error state."""
+    if not (float(p).is_integer() and p >= 1):
+        return np.power(np.abs(u, out=work), p, out=out)
+    e = int(p)
+    np.abs(u, out=out)
+    while not e & 1:  # out becomes the lowest set bit's factor
+        np.multiply(out, out, out=out)
+        e >>= 1
+    square = out
+    while e := e >> 1:
+        square = np.multiply(square, square, out=work)
+        if e & 1:
+            np.multiply(out, work, out=out)
+    return out
 
 
 def _stencil(u: np.ndarray, lo: int, hi: int):
@@ -176,7 +184,8 @@ class _StepKernel:
     march bit-identical to a full-grid one):
         lap = ((u[i-1] - 2u[i]) + u[i+1]) / dx^2
         u+  = (((2u - u-) + dt^2 ((lap - V u) + f)) + (a dt/2) u-) * inv_denom
-    with inv_denom = 1 / (1 + a dt/2).
+    with inv_denom = 1 / (1 + a dt/2). Callers enter np.errstate(**_QUIET)
+    once around their updates; the kernel does not enter it per step.
     """
 
     def __init__(self, profile: CoefficientProfile, dt: float, p: float | None):
@@ -207,7 +216,7 @@ class _StepKernel:
 
     def _add_forcing(self, acc, uc, work, tmp) -> None:
         if self.p is not None:
-            np.add(acc, abs_power(uc, self.p, out=tmp, work=work), out=acc)
+            np.add(acc, _abs_power(uc, self.p, tmp, work), out=acc)
 
     def step(self, out, um, uc, up, u_prev, s: slice) -> None:
         """u^(n+1) into out from u^n (neighbour views) and u^(n-1)."""
@@ -238,10 +247,11 @@ def _whole_grid(update, u, w, bc: str) -> np.ndarray:
     u, w = np.asarray(u, float), np.asarray(w, float)
     n = u.shape[0]
     out = np.zeros_like(u)
-    update(out[1:n - 1], *_stencil(u, 1, n - 1), w[1:n - 1], slice(1, n - 1))
-    if bc == "periodic":
-        update(out[:1], u[-2:-1], u[:1], u[1:2], w[:1], slice(0, 1))
-        out[-1] = out[0]
+    with np.errstate(**_QUIET):
+        update(out[1:n - 1], *_stencil(u, 1, n - 1), w[1:n - 1], slice(1, n - 1))
+        if bc == "periodic":
+            update(out[:1], u[-2:-1], u[:1], u[1:2], w[:1], slice(0, 1))
+            out[-1] = out[0]
     return out
 
 
@@ -327,6 +337,7 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     au2_cum = 0.0
     i_prev = 0.0
     j_prev = 0.0
+    caller_errstate = np.geterr()
 
     def snapshot(level: int) -> WaveState:
         u_prev = us[(level - 1) % 4].copy() if level > 0 else None
@@ -346,7 +357,8 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
         if diagnostics_hook is None or level % config.record_every:
             return None
         state = snapshot(level)
-        rec = diagnostics_hook(state, dissipation_cum, au2_cum)
+        with np.errstate(**caller_errstate):
+            rec = diagnostics_hook(state, dissipation_cum, au2_cum)
         if rec is not None:
             result.records.append(rec)
         return state
@@ -355,33 +367,35 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
     finalize(0, slice(lo, hi))
 
-    for k in range(1, n_steps + 1):
-        if hi > lo:
-            lo, hi = max(lo - 1, 0), min(hi + 1, n)
-        u_new, u_c, u_p = us[k % 4], us[(k - 1) % 4], us[(k - 2) % 4]
-        first, last = max(lo, 1), min(hi, n - 1)
-        if last > first:
-            nodes = slice(first, last)
-            views = (u_new[nodes], *_stencil(u_c, first, last))
-            if k == 1:
-                kernel.first(*views, data.u1[nodes], nodes)
-            else:
-                kernel.step(*views, u_p[nodes], nodes)
-        u_new[0] = u_new[-1] = 0.0  # the buffer may have held u0
-        w = slice(lo, hi)
-        if _window_bad(u_new[w]):
-            kind = BLOWUP if config.p is not None else INSTABILITY
-            result.termination = Termination(kind, time=k * dt)
-            result.final_state = snapshot(max(k - 2, 0))
-            return result
-        v_new = vs[k % 2][w]
-        np.add(u_c[w], u_new[w], out=v_new)
-        np.multiply(v_new, half_dt, out=v_new)
-        np.add(vs[(k - 1) % 2][w], v_new, out=v_new)
-        if k >= 2:
-            np.subtract(u_new[w], u_p[w], out=u_t[w])
-            np.divide(u_t[w], two_dt, out=u_t[w])
-            finalize(k - 1, w)
+    # one error state for the whole march; hooks run under the caller's
+    with np.errstate(**_QUIET):
+        for k in range(1, n_steps + 1):
+            if hi > lo:
+                lo, hi = max(lo - 1, 0), min(hi + 1, n)
+            u_new, u_c, u_p = us[k % 4], us[(k - 1) % 4], us[(k - 2) % 4]
+            first, last = max(lo, 1), min(hi, n - 1)
+            if last > first:
+                nodes = slice(first, last)
+                views = (u_new[nodes], *_stencil(u_c, first, last))
+                if k == 1:
+                    kernel.first(*views, data.u1[nodes], nodes)
+                else:
+                    kernel.step(*views, u_p[nodes], nodes)
+            u_new[0] = u_new[-1] = 0.0  # the buffer may have held u0
+            w = slice(lo, hi)
+            if _window_bad(u_new[w]):
+                kind = BLOWUP if config.p is not None else INSTABILITY
+                result.termination = Termination(kind, time=k * dt)
+                result.final_state = snapshot(max(k - 2, 0))
+                return result
+            v_new = vs[k % 2][w]
+            np.add(u_c[w], u_new[w], out=v_new)
+            np.multiply(v_new, half_dt, out=v_new)
+            np.add(vs[(k - 1) % 2][w], v_new, out=v_new)
+            if k >= 2:
+                np.subtract(u_new[w], u_p[w], out=u_t[w])
+                np.divide(u_t[w], two_dt, out=u_t[w])
+                finalize(k - 1, w)
 
     u_c, u_p = us[n_steps % 4], us[(n_steps - 1) % 4]
     if n_steps >= 2:

@@ -63,6 +63,19 @@ class TestFitDecay:
         with pytest.raises(FitError):
             dw.fit_decay(records, "G_k", (10.0, 100.0))
 
+    def test_negative_value_rejected(self):
+        # one negative sample used to be clipped to the floor and fitted
+        records = synthetic_records(lambda t: 1.0 / (1.0 + t), np.linspace(0, 100, 50))
+        records[30] = dataclasses.replace(records[30], E_u=-1e-3)
+        with pytest.raises(FitError, match="E_u"):
+            dw.fit_decay(records, "E_u", (10.0, 100.0))
+
+    def test_exact_zero_keeps_floor(self):
+        records = synthetic_records(lambda t: 1.0 / (1.0 + t), np.linspace(0, 100, 50))
+        records[30] = dataclasses.replace(records[30], E_u=0.0)
+        fit = dw.fit_decay(records, "E_u", (10.0, 100.0))
+        assert np.isfinite(fit.exponent) and fit.exponent < -1.0
+
 
 class TestPStar:
     def test_paper_values(self):

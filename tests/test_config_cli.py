@@ -206,6 +206,19 @@ class TestCli:
         assert cli.main(["fit", str(path), "--quantity", "G_k", "--window", "10", "30"]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_fit_negative_value_exits_1(self, tmp_path, capsys):
+        rows = [",".join(cli.CSV_COLUMNS)]
+        for t in np.linspace(0.0, 40.0, 41):
+            values = {name: 1.0 / (1.0 + t) for name in cli.CSV_COLUMNS}
+            values.update(t=t)
+            if t == 20.0:
+                values.update(E_u=-1e-3)
+            rows.append(",".join(cli._fmt(values[name]) for name in cli.CSV_COLUMNS))
+        path = tmp_path / "neg.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert cli.main(["fit", str(path), "--quantity", "E_u", "--window", "10", "30"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_plot_generates_four_panels(self, demo_config, tmp_path, capsys):
         out = tmp_path / "out"
         cli.main(["run", str(demo_config), "--out", str(out)])

@@ -168,6 +168,22 @@ class TestRunControl:
         assert 0.0 < result.termination.time < 20.0
         assert np.all(np.isfinite(result.final_state.u))
 
+    def test_overflowing_power_is_blowup_not_an_error(self):
+        # 4^1000 overflows to inf in the first step; the march reports it
+        # as blowup under any error state, and hooks see the caller's state
+        grid = solver.domain_for_radius(2.0, 5.0, 0.05, 2.0)
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 4.0, 2.0),
+                                    np.zeros(grid.n_nodes))
+        config = solver.RunConfig(profile=example1_profile(grid), data=data,
+                                  t_end=5.0, p=1000.0)
+        seen = []
+        with np.errstate(all="raise"):
+            result = solver.run(config, lambda state, d, a2: seen.append(np.geterr()))
+            assert np.geterr()["over"] == "raise"
+        assert result.termination.kind == solver.BLOWUP
+        assert result.termination.time == result.dt
+        assert seen and all(err["over"] == "raise" for err in seen)
+
     def test_instability_signal_for_bad_linear_field(self):
         grid = dw.Grid(-10.0, 10.0, 200)
         profile = example1_profile(grid)
@@ -320,6 +336,28 @@ class TestAbsPower:
         for p in (2.0, 11.0, 2.5):
             got = solver.abs_power(x, p)
             assert np.array_equal(got, np.power(np.abs(x), p), equal_nan=True)
+
+    def test_overflow_is_silent(self):
+        x = np.array([1e200, -1e200, 2.0])
+        with np.errstate(all="raise"):
+            for p in (2, 3, 4, 11, 2.5):
+                assert np.array_equal(solver.abs_power(x, p),
+                                      [np.inf, np.inf, 2.0**p])
+
+    def test_bit_identical_to_plain_square_and_multiply(self):
+        # reference: the squares of |x| multiplied in, lowest bit first
+        x = np.random.default_rng(2).uniform(-2.0, 2.0, 1000)
+        for p in (1, 2, 3, 8, 11, 12, 13, 64):
+            ref, square, e = None, np.abs(x), p
+            while e:
+                if e & 1:
+                    ref = square.copy() if ref is None else ref * square
+                e >>= 1
+                if e:
+                    square = square * square
+            out = np.empty_like(x)
+            assert solver.abs_power(x, p, out=out) is out
+            assert np.array_equal(out, ref)
 
     def test_non_integer_power_is_np_power(self):
         x = np.random.default_rng(1).uniform(-2.0, 2.0, 1000)
