@@ -10,7 +10,8 @@ Exit-status contract (stable for harnesses):
 Every run emits one CSV time series (17 significant digits, columns
 t, E_u, l2_u, l2_local, dissipation_cum, G_k, identity_residual,
 lemma25_residual, lemma25_ratio, au2_cum) plus one JSON manifest holding
-the config hash, derived constants, and termination. Outputs are
+the config hash, derived constants (C* with the iterations, residual and
+edge tail of its solve), and termination. Outputs are
 deterministic functions of the config bytes. The default output
 directory may be set with the DAMPEDWAVE_OUT environment variable.
 """
@@ -75,10 +76,13 @@ def _json_safe(x):
 
 
 def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict:
-    profile = lab.profile
+    profile, estimate = lab.profile, lab.c_star_estimate
     derived = {
         "c_star": lab.c_star,
         "smallness_bound": (1.0 / (4.0 * lab.c_star)) if lab.c_star else None,
+        "c_star_iterations": estimate.iterations if estimate else None,
+        "c_star_residual": estimate.residual if estimate else None,
+        "c_star_edge_tail": estimate.edge_tail if estimate else None,
         "V_at_origin": profile.v_at_origin,
         "I0": lab.norms.I0 if lab.norms else None,
         "h1_norm_u0": lab.norms.h1_norm_u0 if lab.norms else None,
@@ -133,7 +137,7 @@ def cmd_validate(args) -> int:
     try:
         spec, _raw = _load(args.config)
         grid, profile, data = cfg.build_problem(spec)
-        report, c_star, mc, norms = runner.prepare_constants(profile, data)
+        report, estimate, _mc, _norms = runner.prepare_constants(profile, data)
     except _VALIDATION_ERRORS as exc:
         print(f"INVALID: {exc}")
         return EXIT_VALIDATION
@@ -142,6 +146,7 @@ def cmd_validate(args) -> int:
         status = {True: "pass", False: "FAIL", None: "skipped"}[check.passed]
         margin = "" if check.margin is None else f" (margin {check.margin:.6g})"
         print(f"{check.name:35s} {status:7s} {check.detail}{margin}")
+    c_star = None if estimate is None else estimate.c_star
     if c_star is not None:
         print(f"{'C*':35s} {c_star:.12g}")
         print(f"{'1/(4C*)':35s} {1.0 / (4.0 * c_star):.12g}")

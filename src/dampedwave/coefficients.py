@@ -79,11 +79,6 @@ class Grid:
         return Grid(self.x_min, self.x_max, self.n_cells * factor)
 
 
-def trapezoid(values: np.ndarray, dx: float) -> float:
-    """Trapezoidal integral of uniformly sampled values."""
-    return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
-
-
 def inner_cell_weights(grid: Grid, L: float) -> np.ndarray:
     """Quadrature weights for integrals over |x| <= L.
 

@@ -24,10 +24,13 @@ snapshots:
 * the localized-norm bound int_{|x|<=L} u^2 <= (2 / V_L) E_u.
 
 Spatial derivatives use centered differences (second-order one-sided at
-the domain ends); all space integrals are trapezoidal. Diagnostics are
-pure over immutable snapshots. Runs whose coefficients fail the
-hypotheses (e.g. free waves) still get records, with the functionals
-that need the multiplier constants or a positive potential set to NaN.
+the domain ends); all space integrals are trapezoidal, taken over the
+state's support (solver.WaveState.support) widened to the gradient
+stencil, by one formula per functional (_Quadrature) that the Recorder,
+energy, g_k and check_lemma25 share. Diagnostics are pure over immutable
+snapshots. Runs whose coefficients fail the hypotheses (e.g. free waves)
+still get records, with the functionals that need the multiplier
+constants or a positive potential set to NaN.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .coefficients import (
     InitialData,
     inner_cell_weights,
     potential_bounds_at_core,
-    trapezoid,
     validate_hypotheses,
 )
 from .errors import ConfigError
@@ -112,41 +114,118 @@ def derive_multiplier_config(
     )
 
 
-def _energy_parts(state: WaveState, profile: CoefficientProfile):
-    """(u_x, E_u, energy norm) from one set of the three energy integrals
-    ||u_t||^2, ||u_x||^2, ||sqrt(V) u||^2; u_x by centered differences,
-    trapezoid in space."""
-    grid = profile.grid
-    ux = np.gradient(state.u, grid.dx, edge_order=2)
-    kinetic = grid.integrate(state.u_t**2)
-    gradient = grid.integrate(ux**2)
-    potential = grid.integrate(profile.V * state.u**2)
-    e_u = 0.5 * (kinetic + gradient + potential)
-    return ux, e_u, np.sqrt(kinetic) + np.sqrt(gradient) + np.sqrt(potential)
+def _stencil_window(support: tuple[int, int] | None, n: int) -> slice:
+    """The nodes where a field vanishing outside support [lo, hi), or its
+    np.gradient, can be nonzero: support widened by one node, or to the
+    grid end where the end's one-sided formula reaches it."""
+    lo, hi = (0, n) if support is None else support
+    return slice(lo - 1 if lo > 2 else 0, hi + 1 if hi < n - 2 else n)
+
+
+class _Sums:
+    """The trapezoid integrals of one state that the functionals read."""
+
+    __slots__ = ("kinetic", "gradient", "potential", "mass", "local_mass",
+                 "damped_mass", "cross", "pairing", "vx_sq", "vv_sq", "forcing_v")
+
+    @property
+    def energy(self) -> float:
+        """E_u = (||u_t||^2 + ||u_x||^2 + ||sqrt(V) u||^2) / 2."""
+        return 0.5 * (self.kinetic + self.gradient + self.potential)
+
+    @property
+    def energy_norm(self) -> float:
+        """||u_t|| + ||u_x|| + ||sqrt(V) u||, the semilinear bootstrap norm."""
+        return float(np.sqrt(self.kinetic) + np.sqrt(self.gradient) + np.sqrt(self.potential))
+
+    def g_k(self, mc: MultiplierConfig) -> float:
+        """G_k = int u_t phi x u_x + alpha (u_t, u) + (alpha/2) int a u^2 + k E_u."""
+        return (self.cross + mc.alpha * self.pairing + 0.5 * mc.alpha * self.damped_mass
+                + mc.k * self.energy)
+
+    def lemma25(self, u0_sq: float, au2_cum: float) -> tuple[float, float, float]:
+        """(lhs, rhs, relative residual) of the accumulated-field identity."""
+        lhs = 0.5 * self.mass + 0.5 * self.vx_sq + 0.5 * self.vv_sq + au2_cum
+        rhs = 0.5 * u0_sq + self.forcing_v
+        return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
+class _Quadrature:
+    """Trapezoid integrals of a state's fields over its support.
+
+    The weights are folded with the coefficients once. Per state, each
+    product of fields is formed once in a preallocated buffer and feeds
+    dot products over the support widened to the gradient stencil
+    (_stencil_window); everything outside vanishes. u_x and v_x use
+    np.gradient's formulas (central differences, second-order one-sided
+    at the grid ends), so they are bit-identical to it on the window.
+    """
+
+    def __init__(self, profile: CoefficientProfile, data: InitialData | None = None):
+        grid = profile.grid
+        w = grid.weights
+        self.n = grid.n_nodes
+        self.two_dx = 2.0 * grid.dx
+        self.left = (-1.5 / grid.dx, 2.0 / grid.dx, -0.5 / grid.dx)
+        self.right = (0.5 / grid.dx, -2.0 / grid.dx, 1.5 / grid.dx)
+        self.w = w
+        self.w_V = w * profile.V
+        self.w_a = w * profile.a
+        self.w_inner = inner_cell_weights(grid, profile.L)
+        self.w_phi_x = w * profile.phi * grid.x
+        self.w_forcing = None if data is None else w * (data.u1 + profile.a * data.u0)
+        self._grad, self._u_sq, self._prod = np.empty((3, self.n))
+
+    def _gradient(self, f: np.ndarray, s: slice) -> np.ndarray:
+        """np.gradient(f, dx, edge_order=2) on the nodes s."""
+        out, n = self._grad, self.n
+        i0, i1 = max(s.start, 1), min(s.stop, n - 1)
+        np.subtract(f[i0 + 1:i1 + 1], f[i0 - 1:i1 - 1], out=out[i0:i1])
+        np.divide(out[i0:i1], self.two_dx, out=out[i0:i1])
+        if s.start == 0:
+            a, b, c = self.left
+            out[0] = a * f[0] + b * f[1] + c * f[2]
+        if s.stop == n:
+            a, b, c = self.right
+            out[-1] = a * f[-3] + b * f[-2] + c * f[-1]
+        return out[s]
+
+    def sums(self, state: WaveState, multiplier: bool = False,
+             lemma25: bool = False) -> _Sums:
+        """The energy integrals, plus G_k's (multiplier) and the
+        accumulated-field identity's (lemma25, needs data) when asked."""
+        s = _stencil_window(state.support, self.n)
+        w, prod = self.w[s], self._prod[s]
+        u, u_t = state.u[s], state.u_t[s]
+        ux = self._gradient(state.u, s)
+        u_sq = np.multiply(u, u, out=self._u_sq[s])
+        out = _Sums()
+        out.kinetic = float(w @ np.multiply(u_t, u_t, out=prod))
+        out.gradient = float(w @ np.multiply(ux, ux, out=prod))
+        out.potential = float(self.w_V[s] @ u_sq)
+        out.mass = float(w @ u_sq)
+        out.local_mass = float(self.w_inner[s] @ u_sq)
+        out.damped_mass = float(self.w_a[s] @ u_sq)
+        if multiplier:
+            out.cross = float(self.w_phi_x[s] @ np.multiply(u_t, ux, out=prod))
+            out.pairing = float(w @ np.multiply(u, u_t, out=prod))
+        if lemma25:
+            v = state.v[s]
+            vx = self._gradient(state.v, s)
+            out.vx_sq = float(w @ np.multiply(vx, vx, out=prod))
+            out.vv_sq = float(self.w_V[s] @ np.multiply(v, v, out=prod))
+            out.forcing_v = float(self.w_forcing[s] @ v)
+        return out
 
 
 def energy(state: WaveState, profile: CoefficientProfile) -> float:
     """Total energy E_u(t) = (||u_t||^2 + ||u_x||^2 + ||sqrt(V) u||^2) / 2."""
-    return _energy_parts(state, profile)[1]
-
-
-def energy_norm(state: WaveState, profile: CoefficientProfile) -> float:
-    """||u_t|| + ||u_x|| + ||sqrt(V) u||, the semilinear bootstrap norm."""
-    return _energy_parts(state, profile)[2]
-
-
-def _g_k(state: WaveState, profile: CoefficientProfile, mc: MultiplierConfig,
-         ux: np.ndarray, e_u: float) -> float:
-    grid = profile.grid
-    cross = grid.integrate(state.u_t * profile.phi * grid.x * ux)
-    pairing = grid.integrate(state.u_t * state.u)
-    damped_mass = grid.integrate(profile.a * state.u**2)
-    return cross + mc.alpha * pairing + 0.5 * mc.alpha * damped_mass + mc.k * e_u
+    return _Quadrature(profile).sums(state).energy
 
 
 def g_k(state: WaveState, profile: CoefficientProfile, mc: MultiplierConfig) -> float:
-    ux, e_u, _ = _energy_parts(state, profile)
-    return _g_k(state, profile, mc, ux, e_u)
+    """The multiplier functional G_k of a state."""
+    return _Quadrature(profile).sums(state, multiplier=True).g_k(mc)
 
 
 @dataclass(frozen=True)
@@ -190,18 +269,12 @@ def check_lemma25(
     (v_t = u), accumulated by the solver.
     """
     grid = profile.grid
-    vx = np.gradient(state.v, grid.dx, edge_order=2)
-    lhs = (0.5 * grid.integrate(state.u**2)
-           + 0.5 * grid.integrate(vx**2)
-           + 0.5 * grid.integrate(profile.V * state.v**2)
-           + dissipation_v_cum)
-    forcing = data.u1 + profile.a * data.u0
+    sums = _Quadrature(profile, data).sums(state, lemma25=True)
     u0_sq = grid.integrate(data.u0**2)
-    rhs = 0.5 * u0_sq + grid.integrate(forcing * state.v)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    residual = abs(lhs - rhs) / scale
+    lhs, rhs, residual = sums.lemma25(u0_sq, dissipation_v_cum)
 
-    numer = grid.integrate(state.u**2) + dissipation_v_cum
+    forcing = data.u1 + profile.a * data.u0
+    numer = sums.mass + dissipation_v_cum
     if np.all(profile.V > 0.0):
         denom = u0_sq + grid.integrate(forcing**2 / profile.V)
         bound_ratio = numer / denom if denom > 0 else (0.0 if numer == 0.0 else float("nan"))
@@ -232,10 +305,8 @@ class Recorder:
         self.mc = mc
         self.data = data
         self.norms = norms
-        grid = profile.grid
-        self._w_inner = inner_cell_weights(grid, profile.L)
-        self._u0_sq = grid.integrate(data.u0**2)
-        self._forcing = data.u1 + profile.a * data.u0
+        self._quad = _Quadrature(profile, data)
+        self._u0_sq = profile.grid.integrate(data.u0**2)
         self._v_positive = bool(np.all(profile.V > 0.0))
         if norms is not None:
             self._bound_denom = self._u0_sq + norms.weighted_norm**2
@@ -244,43 +315,34 @@ class Recorder:
         self._e0: float | None = None
 
     def __call__(self, state: WaveState, dissipation_cum: float, au2_cum: float) -> EnergyRecord:
-        profile, grid = self.profile, self.profile.grid
-        ux, e_u, e_norm = _energy_parts(state, profile)
+        mc = self.mc
+        sums = self._quad.sums(state, multiplier=mc is not None, lemma25=self._v_positive)
+        e_u = sums.energy
         if self._e0 is None:
             self._e0 = e_u
-        l2_u = float(np.sqrt(grid.integrate(state.u**2)))
-        l2_local = float(self._w_inner @ (state.u * state.u))
-        gk = _g_k(state, profile, self.mc, ux, e_u) if self.mc is not None else float("nan")
-
         if self._v_positive:
-            vx = np.gradient(state.v, grid.dx, edge_order=2)
-            lhs = (0.5 * grid.integrate(state.u**2)
-                   + 0.5 * grid.integrate(vx**2)
-                   + 0.5 * grid.integrate(profile.V * state.v**2)
-                   + au2_cum)
-            rhs = 0.5 * self._u0_sq + grid.integrate(self._forcing * state.v)
-            residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+            lhs, rhs, residual = sums.lemma25(self._u0_sq, au2_cum)
             if self._bound_denom and self._bound_denom > 0:
-                ratio = (l2_u**2 + au2_cum) / self._bound_denom
+                ratio = (sums.mass + au2_cum) / self._bound_denom
             else:
-                ratio = 0.0 if l2_u == 0.0 and au2_cum == 0.0 else float("nan")
+                ratio = 0.0 if sums.mass == 0.0 and au2_cum == 0.0 else float("nan")
         else:
             lhs = rhs = residual = ratio = float("nan")
 
         return EnergyRecord(
             t=state.t,
             E_u=e_u,
-            energy_norm=float(e_norm),
-            l2_u=l2_u,
-            l2_local=l2_local,
+            energy_norm=sums.energy_norm,
+            l2_u=float(np.sqrt(sums.mass)),
+            l2_local=sums.local_mass,
             dissipation_cum=dissipation_cum,
-            G_k=gk,
+            G_k=sums.g_k(mc) if mc is not None else float("nan"),
             identity_residual=e_u + dissipation_cum - self._e0,
             lemma25_lhs=lhs,
             lemma25_rhs=rhs,
             lemma25_residual=residual,
             lemma25_ratio=ratio,
-            au2=trapezoid(profile.a * state.u**2, grid.dx),
+            au2=sums.damped_mass,
             au2_cum=au2_cum,
         )
 

@@ -27,7 +27,7 @@ from .coefficients import (
     validate_hypotheses,
 )
 from .diagnostics import MultiplierConfig, Recorder, derive_multiplier_config
-from .spectral import estimate_c_star, poincare_problem
+from .spectral import PoincareEstimate, estimate_c_star, poincare_problem
 
 
 @dataclass
@@ -38,11 +38,15 @@ class LabRun:
     profile: CoefficientProfile
     data: InitialData
     validation: ValidationReport
-    c_star: float | None
+    c_star_estimate: PoincareEstimate | None
     mc: MultiplierConfig | None
     norms: DataNorms | None
     result: solver.RunResult
     run_config: solver.RunConfig
+
+    @property
+    def c_star(self) -> float | None:
+        return None if self.c_star_estimate is None else self.c_star_estimate.c_star
 
     @property
     def records(self):
@@ -55,7 +59,8 @@ class LabRun:
 
 def prepare_constants(
     profile: CoefficientProfile, data: InitialData
-) -> tuple[ValidationReport, float | None, MultiplierConfig | None, DataNorms | None]:
+) -> tuple[ValidationReport, PoincareEstimate | None, MultiplierConfig | None,
+           DataNorms | None]:
     """Estimate C* and derive the multiplier constants where the
     hypotheses allow it; never raises on a hypothesis failure."""
     report = validate_hypotheses(profile)
@@ -65,19 +70,18 @@ def prepare_constants(
     )
     coeffs_ok = all(report.check(n).passed for n in coeff_names)
 
-    c_star = None
+    estimate = None
     mc = None
     if coeffs_ok:
         estimate = estimate_c_star(poincare_problem(profile.grid, profile.L))
-        c_star = estimate.c_star
-        report = validate_hypotheses(profile, c_star)
+        report = validate_hypotheses(profile, estimate.c_star)
         if report.passed:
-            mc = derive_multiplier_config(profile, c_star)
+            mc = derive_multiplier_config(profile, estimate.c_star)
 
     norms = None
     if bool(np.all(profile.V > 0.0)):
         norms = compute_data_norms(data, profile)
-    return report, c_star, mc, norms
+    return report, estimate, mc, norms
 
 
 def execute(
@@ -99,10 +103,10 @@ def execute(
         if run_config is None:
             run_config = solver.RunConfig(profile=profile, data=data, t_end=50.0)
 
-    validation, c_star, mc, norms = prepare_constants(profile, data)
+    validation, estimate, mc, norms = prepare_constants(profile, data)
     recorder = Recorder(profile, mc, data, norms)
     result = solver.run(run_config, recorder)
     return LabRun(
         grid=grid, profile=profile, data=data, validation=validation,
-        c_star=c_star, mc=mc, norms=norms, result=result, run_config=run_config,
+        c_star_estimate=estimate, mc=mc, norms=norms, result=result, run_config=run_config,
     )

@@ -39,6 +39,17 @@ u, u_t and v are bit-identical to a full-grid march. Only the two
 cumulative integrals sum in a different order (dot products with a
 times the trapezoid weights), which moves them by round-off.
 
+Blowup screen. A level is bad when the window holds a non-finite value
+or one beyond BLOWUP_THRESHOLD in magnitude. The check first computes
+dot(u, u) over the window: at most 1e16 (1 - 1e-6) proves max|u| <= 1e8
+(the margin covers the dot product's rounding), and nan or inf fail it.
+Only a window that fails the screen gets the exact max/min test.
+
+u_t. Each step forms d = u^(k+1) - u^(k-1) for level k in the u_t buffer;
+the dissipation panel uses (sum a w d^2) / (2 dt)^2. d is divided by 2 dt
+only where a reader sees u_t: at record levels with a hook, for the
+blowup state (rebuilt from the u ring) and at the end.
+
 Buffers. run() allocates its full-length arrays once: a ring of four u
 levels (a blowup at level k returns level k-2 with its predecessor k-3),
 two v levels, one u_t, and the kernel's scratch. Steps write into them in
@@ -48,7 +59,12 @@ repeated squaring (abs_power); other p use np.power.
 Array contract. The WaveState a diagnostics hook receives, and
 RunResult.final_state, hold copies that no later step writes to; a hook
 may keep them. Full states are built only at record levels, at blowup
-and at the end.
+and at the end. Their support field is a window [lo, hi) outside which
+u, u_prev, u_t and v vanish, and the diagnostics integrate only over it:
+the window of the next level for a record level (its u_t reads that
+level), of level k-1 for the blowup state, and the last window for the
+final state. A hand-built WaveState leaves support as None, the whole
+grid.
 """
 
 from __future__ import annotations
@@ -79,6 +95,8 @@ class WaveState:
     u_t: np.ndarray
     v: np.ndarray
     dt: float
+    # [lo, hi) outside which u, u_prev, u_t and v vanish; None: the whole grid
+    support: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -293,9 +311,18 @@ def check_semilinear_support(data: InitialData, profile: CoefficientProfile) -> 
         )
 
 
+# dot(u, u) <= _SCREEN proves max|u| <= BLOWUP_THRESHOLD: a dot product of
+# n squares lies within about n unit roundoffs of the exact sum, which the
+# 1e-6 margin covers on any grid below a billion nodes.
+_SCREEN = BLOWUP_THRESHOLD**2 * (1.0 - 1e-6)
+
+
 def _window_bad(u: np.ndarray) -> bool:
-    """A non-finite value, or one beyond BLOWUP_THRESHOLD in magnitude."""
-    if u.size == 0:
+    """A non-finite value, or one beyond BLOWUP_THRESHOLD in magnitude.
+
+    One dot product clears a bounded window; nan and inf fail it, and only
+    then do the exact max/min tests run."""
+    if float(np.dot(u, u)) <= _SCREEN:
         return False
     return not (u.max() <= BLOWUP_THRESHOLD and u.min() >= -BLOWUP_THRESHOLD)
 
@@ -321,13 +348,14 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
         n_steps += config.record_every - rem  # uniform record cadence
     dt = config.t_end / n_steps
     half_dt, two_dt = 0.5 * dt, 2.0 * dt
+    two_dt_sq = two_dt * two_dt
 
     kernel = _StepKernel(profile, dt, config.p)
     a_weights = profile.a * profile.grid.weights
     result = RunResult(dt=dt, n_steps=n_steps)
 
     # level k lives in us[k % 4] and vs[k % 2]; u_t holds the newest
-    # finalized level's u_t
+    # finalized level's u_t, or in the march d = u^(k+1) - u^(k-1)
     us = [data.u0.copy()] + [np.zeros(n) for _ in range(3)]
     vs = [np.zeros(n), np.zeros(n)]
     u_t = data.u1.copy()
@@ -339,24 +367,33 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     j_prev = 0.0
     caller_errstate = np.geterr()
 
-    def snapshot(level: int) -> WaveState:
+    def a_norm2(x: np.ndarray, w: slice) -> float:
+        return float(np.dot(a_weights[w], np.square(x[w], out=squares[w])))
+
+    def snapshot(level: int, w: slice) -> WaveState:
         u_prev = us[(level - 1) % 4].copy() if level > 0 else None
         return WaveState(t=level * dt, u=us[level % 4].copy(), u_prev=u_prev,
-                         u_t=u_t.copy(), v=vs[level % 2].copy(), dt=dt)
+                         u_t=u_t.copy(), v=vs[level % 2].copy(), dt=dt,
+                         support=(w.start, w.stop))
 
-    def finalize(level: int, w: slice) -> WaveState | None:
+    def finalize(level: int, w: slice, raw: bool) -> WaveState | None:
         # a level is finalized once its u_t reconstruction exists; the
-        # cumulative integrals advance one trapezoid panel per level
+        # cumulative integrals advance one trapezoid panel per level. With
+        # raw, u_t[w] holds d and becomes d / (2 dt) only at a record level.
         nonlocal dissipation_cum, au2_cum, i_prev, j_prev
-        i_now = float(np.dot(a_weights[w], np.square(u_t[w], out=squares[w])))
-        j_now = float(np.dot(a_weights[w], np.square(us[level % 4][w], out=squares[w])))
+        i_now = a_norm2(u_t, w)
+        if raw:
+            i_now /= two_dt_sq
+        j_now = a_norm2(us[level % 4], w)
         if level > 0:
             dissipation_cum += 0.5 * dt * (i_prev + i_now)
             au2_cum += 0.5 * dt * (j_prev + j_now)
         i_prev, j_prev = i_now, j_now
         if diagnostics_hook is None or level % config.record_every:
             return None
-        state = snapshot(level)
+        if raw:
+            np.divide(u_t[w], two_dt, out=u_t[w])
+        state = snapshot(level, w)
         with np.errstate(**caller_errstate):
             rec = diagnostics_hook(state, dissipation_cum, au2_cum)
         if rec is not None:
@@ -365,11 +402,12 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
 
     live = np.flatnonzero((data.u0 != 0.0) | (data.u1 != 0.0))
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-    finalize(0, slice(lo, hi))
+    finalize(0, slice(lo, hi), raw=False)
 
     # one error state for the whole march; hooks run under the caller's
     with np.errstate(**_QUIET):
         for k in range(1, n_steps + 1):
+            prev = slice(lo, hi)  # level k-1's window
             if hi > lo:
                 lo, hi = max(lo - 1, 0), min(hi + 1, n)
             u_new, u_c, u_p = us[k % 4], us[(k - 1) % 4], us[(k - 2) % 4]
@@ -386,7 +424,10 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             if _window_bad(u_new[w]):
                 kind = BLOWUP if config.p is not None else INSTABILITY
                 result.termination = Termination(kind, time=k * dt)
-                result.final_state = snapshot(max(k - 2, 0))
+                if k >= 3:  # level k-2's u_t, again from the ring
+                    np.subtract(u_c[prev], us[(k - 3) % 4][prev], out=u_t[prev])
+                    np.divide(u_t[prev], two_dt, out=u_t[prev])
+                result.final_state = snapshot(max(k - 2, 0), prev)
                 return result
             v_new = vs[k % 2][w]
             np.add(u_c[w], u_new[w], out=v_new)
@@ -394,14 +435,14 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             np.add(vs[(k - 1) % 2][w], v_new, out=v_new)
             if k >= 2:
                 np.subtract(u_new[w], u_p[w], out=u_t[w])
-                np.divide(u_t[w], two_dt, out=u_t[w])
-                finalize(k - 1, w)
+                finalize(k - 1, w, raw=True)
 
-    u_c, u_p = us[n_steps % 4], us[(n_steps - 1) % 4]
+    w = slice(lo, hi)
+    u_c, u_p = us[n_steps % 4][w], us[(n_steps - 1) % 4][w]
     if n_steps >= 2:
-        u_t[:] = (3.0 * u_c - 4.0 * u_p + us[(n_steps - 2) % 4]) / (2.0 * dt)
+        u_t[w] = (3.0 * u_c - 4.0 * u_p + us[(n_steps - 2) % 4][w]) / (2.0 * dt)
     else:  # a single-step run cannot do one-sided second order
-        u_t[:] = (u_c - data.u0) / dt
-    result.final_state = finalize(n_steps, slice(lo, hi)) or snapshot(n_steps)
+        u_t[w] = (u_c - data.u0[w]) / dt
+    result.final_state = finalize(n_steps, w, raw=False) or snapshot(n_steps, w)
     result.termination = Termination(COMPLETED)
     return result

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded, eigh
 
 from .coefficients import Grid, partition_cell_weights
 from .errors import ConvergenceError, GridDomainError
@@ -117,6 +116,11 @@ def estimate_c_star(
     relative eigenresidual is below sqrt(tol); the eigenvalue error then
     scales like residual^2 / gap, i.e. like tol.
     """
+    # deferred: scipy.linalg costs a process ~0.25 s, 22 MiB and 85
+    # modules to import, and a sweep (parent and pool workers) never
+    # solves for C*
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     ab, b_diag = _pencil(problem)
     chol = cholesky_banded(ab)
     res_tol = np.sqrt(tol)
@@ -166,6 +170,8 @@ def dense_c_star(problem: PoincareProblem) -> tuple[float, np.ndarray]:
     """Dense-eigensolver oracle: full symmetric decomposition of the
     reversed pencil B v = mu A v (A is positive definite); the largest mu
     is 1/lambda_min. Only for coarse grids."""
+    from scipy.linalg import eigh  # deferred, as in estimate_c_star
+
     n = problem.grid.n_nodes - 2
     if n + 2 > DENSE_ORACLE_MAX_NODES:
         raise GridDomainError(

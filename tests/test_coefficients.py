@@ -8,7 +8,6 @@ from dampedwave.coefficients import (
     inner_cell_weights,
     partition_cell_weights,
     potential_bounds_at_core,
-    trapezoid,
 )
 from dampedwave.errors import GridDomainError, HypothesisError
 
@@ -44,7 +43,6 @@ class TestGrid:
     def test_trapezoid_weights(self):
         g = dw.Grid(-1.0, 1.0, 8)
         assert g.integrate(np.ones(g.n_nodes)) == pytest.approx(2.0)
-        assert trapezoid(np.ones(9), g.dx) == pytest.approx(2.0)
 
     def test_region_weights_partition(self):
         g = dw.Grid(-4.0, 4.0, 64)  # L on a node

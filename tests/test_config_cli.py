@@ -126,6 +126,18 @@ class TestCli:
         assert cli.main(["run", str(demo_config), "--out", str(out2)]) == 0
         assert (out1 / "demo.csv").read_bytes() == (out2 / "demo.csv").read_bytes()
 
+    def test_manifest_reports_c_star_solve_and_reruns_byte_identical(self, demo_config,
+                                                                         tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["run", str(demo_config), "--out", str(out1)]) == 0
+        assert cli.main(["run", str(demo_config), "--out", str(out2)]) == 0
+        raw = (out1 / "demo.manifest.json").read_bytes()
+        assert raw == (out2 / "demo.manifest.json").read_bytes()
+        derived = json.loads(raw)["derived_constants"]
+        assert derived["c_star_iterations"] >= 1
+        assert 0.0 <= derived["c_star_residual"] <= 1e-6  # sqrt of the 1e-12 tolerance
+        assert 0.0 <= derived["c_star_edge_tail"] < 1e-3
+
     def test_env_var_output_dir(self, demo_config, tmp_path, monkeypatch):
         monkeypatch.setenv("DAMPEDWAVE_OUT", str(tmp_path / "envout"))
         assert cli.main(["run", str(demo_config)]) == 0

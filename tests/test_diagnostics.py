@@ -3,6 +3,7 @@ import pytest
 
 import dampedwave as dw
 from dampedwave import diagnostics, runner, solver
+from dampedwave.coefficients import inner_cell_weights
 from dampedwave.diagnostics import CSV_COLUMNS, cumulative_energy
 from dampedwave.errors import ConfigError
 
@@ -275,3 +276,103 @@ class TestRecorder:
         values = rec.csv_values()
         assert len(values) == 10
         assert values[0] == rec.t and values[-1] == rec.au2_cum
+
+
+def full_grid_record(profile, mc, data, norms, state, dissipation_cum, au2_cum, e0):
+    """The Recorder's fields by whole-grid formulas: np.gradient for u_x
+    and v_x, Grid.integrate for every integral."""
+    grid, V, a = profile.grid, profile.V, profile.a
+    integrate = grid.integrate
+    u, u_t, v = state.u, state.u_t, state.v
+    ux = np.gradient(u, grid.dx, edge_order=2)
+    vx = np.gradient(v, grid.dx, edge_order=2)
+    kinetic, gradient, potential = integrate(u_t**2), integrate(ux**2), integrate(V * u**2)
+    e_u = 0.5 * (kinetic + gradient + potential)
+    mass = integrate(u**2)
+    u0_sq = integrate(data.u0**2)
+    lhs = 0.5 * mass + 0.5 * integrate(vx**2) + 0.5 * integrate(V * v**2) + au2_cum
+    rhs = 0.5 * u0_sq + integrate((data.u1 + a * data.u0) * v)
+    gk = (integrate(u_t * profile.phi * grid.x * ux) + mc.alpha * integrate(u_t * u)
+          + 0.5 * mc.alpha * integrate(a * u**2) + mc.k * e_u)
+    return dict(
+        t=state.t, E_u=e_u,
+        energy_norm=np.sqrt(kinetic) + np.sqrt(gradient) + np.sqrt(potential),
+        l2_u=np.sqrt(mass), l2_local=inner_cell_weights(grid, profile.L) @ u**2,
+        dissipation_cum=dissipation_cum, G_k=gk,
+        identity_residual=e_u + dissipation_cum - (e_u if e0 is None else e0),
+        lemma25_lhs=lhs, lemma25_rhs=rhs,
+        lemma25_residual=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
+        lemma25_ratio=(mass + au2_cum) / (u0_sq + norms.weighted_norm**2),
+        au2=integrate(a * u**2), au2_cum=au2_cum,
+    )
+
+
+def assert_recorder_matches_full_grid(profile, data, calls):
+    """A fresh Recorder over calls = [(state, dissipation_cum, au2_cum)]
+    agrees with full_grid_record: 1e-13 relative, the two residuals 1e-13
+    absolute (identity_residual in units of E_u(0))."""
+    c_star = dw.estimate_c_star(dw.poincare_problem(profile.grid, profile.L)).c_star
+    mc = dw.derive_multiplier_config(profile, c_star)
+    norms = dw.compute_data_norms(data, profile)
+    recorder = dw.Recorder(profile, mc, data, norms)
+    e0 = None
+    for state, dissipation_cum, au2_cum in calls:
+        got = recorder(state, dissipation_cum, au2_cum)
+        want = full_grid_record(profile, mc, data, norms, state, dissipation_cum, au2_cum, e0)
+        e0 = want["E_u"] if e0 is None else e0
+        for name, value in want.items():
+            if name == "identity_residual":
+                assert abs(got.identity_residual - value) <= 1e-13 * e0, name
+            elif name == "lemma25_residual":
+                assert abs(got.lemma25_residual - value) <= 1e-13, name
+            else:
+                assert getattr(got, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
+class TestRecorderOracle:
+    """The windowed Recorder against whole-grid formulas."""
+
+    def test_states_of_a_run_with_interior_support(self):
+        grid = solver.domain_for_radius(2.0, 3.0, 0.05, 1.0)
+        profile = example1_profile(grid)
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0),
+                                    dw.polynomial_bump(grid, 0.25, 1.5))
+        calls = []
+        solver.run(solver.RunConfig(profile=profile, data=data, t_end=3.0, p=3.0,
+                                    record_every=3),
+                   lambda state, d, a2: calls.append((state, d, a2)))
+        lo, hi = calls[-1][0].support
+        assert 0 < lo and hi < grid.n_nodes
+        assert_recorder_matches_full_grid(profile, data, calls)
+
+    def test_states_of_a_run_with_support_on_both_ends(self):
+        grid = dw.Grid(-5.0, 5.0, 200)
+        profile = example1_profile(grid)
+        data = dw.InitialData(np.exp(-((grid.x + 4.0) ** 2)),
+                              np.exp(-((grid.x - 4.0) ** 2)), 10.0)
+        calls = []
+        solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, record_every=2),
+                   lambda state, d, a2: calls.append((state, d, a2)))
+        assert calls[0][0].support == (0, grid.n_nodes)
+        assert_recorder_matches_full_grid(profile, data, calls)
+
+    @pytest.mark.parametrize("support", [None, (0, 0), (0, 101), (1, 100), (2, 99),
+                                         (3, 98), (40, 41), (40, 60), (97, 101)])
+    def test_hand_built_states(self, support):
+        # fields vanish outside support (the whole grid for None); the
+        # supports reach the ends directly, within the one-sided stencil
+        # (lo <= 2, hi >= n - 2) and not at all
+        grid = dw.Grid(-5.0, 5.0, 100)
+        profile = example1_profile(grid)
+        rng = np.random.default_rng(7)
+        n = grid.n_nodes
+        lo, hi = (0, n) if support is None else support
+        fields = rng.uniform(0.5, 1.0, (3, n))
+        fields[:, :lo] = fields[:, hi:] = 0.0
+        u, u_t, v = fields
+        data = dw.InitialData(rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n), None)
+        state = solver.WaveState(t=0.5, u=u, u_prev=None, u_t=u_t, v=v, dt=0.01,
+                                 support=support)
+        first = make_state(grid, data.u0.copy(), data.u1.copy())
+        assert_recorder_matches_full_grid(profile, data, [(first, 0.0, 0.0),
+                                                          (state, 0.3, 0.2)])

@@ -221,6 +221,10 @@ def oracle_fields(levels, level, dt, u1, final=False):
 
 def assert_state_matches(state, levels, dt, u1, final=False):
     level = round(state.t / dt)
+    lo, hi = state.support
+    for name in ("u", "u_prev", "u_t", "v"):
+        f = getattr(state, name)
+        assert f is None or not (f[:lo].any() or f[hi:].any()), f"{name} outside support"
     u, u_t, v = oracle_fields(levels, level, dt, u1, final)
     assert np.array_equal(state.u, u), f"u differs at level {level}"
     assert np.array_equal(state.u_t, u_t), f"u_t differs at level {level}"
@@ -241,6 +245,14 @@ def bump_config(p, amplitude, t_end=3.0, record_every=5):
                             record_every=record_every)
 
 
+def blowup_config(record_every):
+    grid = solver.domain_for_radius(2.0, 20.0, 0.05, 2.0)
+    data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 4.0, 2.0),
+                                np.zeros(grid.n_nodes))
+    return solver.RunConfig(profile=example1_profile(grid), data=data,
+                            t_end=20.0, p=2.0, record_every=record_every)
+
+
 class TestWindowedMarch:
     @pytest.mark.parametrize("p, amplitude", [(None, 1e-3), (3.0, 0.5), (2.5, 0.5)])
     def test_final_state_equals_full_grid_oracle(self, p, amplitude):
@@ -259,18 +271,26 @@ class TestWindowedMarch:
         assert np.max(np.abs(forced - linear)) > 1e-3 * np.max(np.abs(linear))
 
     def test_blowup_final_state_is_level_k_minus_2(self):
-        grid = solver.domain_for_radius(2.0, 20.0, 0.05, 2.0)
-        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 4.0, 2.0),
-                                    np.zeros(grid.n_nodes))
-        config = solver.RunConfig(profile=example1_profile(grid), data=data,
-                                  t_end=20.0, p=2.0)
+        config = blowup_config(record_every=10)
         result = solver.run(config)
         assert result.termination.kind == solver.BLOWUP
         k = round(result.termination.time / result.dt)
         state = result.final_state
         assert round(state.t / result.dt) == k - 2
         levels = oracle_levels(config, result.dt, k - 1)
-        assert_state_matches(state, levels, result.dt, data.u1)
+        assert_state_matches(state, levels, result.dt, config.data.u1)
+
+    def test_blowup_state_of_a_record_level(self):
+        # with a hook at every level, level k-2's u_t was already divided
+        # by 2 dt for its record before the blowup state rebuilds it
+        config = blowup_config(record_every=1)
+        kept = []
+        result = solver.run(config, lambda state, d, a2: kept.append(state))
+        k = round(result.termination.time / result.dt)
+        assert round(kept[-1].t / result.dt) == round(result.final_state.t / result.dt) == k - 2
+        levels = oracle_levels(config, result.dt, k - 1)
+        for state in kept + [result.final_state]:
+            assert_state_matches(state, levels, result.dt, config.data.u1)
 
     def test_states_kept_by_a_hook_are_not_overwritten(self):
         config = bump_config(3.0, 0.5, record_every=1)
@@ -311,6 +331,30 @@ class TestWindowedMarch:
         for state in kept[:-1]:
             assert_state_matches(state, levels, result.dt, u1)
         assert_state_matches(result.final_state, levels, result.dt, u1, final=True)
+
+
+class TestWindowBad:
+    def test_non_finite_values_are_bad(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            u = np.zeros(50)
+            u[17] = bad
+            assert solver._window_bad(u)
+
+    def test_threshold_is_inclusive(self):
+        T = solver.BLOWUP_THRESHOLD
+        assert not solver._window_bad(np.array([0.0, T, -T]))
+        assert solver._window_bad(np.array([0.0, np.nextafter(T, np.inf)]))
+        assert solver._window_bad(np.array([-np.nextafter(T, np.inf), 0.0]))
+
+    def test_bounded_window_failing_the_screen_is_not_bad(self):
+        # 10,000 nodes of 1e7 square-sum to 1e18, beyond the dot-product
+        # screen, so the exact max/min test decides
+        u = np.full(10_000, 1e7)
+        assert float(u @ u) > solver._SCREEN
+        assert not solver._window_bad(u)
+
+    def test_empty_window_is_not_bad(self):
+        assert not solver._window_bad(np.zeros(0))
 
 
 class TestAbsPower:
