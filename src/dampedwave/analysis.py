@@ -20,7 +20,6 @@ theta = (p-1)/(2p), probed on random smoothed samples.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +36,7 @@ from .coefficients import (
     make_initial_data,
     make_profile,
 )
-from .diagnostics import EnergyRecord, Recorder
+from .diagnostics import EnergyRecord, NormRecord, NormRecorder
 from .errors import ConfigError, FitError, HypothesisError
 
 QUANTITY_FLOOR = 1e-300
@@ -273,8 +272,8 @@ def scale_data_to_i0(
 ) -> InitialData:
     """Rescale both data fields so the combined norm I0 hits the target
     (I0 is 1-homogeneous in the data)."""
-    if target_i0 < 0:
-        raise HypothesisError("target I0 must be nonnegative")
+    if not 0.0 <= target_i0 < math.inf:
+        raise HypothesisError(f"target I0 must be finite and nonnegative, got {target_i0}")
     if target_i0 == 0.0:
         zeros = np.zeros_like(data.u0)
         return InitialData(zeros, zeros.copy(), data.support_radius)
@@ -285,7 +284,7 @@ def scale_data_to_i0(
     return InitialData(data.u0 * s, data.u1 * s, data.support_radius)
 
 
-def _bounded(records: list[EnergyRecord]) -> bool:
+def _bounded(records: list[EnergyRecord | NormRecord]) -> bool:
     """Sweep notion of boundedness: the last-quartile max of ||u|| does not
     exceed the first-quartile max by more than 10% (plus an absolute floor
     so the zero solution passes)."""
@@ -342,12 +341,11 @@ def _sweep_problem(base: SweepBase) -> tuple[CoefficientProfile, InitialData]:
 def _run_sweep_cell(p: float, i0: float, base: SweepBase) -> str:
     profile, data = _sweep_problem(base)
     data = scale_data_to_i0(data, profile, i0)
-    recorder = Recorder(profile, None, data, None)
     config = solver.RunConfig(
         profile=profile, data=data, t_end=base.t_end, cfl=base.cfl,
         p=p, record_every=base.record_every,
     )
-    result = solver.run(config, recorder)
+    result = solver.run(config, NormRecorder(profile, None, data, None))
     return classify_outcome(result, base.t_end)
 
 
@@ -372,6 +370,10 @@ def semilinear_sweep(
     ]
     grid_out = [["" for _ in I0_values] for _ in p_values]
     if workers > 1:
+        # deferred: concurrent.futures loads multiprocessing, which only
+        # a pooled sweep uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, j, outcome in pool.map(_sweep_cell, cells):
                 grid_out[i][j] = outcome

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -244,6 +245,13 @@ def cmd_sweep(args) -> int:
     try:
         p_values = [float(v) for v in args.p.split(",")]
         i0_values = [float(v) for v in args.i0.split(",")]
+        options = {"--p": p_values, "--i0": i0_values, "--beta": [args.beta],
+                   "--V0": [args.V0], "--L": [args.L], "--eps1": [args.eps1],
+                   "--t-end": [args.t_end], "--dx": [args.dx]}
+        infinite = [name for name, values in options.items()
+                    if not all(map(math.isfinite, values))]
+        if infinite:
+            raise ValueError(f"{', '.join(infinite)} must be finite")
     except ValueError as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

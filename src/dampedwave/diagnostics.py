@@ -348,6 +348,24 @@ class Recorder:
 
 
 @dataclass(frozen=True)
+class NormRecord:
+    t: float
+    energy_norm: float
+    l2_u: float
+
+
+class NormRecorder(Recorder):
+    """A Recorder that builds only t, energy_norm and l2_u per record (a
+    NormRecord), by the same formulas; for callers that read nothing else,
+    such as a sweep's outcome classification."""
+
+    def __call__(self, state: WaveState, dissipation_cum: float, au2_cum: float) -> NormRecord:
+        sums = self._quad.sums(state)
+        return NormRecord(t=state.t, energy_norm=sums.energy_norm,
+                          l2_u=float(np.sqrt(sums.mass)))
+
+
+@dataclass(frozen=True)
 class EnergyIdentityReport:
     max_relative_residual: float
     t_at_max: float

@@ -294,7 +294,7 @@ def _validate(config: RunConfig) -> None:
     if config.record_every < 1:
         raise ConfigError("record_every must be >= 1")
     if config.p is not None:
-        if config.p <= 1:
+        if not config.p > 1:  # NaN fails too
             raise ConfigError(f"power nonlinearity needs p > 1, got {config.p}")
         check_semilinear_support(config.data, config.profile)
 

@@ -16,8 +16,12 @@ the estimate records the relative tail size at the edge for checking.
 
 The iterative path is power iteration on A^-1 B (inverse iteration for
 the pencil A w = lambda B w with A = stiffness + outer mass, B = inner
-mass); a dense symmetric eigensolver on the reversed pencil serves as a
-brute-force oracle on coarse grids.
+mass). A is symmetric positive definite and tridiagonal (weakly
+diagonally dominant), so it is factored once as L D L^T without pivoting,
+which is backward stable for such a matrix, and each iteration solves
+with one forward and one back substitution; no SciPy is loaded. A dense
+symmetric eigensolver on the reversed pencil (scipy.linalg.eigh) serves
+as a brute-force oracle on coarse grids.
 """
 
 from __future__ import annotations
@@ -87,24 +91,43 @@ def rayleigh_ratio(problem: PoincareProblem, w: np.ndarray) -> float:
     return q_in / denom
 
 
-def _pencil(problem: PoincareProblem):
-    """Interior-node matrices: A = stiffness + outer mass (banded upper
-    storage), B = inner mass diagonal."""
+def _pencil(problem: PoincareProblem) -> tuple[np.ndarray, float, np.ndarray]:
+    """Interior-node matrices: A = stiffness + outer mass as its diagonal
+    and its constant off-diagonal, B = inner mass diagonal."""
     dx = problem.grid.dx
-    n = problem.grid.n_nodes - 2
     diag = 2.0 / dx + problem.w_out[1:-1]
-    off = np.full(n, -1.0 / dx)
-    off[0] = 0.0  # banded storage padding
-    ab = np.vstack([off, diag])
     b_diag = problem.w_in[1:-1].copy()
-    return ab, b_diag
+    return diag, -1.0 / dx, b_diag
 
 
-def _banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = ab[1] * v
-    out[:-1] += ab[0][1:] * v[1:]
-    out[1:] += ab[0][1:] * v[:-1]
+def _tridiag_matvec(diag: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
     return out
+
+
+def _ldl_factor(diag: np.ndarray, off: float) -> tuple[list[float], list[float]]:
+    """Pivot-free L D L^T of the SPD tridiagonal matrix (diag, off):
+    multipliers l (l[i] = L[i, i-1], l[0] unused) and pivots d."""
+    d = diag.tolist()
+    l = [0.0] * len(d)
+    for i in range(1, len(d)):
+        l[i] = off / d[i - 1]
+        d[i] -= l[i] * off
+    return l, d
+
+
+def _ldl_solve(l: list[float], d: list[float], b: np.ndarray) -> np.ndarray:
+    """Solve L D L^T y = b by forward and back substitution."""
+    y = b.tolist()
+    n = len(y)
+    for i in range(1, n):
+        y[i] -= l[i] * y[i - 1]
+    y[-1] /= d[-1]
+    for i in range(n - 2, -1, -1):
+        y[i] = y[i] / d[i] - l[i + 1] * y[i + 1]
+    return np.array(y)
 
 
 def estimate_c_star(
@@ -116,13 +139,8 @@ def estimate_c_star(
     relative eigenresidual is below sqrt(tol); the eigenvalue error then
     scales like residual^2 / gap, i.e. like tol.
     """
-    # deferred: scipy.linalg costs a process ~0.25 s, 22 MiB and 85
-    # modules to import, and a sweep (parent and pool workers) never
-    # solves for C*
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
-    ab, b_diag = _pencil(problem)
-    chol = cholesky_banded(ab)
+    diag, off, b_diag = _pencil(problem)
+    l, d = _ldl_factor(diag, off)
     res_tol = np.sqrt(tol)
 
     # deterministic even start concentrated on the core, where the
@@ -136,12 +154,12 @@ def estimate_c_star(
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        y = cho_solve_banded((chol, False), b_diag * v)
+        y = _ldl_solve(l, d, b_diag * v)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             raise ConvergenceError("iteration collapsed to zero; inner mass degenerate")
         v = y / ny
-        av = _banded_matvec(ab, v)
+        av = _tridiag_matvec(diag, off, v)
         bv = b_diag * v
         lam = float(v @ av) / float(v @ bv)
         residual = float(np.linalg.norm(av - lam * bv) / np.linalg.norm(av))
@@ -170,7 +188,9 @@ def dense_c_star(problem: PoincareProblem) -> tuple[float, np.ndarray]:
     """Dense-eigensolver oracle: full symmetric decomposition of the
     reversed pencil B v = mu A v (A is positive definite); the largest mu
     is 1/lambda_min. Only for coarse grids."""
-    from scipy.linalg import eigh  # deferred, as in estimate_c_star
+    # deferred: scipy.linalg costs a process ~0.25 s, 22 MiB and 85
+    # modules to import, and only tests call the oracle
+    from scipy.linalg import eigh
 
     n = problem.grid.n_nodes - 2
     if n + 2 > DENSE_ORACLE_MAX_NODES:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -166,6 +167,15 @@ class TestDataScaling:
         with pytest.raises(HypothesisError):
             scale_data_to_i0(data, profile, 1e-3)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target_rejected(self, target):
+        profile = example1_profile(dw.Grid(-30.0, 30.0, 600))
+        grid = profile.grid
+        data = dw.make_initial_data(grid, dw.gaussian_bump(grid, 1.0, 0.75),
+                                    np.zeros(grid.n_nodes))
+        with pytest.raises(HypothesisError):
+            scale_data_to_i0(data, profile, target)
+
 
 class TestSemilinearSweep:
     def test_outcome_matrix_structure(self):
@@ -195,6 +205,8 @@ class TestSemilinearSweep:
         base = SweepBase(t_end=2.0, dx=0.1)
         assert _sweep_cell((0, 1, 0.5, 1e-3, base)) == (0, 1, "error(ConfigError)")
         assert _sweep_cell((1, 0, 3.0, -1.0, base)) == (1, 0, "error(HypothesisError)")
+        assert _sweep_cell((0, 0, math.nan, 1e-3, base)) == (0, 0, "error(ConfigError)")
+        assert _sweep_cell((0, 0, 3.0, math.inf, base)) == (0, 0, "error(HypothesisError)")
 
     def test_mixed_sweep_keeps_valid_cells(self):
         sweep = dw.semilinear_sweep(2.0, [0.5, 11.0], [1e-4], base=SweepBase(t_end=5.0, dx=0.1))
@@ -206,6 +218,6 @@ class TestSemilinearSweep:
         def never(*args, **kwargs):
             raise AssertionError("a cell was dispatched")
         monkeypatch.setattr(analysis.solver, "run", never)
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         with pytest.raises(ConfigError):
             dw.semilinear_sweep(2.0, [11.0], [1e-3], base=base, workers=2)

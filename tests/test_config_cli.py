@@ -199,7 +199,10 @@ class TestCli:
         manifest = json.loads((tmp_path / "sw.manifest.json").read_text())
         assert manifest["p_critical"] == 9.0
 
-    @pytest.mark.parametrize("extra", [["--L", "10"], ["--dx", "0"]])
+    @pytest.mark.parametrize("extra", [["--L", "10"], ["--dx", "0"], ["--p", "nan"],
+                                       ["--i0", "1e-3,inf"], ["--p", "11,-inf"],
+                                       ["--beta", "nan"], ["--L", "nan"], ["--dx", "nan"],
+                                       ["--t-end", "inf"]])
     def test_sweep_invalid_for_every_cell_exits_2(self, extra, tmp_path, capsys):
         code = cli.main(["sweep", "--p", "11", "--i0", "1e-3", "--t-end", "5", *extra,
                          "--workers", "1", "--out", str(tmp_path)])

@@ -4,7 +4,7 @@ import pytest
 import dampedwave as dw
 from dampedwave import diagnostics, runner, solver
 from dampedwave.coefficients import inner_cell_weights
-from dampedwave.diagnostics import CSV_COLUMNS, cumulative_energy
+from dampedwave.diagnostics import CSV_COLUMNS, NormRecorder, cumulative_energy
 from dampedwave.errors import ConfigError
 
 from helpers import example1_profile, reference_data, reference_run_config
@@ -276,6 +276,19 @@ class TestRecorder:
         values = rec.csv_values()
         assert len(values) == 10
         assert values[0] == rec.t and values[-1] == rec.au2_cum
+
+    def test_norm_recorder_matches_recorder(self):
+        # a sweep cell's hook: the same t, energy_norm and l2_u, bit for bit
+        grid = solver.domain_for_radius(2.0, 5.0, 0.05, 2.0)
+        profile = example1_profile(grid)
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0),
+                                    np.zeros(grid.n_nodes))
+        full, lean = dw.Recorder(profile, None, data, None), NormRecorder(profile, None, data, None)
+        config = solver.RunConfig(profile=profile, data=data, t_end=5.0, p=3.0, record_every=5)
+        pairs = solver.run(config, lambda *args: (full(*args), lean(*args))).records
+        assert len(pairs) > 10
+        for rec, norm in pairs:
+            assert (norm.t, norm.energy_norm, norm.l2_u) == (rec.t, rec.energy_norm, rec.l2_u)
 
 
 def full_grid_record(profile, mc, data, norms, state, dissipation_cum, au2_cum, e0):

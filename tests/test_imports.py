@@ -1,22 +1,51 @@
-"""Import footprint of a fresh `dampedwave` process: it loads no SciPy
-subpackage at import time; the C* solvers import scipy.linalg when called."""
+"""Import footprint of `dampedwave` processes: a fresh `import dampedwave.cli`
+loads no SciPy and no multiprocessing, and the `validate`, `run` and
+`poincare` commands load no SciPy either; only the dense C* oracle and
+check_lemma31 import SciPy subpackages, when called."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-UNUSED_SCIPY = {"scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse",
-                "scipy.special"}
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_CFG = str(ROOT / "configs" / "semilinear_demo.cfg")
+MARKER = "--- modules ---"
+
+
+def loaded_modules(code: str) -> set[str]:
+    """sys.modules at the end of a fresh interpreter running code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    code += f"\nprint({MARKER!r}); print('\\n'.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.split(MARKER, 1)[1].split())
+
+
+def scipy_modules(loaded: set[str]) -> list[str]:
+    return sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
 
 
 def test_cli_import_leaves_unused_scipy_unloaded():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    code = "import sys, dampedwave.cli; print('\\n'.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    loaded = set(out.split())
+    loaded = loaded_modules("import sys, dampedwave.cli")
     assert "dampedwave.cli" in loaded
-    assert not loaded & UNUSED_SCIPY, sorted(loaded & UNUSED_SCIPY)
+    assert not scipy_modules(loaded), scipy_modules(loaded)
+    unwanted = {"multiprocessing", "concurrent.futures"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", DEMO_CFG],
+    ["run", DEMO_CFG, "--out", "{out}"],
+    ["poincare", "--L", "1", "--domain", "20", "--nodes", "1000"],
+])
+def test_commands_load_no_scipy(argv, tmp_path):
+    argv = [arg.format(out=tmp_path) for arg in argv]
+    loaded = loaded_modules(
+        "import sys\nfrom dampedwave import cli\n"
+        f"assert cli.main({argv!r}) == cli.EXIT_OK"
+    )
+    assert not scipy_modules(loaded), scipy_modules(loaded)

@@ -147,6 +147,15 @@ class TestRunControl:
         with pytest.raises(ConfigError):
             solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=0.5))
 
+    @pytest.mark.parametrize("p", [1.0, float("nan")])
+    def test_power_must_exceed_one(self, p):
+        grid = dw.Grid(-15.0, 15.0, 300)
+        profile = example1_profile(grid)  # L = 1
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.1, 2.0),
+                                    np.zeros(grid.n_nodes))
+        with pytest.raises(ConfigError, match="p > 1"):
+            solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=p))
+
     def test_non_finite_coefficients_rejected(self):
         # the light-cone skip relies on V u = a u = 0 wherever u = 0
         grid = dw.Grid(-10.0, 10.0, 200)

@@ -3,7 +3,7 @@ import pytest
 
 import dampedwave as dw
 from dampedwave.errors import ConvergenceError, GridDomainError
-from dampedwave.spectral import quadratic_forms, rayleigh_ratio
+from dampedwave.spectral import _ldl_factor, _ldl_solve, _pencil, quadratic_forms, rayleigh_ratio
 
 
 def coarse_problem():
@@ -19,6 +19,12 @@ class TestEstimate:
         assert estimate.c_star * estimate.lambda_min == pytest.approx(1.0, rel=1e-12)
         assert estimate.lambda_min > 0.0
         assert estimate.residual <= 1e-6
+
+    @pytest.mark.parametrize("n_cells, L", [(400, 1.0), (1000, 2.5), (4000, 3.0)])
+    def test_matches_dense_oracle_to_round_off(self, n_cells, L):
+        problem = dw.poincare_problem(dw.Grid(-20.0, 20.0, n_cells), L)
+        dense, _ = dw.dense_c_star(problem)
+        assert dw.estimate_c_star(problem).c_star == pytest.approx(dense, rel=1e-12)
 
     def test_variational_upper_bound(self):
         # any test function bounds lambda_min from above; use the plateau-hat
@@ -72,6 +78,22 @@ class TestEstimate:
         with pytest.raises(ConvergenceError) as err:
             dw.estimate_c_star(problem, tol=1e-15, max_iter=2)
         assert err.value.residual is not None
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("grid, L, split", [
+        (dw.Grid(-32.0, 32.0, 256), 1.0, False),  # +-L on a node
+        (dw.Grid(-12.0, 12.0, 400), 1.0, True),  # +-L inside a cell
+    ])
+    def test_ldl_solve_matches_dense_solve(self, grid, L, split):
+        problem = dw.poincare_problem(grid, L)
+        assert (abs(L / grid.dx - round(L / grid.dx)) > 0.1) == split
+        diag, off, _ = _pencil(problem)
+        A = np.diag(diag) + off * (np.eye(diag.size, k=1) + np.eye(diag.size, k=-1))
+        b = np.random.default_rng(3).standard_normal(diag.size)
+        y = _ldl_solve(*_ldl_factor(diag, off), b)
+        want = np.linalg.solve(A, b)
+        assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestInequality:
