@@ -20,7 +20,7 @@ theta = (p-1)/(2p), probed on random smoothed samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -324,7 +324,12 @@ def _sweep_cell(args) -> tuple[int, int, str]:
 
 def _sweep_problem(base: SweepBase) -> tuple[CoefficientProfile, InitialData]:
     """The profile and unit-amplitude data every cell of a sweep shares.
-    Raises ConfigError/HypothesisError when they are invalid for every cell."""
+    Raises ConfigError/HypothesisError when they are invalid for every cell,
+    ConfigError first for any non-finite number in the base."""
+    for f in fields(base):
+        value = getattr(base, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
     # truncation radius of the unit gaussian bump at the data floor
     radius = base.data_width * math.sqrt(2.0 * math.log(1e14))
     grid = solver.domain_for_radius(radius, base.t_end, base.dx, base.padding)

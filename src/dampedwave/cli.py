@@ -187,6 +187,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_poincare(args) -> int:
+    problems = [f"{name} must be finite" for name, value in
+                (("--L", args.L), ("--domain", args.domain)) if not math.isfinite(value)]
+    if not 0.0 < args.tol < math.inf:
+        problems.append("--tol must be finite and positive")
+    if problems:
+        print(f"invalid poincare input: {'; '.join(problems)}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         grid = Grid(-args.domain, args.domain, args.nodes)
         estimate = estimate_c_star(poincare_problem(grid, args.L), tol=args.tol)
@@ -245,9 +252,7 @@ def cmd_sweep(args) -> int:
     try:
         p_values = [float(v) for v in args.p.split(",")]
         i0_values = [float(v) for v in args.i0.split(",")]
-        options = {"--p": p_values, "--i0": i0_values, "--beta": [args.beta],
-                   "--V0": [args.V0], "--L": [args.L], "--eps1": [args.eps1],
-                   "--t-end": [args.t_end], "--dx": [args.dx]}
+        options = {"--p": p_values, "--i0": i0_values}
         infinite = [name for name, values in options.items()
                     if not all(map(math.isfinite, values))]
         if infinite:

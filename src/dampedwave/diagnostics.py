@@ -294,6 +294,9 @@ class Recorder:
     per record level. mc and norms may be None (hypothesis-failing runs);
     the dependent columns then carry NaN."""
 
+    #: solver.run keeps v and the cumulative integrals for this hook
+    reads_history = True
+
     def __init__(
         self,
         profile: CoefficientProfile,
@@ -357,7 +360,11 @@ class NormRecord:
 class NormRecorder(Recorder):
     """A Recorder that builds only t, energy_norm and l2_u per record (a
     NormRecord), by the same formulas; for callers that read nothing else,
-    such as a sweep's outcome classification."""
+    such as a sweep's outcome classification. It reads no history, so
+    solver.run marches it without v or the cumulative integrals: its
+    states carry v = None, and dissipation_cum and au2_cum are NaN."""
+
+    reads_history = False
 
     def __call__(self, state: WaveState, dissipation_cum: float, au2_cum: float) -> NormRecord:
         sums = self._quad.sums(state)

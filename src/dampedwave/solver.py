@@ -11,6 +11,18 @@ keeps the scheme second order. The first step is a second-order Taylor
 expansion. Explicit forcing f = |u|^p at the current level covers the
 semilinear runs (they target small data).
 
+Kernel. With d = 1 + a dt/2 the update is folded into four coefficient
+arrays set once per march, cn = (dt^2/dx^2)/d, cu = (2 - dt^2 V)/d,
+cp = (1 - a dt/2)/d and cf = dt^2/d, and each step computes, in this order,
+    t  = ((u[i-1] - 2u[i]) + u[i+1]) * cn,
+    u+ = ((cu u + t) - cp u-) + cf |u|^p,
+eight array operations (two more and the power for p runs). The second
+difference is formed first, as in the unfolded formula, so its
+cancellation is unchanged: folding the -2u into cu instead moved the
+final lemma25_residual of a 5,560-step p = 11 run by 6.2e-9 relative,
+this order by 2.5e-10. Per step the two forms agree within a few unit
+roundoffs of the stencil's values.
+
 Stability: dt <= cfl * dx / sqrt(1 + max(V) dx^2 / 4), the leapfrog bound
 adjusted for the zeroth-order term.
 
@@ -22,8 +34,18 @@ The cumulative time integrals needed by the energy bookkeeping (the
 dissipation int a u_t^2, the damped mass int a u^2, and the accumulated
 field v = int_0^t u ds) are updated with a per-step trapezoid so their
 accuracy matches the scheme's order regardless of the record cadence.
+
 u_t at a level is reconstructed from the neighboring levels: exact u1 at
 t = 0, centered in the interior, one-sided second order at the end.
+
+History. v and the two cumulative integrals are the march's history. It
+is kept unless the hook says it reads none (reads_history = False, as
+NormRecorder does). Without it run() allocates no v, skips the v update
+and the two per-level integrals, and forms d = u^(k+1) - u^(k-1) only at
+record levels; the hook's states carry v = None and it gets NaN for both
+integrals. u, u_prev and u_t, and so every record a hook builds from
+them, are bit-identical either way. No hook, or a plain callable, keeps
+the history.
 
 Light-cone window. The 3-point stencil moves information one node per
 step, the discrete form of unit propagation speed. The coefficients are
@@ -45,16 +67,17 @@ dot(u, u) over the window: at most 1e16 (1 - 1e-6) proves max|u| <= 1e8
 (the margin covers the dot product's rounding), and nan or inf fail it.
 Only a window that fails the screen gets the exact max/min test.
 
-u_t. Each step forms d = u^(k+1) - u^(k-1) for level k in the u_t buffer;
-the dissipation panel uses (sum a w d^2) / (2 dt)^2. d is divided by 2 dt
-only where a reader sees u_t: at record levels with a hook, for the
-blowup state (rebuilt from the u ring) and at the end.
+u_t. Each step with history forms d = u^(k+1) - u^(k-1) for level k in
+the u_t buffer; the dissipation panel uses (sum a w d^2) / (2 dt)^2. d
+is divided by 2 dt only where a reader sees u_t: at record levels with a
+hook, for the blowup state (rebuilt from the u ring) and at the end.
 
 Buffers. run() allocates its full-length arrays once: a ring of four u
 levels (a blowup at level k returns level k-2 with its predecessor k-3),
-two v levels, one u_t, and the kernel's scratch. Steps write into them in
-place and allocate no full-length array. Integer p evaluates |u|^p by
-repeated squaring (abs_power); other p use np.power.
+two v levels (with history), one u_t, and the kernel's coefficients and
+scratch. Steps write into them in place and allocate no full-length
+array. Integer p evaluates |u|^p by repeated squaring (abs_power); other
+p use np.power.
 
 Array contract. The WaveState a diagnostics hook receives, and
 RunResult.final_state, hold copies that no later step writes to; a hook
@@ -93,7 +116,8 @@ class WaveState:
     u: np.ndarray
     u_prev: np.ndarray | None
     u_t: np.ndarray
-    v: np.ndarray
+    # None when the march kept no history (a hook with reads_history False)
+    v: np.ndarray | None
     dt: float
     # [lo, hi) outside which u, u_prev, u_t and v vanish; None: the whole grid
     support: tuple[int, int] | None = None
@@ -199,60 +223,63 @@ class _StepKernel:
     views of the current level, the other level's view and the slice of
     the coefficient arrays; they write only the output view. The
     operation order per node is fixed (it is what makes the windowed
-    march bit-identical to a full-grid one):
-        lap = ((u[i-1] - 2u[i]) + u[i+1]) / dx^2
-        u+  = (((2u - u-) + dt^2 ((lap - V u) + f)) + (a dt/2) u-) * inv_denom
-    with inv_denom = 1 / (1 + a dt/2). Callers enter np.errstate(**_QUIET)
-    once around their updates; the kernel does not enter it per step.
+    march bit-identical to a full-grid one): step() is the folded form
+    of the module docstring's Kernel paragraph, and first(), which runs
+    once per march, keeps the unfolded Taylor formula. Callers enter
+    np.errstate(**_QUIET) once around their updates; the kernel does not
+    enter it per step.
     """
 
     def __init__(self, profile: CoefficientProfile, dt: float, p: float | None):
         dx = profile.grid.dx
+        dt2 = dt * dt
         self.dx2 = dx * dx
         self.dt = dt
-        self.dt2 = dt * dt
-        self.half_dt2 = 0.5 * self.dt2
+        self.half_dt2 = 0.5 * dt2
         self.p = p
         self.V = profile.V
         self.a = profile.a
-        self.a_half_dt = profile.a * (dt / 2.0)
-        self.inv_denom = 1.0 / (1.0 + self.a_half_dt)
+        half_a_dt = profile.a * (dt / 2.0)
+        d = 1.0 + half_a_dt
+        self.cn = (dt2 / self.dx2) / d
+        self.cu = (2.0 - dt2 * profile.V) / d
+        self.cp = (1.0 - half_a_dt) / d
+        self.cf = None if p is None else dt2 / d
         n = profile.grid.n_nodes
-        self._scratch = (np.empty(n), np.empty(n), np.empty(n))
+        self._scratch = (np.empty(n), np.empty(n))
 
-    def _lap_minus_vu(self, um, uc, up, s: slice):
-        """Scratch views holding 2u and (D2 u - V u), plus a free one."""
+    def step(self, out, um, uc, up, u_prev, s: slice) -> None:
+        """u^(n+1) into out from u^n (neighbour views) and u^(n-1)."""
         m = uc.shape[0]
-        two_u, acc, work = (b[:m] for b in self._scratch)
-        np.multiply(uc, 2.0, out=two_u)
-        np.subtract(um, two_u, out=acc)
+        t, work = (b[:m] for b in self._scratch)
+        np.multiply(uc, 2.0, out=t)
+        np.subtract(um, t, out=t)
+        np.add(t, up, out=t)
+        np.multiply(t, self.cn[s], out=t)
+        np.multiply(self.cu[s], uc, out=out)
+        np.add(out, t, out=out)
+        np.multiply(self.cp[s], u_prev, out=work)
+        np.subtract(out, work, out=out)
+        if self.p is not None:
+            f = _abs_power(uc, self.p, work, t)
+            np.multiply(f, self.cf[s], out=f)
+            np.add(out, f, out=out)
+
+    def first(self, out, um, uc, up, u1, s: slice) -> None:
+        """Taylor start u^1 = u0 + dt u1 + dt^2/2 ((lap - V u0) - a u1 + f),
+        lap = ((u[i-1] - 2u[i]) + u[i+1]) / dx^2."""
+        m = uc.shape[0]
+        acc, work = (b[:m] for b in self._scratch)
+        np.multiply(uc, 2.0, out=work)
+        np.subtract(um, work, out=acc)
         np.add(acc, up, out=acc)
         np.divide(acc, self.dx2, out=acc)
         np.multiply(self.V[s], uc, out=work)
         np.subtract(acc, work, out=acc)
-        return two_u, acc, work
-
-    def _add_forcing(self, acc, uc, work, tmp) -> None:
-        if self.p is not None:
-            np.add(acc, _abs_power(uc, self.p, tmp, work), out=acc)
-
-    def step(self, out, um, uc, up, u_prev, s: slice) -> None:
-        """u^(n+1) into out from u^n (neighbour views) and u^(n-1)."""
-        two_u, acc, work = self._lap_minus_vu(um, uc, up, s)
-        self._add_forcing(acc, uc, work, out)
-        np.multiply(acc, self.dt2, out=acc)
-        np.subtract(two_u, u_prev, out=two_u)
-        np.add(two_u, acc, out=two_u)
-        np.multiply(self.a_half_dt[s], u_prev, out=out)
-        np.add(two_u, out, out=two_u)
-        np.multiply(two_u, self.inv_denom[s], out=out)
-
-    def first(self, out, um, uc, up, u1, s: slice) -> None:
-        """Taylor start u^1 = u0 + dt u1 + dt^2/2 ((lap - V u0) - a u1 + f)."""
-        _, acc, work = self._lap_minus_vu(um, uc, up, s)
         np.multiply(self.a[s], u1, out=work)
         np.subtract(acc, work, out=acc)
-        self._add_forcing(acc, uc, work, out)
+        if self.p is not None:
+            np.add(acc, _abs_power(uc, self.p, out, work), out=acc)
         np.multiply(acc, self.half_dt2, out=acc)
         np.multiply(u1, self.dt, out=out)
         np.add(uc, out, out=out)
@@ -336,33 +363,39 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     semilinear data) and instability terminate the march with a tagged
     time instead of raising; final_state is then level k-2 for a bad
     level k.
+
+    A hook with reads_history = False gets states with v = None and NaN
+    for dissipation_cum and au2_cum, and the march keeps no history (see
+    the module docstring); any other hook, or none, keeps it.
     """
     _validate(config)
     profile, data = config.profile, config.data
     n = profile.grid.n_nodes
 
+    record_every = config.record_every
     dt0 = cfl_timestep(profile, config.cfl)
     n_steps = int(math.ceil(config.t_end / dt0))
-    rem = n_steps % config.record_every
+    rem = n_steps % record_every
     if rem:
-        n_steps += config.record_every - rem  # uniform record cadence
+        n_steps += record_every - rem  # uniform record cadence
     dt = config.t_end / n_steps
     half_dt, two_dt = 0.5 * dt, 2.0 * dt
     two_dt_sq = two_dt * two_dt
 
     kernel = _StepKernel(profile, dt, config.p)
-    a_weights = profile.a * profile.grid.weights
     result = RunResult(dt=dt, n_steps=n_steps)
+    history = getattr(diagnostics_hook, "reads_history", True)
 
     # level k lives in us[k % 4] and vs[k % 2]; u_t holds the newest
     # finalized level's u_t, or in the march d = u^(k+1) - u^(k-1)
     us = [data.u0.copy()] + [np.zeros(n) for _ in range(3)]
-    vs = [np.zeros(n), np.zeros(n)]
     u_t = data.u1.copy()
-    squares = np.empty(n)
+    if history:
+        vs = [np.zeros(n), np.zeros(n)]
+        a_weights = profile.a * profile.grid.weights
+        squares = np.empty(n)
 
-    dissipation_cum = 0.0
-    au2_cum = 0.0
+    dissipation_cum = au2_cum = 0.0 if history else math.nan
     i_prev = 0.0
     j_prev = 0.0
     caller_errstate = np.geterr()
@@ -372,24 +405,26 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
 
     def snapshot(level: int, w: slice) -> WaveState:
         u_prev = us[(level - 1) % 4].copy() if level > 0 else None
+        v = vs[level % 2].copy() if history else None
         return WaveState(t=level * dt, u=us[level % 4].copy(), u_prev=u_prev,
-                         u_t=u_t.copy(), v=vs[level % 2].copy(), dt=dt,
-                         support=(w.start, w.stop))
+                         u_t=u_t.copy(), v=v, dt=dt, support=(w.start, w.stop))
 
     def finalize(level: int, w: slice, raw: bool) -> WaveState | None:
-        # a level is finalized once its u_t reconstruction exists; the
-        # cumulative integrals advance one trapezoid panel per level. With
-        # raw, u_t[w] holds d and becomes d / (2 dt) only at a record level.
+        # a level is finalized once its u_t reconstruction exists; with
+        # history the cumulative integrals advance one trapezoid panel per
+        # level. With raw, u_t[w] holds d and becomes d / (2 dt) only at a
+        # record level.
         nonlocal dissipation_cum, au2_cum, i_prev, j_prev
-        i_now = a_norm2(u_t, w)
-        if raw:
-            i_now /= two_dt_sq
-        j_now = a_norm2(us[level % 4], w)
-        if level > 0:
-            dissipation_cum += 0.5 * dt * (i_prev + i_now)
-            au2_cum += 0.5 * dt * (j_prev + j_now)
-        i_prev, j_prev = i_now, j_now
-        if diagnostics_hook is None or level % config.record_every:
+        if history:
+            i_now = a_norm2(u_t, w)
+            if raw:
+                i_now /= two_dt_sq
+            j_now = a_norm2(us[level % 4], w)
+            if level > 0:
+                dissipation_cum += 0.5 * dt * (i_prev + i_now)
+                au2_cum += 0.5 * dt * (j_prev + j_now)
+            i_prev, j_prev = i_now, j_now
+        if diagnostics_hook is None or level % record_every:
             return None
         if raw:
             np.divide(u_t[w], two_dt, out=u_t[w])
@@ -429,11 +464,12 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
                     np.divide(u_t[prev], two_dt, out=u_t[prev])
                 result.final_state = snapshot(max(k - 2, 0), prev)
                 return result
-            v_new = vs[k % 2][w]
-            np.add(u_c[w], u_new[w], out=v_new)
-            np.multiply(v_new, half_dt, out=v_new)
-            np.add(vs[(k - 1) % 2][w], v_new, out=v_new)
-            if k >= 2:
+            if history:
+                v_new = vs[k % 2][w]
+                np.add(u_c[w], u_new[w], out=v_new)
+                np.multiply(v_new, half_dt, out=v_new)
+                np.add(vs[(k - 1) % 2][w], v_new, out=v_new)
+            if k >= 2 and (history or (k - 1) % record_every == 0):
                 np.subtract(u_new[w], u_p[w], out=u_t[w])
                 finalize(k - 1, w, raw=True)
 

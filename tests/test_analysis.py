@@ -213,7 +213,12 @@ class TestSemilinearSweep:
         assert sweep.outcomes[0] == ("error(ConfigError)",)
         assert sweep.outcomes[1][0] in ("decayed_at_rate", "bounded")
 
-    @pytest.mark.parametrize("base", [SweepBase(L=10.0, t_end=5.0), SweepBase(dx=0.0, t_end=5.0)])
+    @pytest.mark.parametrize("base", [
+        SweepBase(L=10.0, t_end=5.0), SweepBase(dx=0.0, t_end=5.0),
+        SweepBase(dx=math.nan), SweepBase(t_end=math.inf), SweepBase(L=math.nan),
+        SweepBase(V0=math.nan), SweepBase(eps1=math.nan), SweepBase(data_width=math.inf),
+        SweepBase(cfl=math.nan), SweepBase(padding=math.inf),
+    ])
     def test_base_invalid_for_every_cell_raises_before_marching(self, base, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a cell was dispatched")
@@ -221,3 +226,9 @@ class TestSemilinearSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         with pytest.raises(ConfigError):
             dw.semilinear_sweep(2.0, [11.0], [1e-3], base=base, workers=2)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_raises_before_marching(self, beta, monkeypatch):
+        monkeypatch.setattr(analysis.solver, "run", lambda *a, **k: pytest.fail("marched"))
+        with pytest.raises(ConfigError, match="beta must be finite"):
+            dw.semilinear_sweep(beta, [11.0], [1e-3], base=SweepBase(t_end=5.0), workers=1)

@@ -188,6 +188,18 @@ class TestCli:
         expected = dw.estimate_c_star(dw.poincare_problem(dw.Grid(-40.0, 40.0, 512), 1.0))
         assert c_csv == pytest.approx(expected.c_star, rel=1e-12)
 
+    @pytest.mark.parametrize("option, value", [
+        ("--L", "nan"), ("--L", "inf"), ("--domain", "inf"), ("--domain", "nan"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),
+    ])
+    def test_poincare_invalid_float_exits_2(self, option, value, capsys):
+        args = {"--L": "1.0", "--domain": "40", "--tol": "1e-12", option: value}
+        argv = ["poincare", "--nodes", "64"] + [x for kv in args.items() for x in kv]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"invalid poincare input: {option}")
+
     def test_sweep_subcommand(self, tmp_path, capsys):
         code = cli.main(["sweep", "--beta", "2", "--p", "2,11", "--i0", "1e-4,20",
                          "--t-end", "10", "--dx", "0.1", "--workers", "1",
@@ -202,7 +214,7 @@ class TestCli:
     @pytest.mark.parametrize("extra", [["--L", "10"], ["--dx", "0"], ["--p", "nan"],
                                        ["--i0", "1e-3,inf"], ["--p", "11,-inf"],
                                        ["--beta", "nan"], ["--L", "nan"], ["--dx", "nan"],
-                                       ["--t-end", "inf"]])
+                                       ["--t-end", "inf"], ["--V0", "nan"], ["--eps1", "inf"]])
     def test_sweep_invalid_for_every_cell_exits_2(self, extra, tmp_path, capsys):
         code = cli.main(["sweep", "--p", "11", "--i0", "1e-3", "--t-end", "5", *extra,
                          "--workers", "1", "--out", str(tmp_path)])

@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import dampedwave as dw
 from dampedwave import solver
+from dampedwave.diagnostics import NormRecord, NormRecorder
 from dampedwave.errors import ConfigError
 
 from helpers import example1_profile, reference_data, reference_run_config
@@ -340,6 +344,90 @@ class TestWindowedMarch:
         for state in kept[:-1]:
             assert_state_matches(state, levels, result.dt, u1)
         assert_state_matches(result.final_state, levels, result.dt, u1, final=True)
+
+
+def unfused_step(u, u_prev, profile, dt, p):
+    """The kernel's formula before folding the coefficients, interior nodes:
+    (((2u - u-) + dt^2 (((u[i-1] - 2u) + u[i+1])/dx^2 - V u + f)) + (a dt/2) u-) / d."""
+    um, uc, up, w = u[:-2], u[1:-1], u[2:], u_prev[1:-1]
+    V, a = profile.V[1:-1], profile.a[1:-1]
+    f = 0.0 if p is None else np.abs(uc) ** p
+    lap = ((um - 2.0 * uc) + up) / profile.grid.dx**2
+    num = ((2.0 * uc - w) + dt * dt * ((lap - V * uc) + f)) + (a * dt / 2.0) * w
+    return num / (1.0 + a * dt / 2.0)
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("p, amplitude", [(None, 1e-3), (2.5, 0.5), (3.0, 0.5),
+                                              (11.0, 0.9)])
+    def test_step_matches_unfused_formula_to_round_off(self, p, amplitude):
+        # folded coefficients change the rounding, not the scheme: each
+        # step stays within a few unit roundoffs of its inputs' scale
+        config = bump_config(p, amplitude, t_end=2.0)
+        profile = dataclasses.replace(config.profile,
+                                      V=config.profile.V + 0.3)  # a sizeable V u term
+        dt = solver.cfl_timestep(profile, 0.9)
+        eps = np.finfo(float).eps
+        u_prev = config.data.u0
+        u = solver.first_step(u_prev, config.data.u1, profile, dt, p)
+        worst = 0.0
+        for _ in range(40):
+            got = solver.leapfrog_step(u, u_prev, profile, dt, p)
+            ref = unfused_step(u, u_prev, profile, dt, p)
+            uc = np.abs(u[1:-1])
+            scale = (np.abs(u[:-2]) + uc + np.abs(u[2:]) + np.abs(u_prev[1:-1])
+                     + (0.0 if p is None else dt * dt * uc**p))
+            err = np.abs(got[1:-1] - ref)
+            assert np.all(err <= 8.0 * eps * scale)
+            worst = max(worst, float(np.max(err / np.maximum(scale, 1e-300))))
+            assert got[0] == got[-1] == 0.0
+            u, u_prev = got, u
+        assert 0.0 < worst  # the forms differ in rounding, so the test bites
+
+
+class RecordingNormRecorder(NormRecorder):
+    """A NormRecorder that also keeps what it was called with."""
+
+    def __init__(self, config):
+        super().__init__(config.profile, None, config.data, None)
+        self.calls = []
+
+    def __call__(self, state, dissipation_cum, au2_cum):
+        self.calls.append((state, dissipation_cum, au2_cum))
+        return super().__call__(state, dissipation_cum, au2_cum)
+
+
+class TestNoHistory:
+    @pytest.mark.parametrize("config", [bump_config(3.0, 0.5, t_end=3.0, record_every=7),
+                                        bump_config(None, 1e-3, t_end=2.0, record_every=3),
+                                        blowup_config(record_every=10),
+                                        blowup_config(record_every=1)],
+                             ids=["completed-p3", "completed-linear", "blowup", "blowup-every-level"])
+    def test_norm_recorder_march_matches_full_history(self, config):
+        lean = RecordingNormRecorder(config)
+        assert lean.reads_history is False
+        result = solver.run(config, lean)
+
+        plain = NormRecorder(config.profile, None, config.data, None)
+        full_states = []
+
+        def full_hook(state, d, a2):  # a plain callable keeps the history
+            full_states.append(state)
+            return plain(state, d, a2)
+        full = solver.run(config, full_hook)
+
+        assert result.termination == full.termination
+        assert result.records == full.records
+        assert all(isinstance(r, NormRecord) for r in result.records)
+        assert len(lean.calls) == len(full_states)
+        for (state, d, a2), ref in zip(lean.calls + [(result.final_state, math.nan, math.nan)],
+                                       full_states + [full.final_state]):
+            assert state.v is None and ref.v is not None
+            assert math.isnan(d) and math.isnan(a2)
+            assert state.t == ref.t and state.support == ref.support
+            for name in ("u", "u_prev", "u_t"):
+                a, b = getattr(state, name), getattr(ref, name)
+                assert (a is None and b is None) or np.array_equal(a, b), name
 
 
 class TestWindowBad:
