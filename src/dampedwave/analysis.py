@@ -364,8 +364,11 @@ def semilinear_sweep(
     """Outcome matrix over (p, I0). A base that is invalid for every cell
     raises ConfigError/HypothesisError before any cell runs; a cell that
     fails on its own becomes an error(<exception name>) outcome token and
-    never aborts the sweep. workers > 1 dispatches cells to a process
-    pool; aggregation order is deterministic either way."""
+    never aborts the sweep. workers must be >= 1 (ConfigError otherwise);
+    more than one dispatches cells to a process pool of at most one worker
+    per cell. Aggregation order is deterministic either way."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     base = replace(base or SweepBase(), beta=beta)
     _sweep_problem(base)
     cells = [
@@ -374,6 +377,7 @@ def semilinear_sweep(
         for j, i0 in enumerate(I0_values)
     ]
     grid_out = [["" for _ in I0_values] for _ in p_values]
+    workers = min(workers, len(cells))
     if workers > 1:
         # deferred: concurrent.futures loads multiprocessing, which only
         # a pooled sweep uses

@@ -11,9 +11,10 @@ Every run emits one CSV time series (17 significant digits, columns
 t, E_u, l2_u, l2_local, dissipation_cum, G_k, identity_residual,
 lemma25_residual, lemma25_ratio, au2_cum) plus one JSON manifest holding
 the config hash, derived constants (C* with the iterations, residual and
-edge tail of its solve), and termination. Outputs are
-deterministic functions of the config bytes. The default output
-directory may be set with the DAMPEDWAVE_OUT environment variable.
+edge tail of its solve), termination and time.mirrored (whether the
+run marched only x >= 0). Outputs are deterministic functions of the
+config bytes. The default output directory may be set with the
+DAMPEDWAVE_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict
                  "n_cells": grid.n_cells, "dx": grid.dx},
         "time": {"dt": lab.result.dt, "n_steps": lab.result.n_steps,
                  "t_end": lab.run_config.t_end,
-                 "record_every": lab.run_config.record_every},
+                 "record_every": lab.run_config.record_every,
+                 "mirrored": lab.result.mirrored},
         "coefficients": {
             "L": profile.L, "eps1": profile.eps1,
             "beta": _json_safe(profile.beta), "V0": _json_safe(profile.V0),
@@ -197,7 +199,10 @@ def cmd_poincare(args) -> int:
     try:
         grid = Grid(-args.domain, args.domain, args.nodes)
         estimate = estimate_c_star(poincare_problem(grid, args.L), tol=args.tol)
-    except (_VALIDATION_ERRORS + (ConvergenceError,)) as exc:
+    except _VALIDATION_ERRORS as exc:
+        print(f"invalid poincare input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ConvergenceError as exc:
         print(f"poincare estimate failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print("L,c_star,lambda_min,residual")

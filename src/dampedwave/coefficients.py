@@ -34,6 +34,13 @@ class Grid:
 
     Nodes sit at x_i = x_min + i*dx, i = 0..n_cells, so there are
     n_cells + 1 nodes. The origin must lie strictly inside the domain.
+
+    A mirror grid (x_min == -x_max, n_cells even; every auto-sized grid
+    is one) has x[i] == -x[n-1-i] bitwise and the origin on its centre
+    node: the left half is the negated right half of the linspace. Every
+    sampling function here reads |x|, x^2 or x - 0.0, so on a mirror grid
+    even coefficients and centred data sample to bitwise palindromes,
+    which lets solver.run march only x >= 0.
     """
 
     x_min: float
@@ -58,7 +65,12 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_cells + 1)
+        x = np.linspace(self.x_min, self.x_max, self.n_cells + 1)
+        if self.x_min == -self.x_max and self.n_cells % 2 == 0:
+            c = self.n_cells // 2
+            x[c] = 0.0
+            x[:c] = -x[:c:-1]
+        return x
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -61,6 +61,24 @@ u, u_t and v are bit-identical to a full-grid march. Only the two
 cumulative integrals sum in a different order (dot products with a
 times the trapezoid weights), which moves them by round-off.
 
+Mirror symmetry. A run is even when the grid has an odd node count
+and V, a, u0 and u1 are bitwise palindromes (f == f[::-1]; NaN fails).
+On a mirror grid (coefficients.Grid) the package's even coefficients
+and centred data are, so every committed config and sweep cell is even.
+The solution of an even run is even, so run() marches only the nodes
+x >= 0, about half the window: the window's left end is clamped at the
+centre c = n // 2, and after each kernel step the ghost u[c-1] is set
+to u[c+1], which the stencil at c reads. The two per-level integrals
+are taken over [c, hi) with a w doubled off the centre (doubling is
+exact). Every state run() hands out has its left half overwritten by
+the mirror of its right half, so hooks still see whole even fields;
+RunResult.mirrored tells which march ran. A whole-grid march is not
+bitwise even (the stencil adds (u[i-1] - 2u[i]) + u[i+1] left to
+right, so a mirrored node sums in the other order); an even run's u,
+u_prev, u_t and v are bit-identical to the whole-grid march that
+overwrites the left half by the mirrored right half after every level,
+and any other run's to the plain whole-grid march.
+
 Blowup screen. A level is bad when the window holds a non-finite value
 or one beyond BLOWUP_THRESHOLD in magnitude. The check first computes
 dot(u, u) over the window: at most 1e16 (1 - 1e-6) proves max|u| <= 1e8
@@ -82,12 +100,13 @@ p use np.power.
 Array contract. The WaveState a diagnostics hook receives, and
 RunResult.final_state, hold copies that no later step writes to; a hook
 may keep them. Full states are built only at record levels, at blowup
-and at the end. Their support field is a window [lo, hi) outside which
-u, u_prev, u_t and v vanish, and the diagnostics integrate only over it:
-the window of the next level for a record level (its u_t reads that
-level), of level k-1 for the blowup state, and the last window for the
-final state. A hand-built WaveState leaves support as None, the whole
-grid.
+and at the end; an even run builds them whole by mirroring its marched
+half. Their support field is a window [lo, hi) outside which u, u_prev,
+u_t and v vanish, and the diagnostics integrate only over it: the
+window of the next level for a record level (its u_t reads that level),
+of level k-1 for the blowup state, and the last window for the final
+state. An even run's window is symmetric, (n - hi, hi). A hand-built
+WaveState leaves support as None, the whole grid.
 """
 
 from __future__ import annotations
@@ -146,6 +165,7 @@ class RunResult:
     termination: Termination = Termination(COMPLETED)
     dt: float = 0.0
     n_steps: int = 0
+    mirrored: bool = False  # marched only x >= 0 (see Mirror symmetry)
 
 
 def domain_for_radius(support_radius: float, t_end: float, dx: float,
@@ -354,6 +374,13 @@ def _window_bad(u: np.ndarray) -> bool:
     return not (u.max() <= BLOWUP_THRESHOLD and u.min() >= -BLOWUP_THRESHOLD)
 
 
+def _is_even(config: RunConfig) -> bool:
+    """n odd and V, a, u0, u1 bitwise palindromes (NaN fails the test)."""
+    fields = (config.profile.V, config.profile.a, config.data.u0, config.data.u1)
+    return config.profile.grid.n_nodes % 2 == 1 and all(
+        np.array_equal(f, f[::-1]) for f in fields)
+
+
 def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResult:
     """March the Cauchy problem to t_end.
 
@@ -366,7 +393,9 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
 
     A hook with reads_history = False gets states with v = None and NaN
     for dissipation_cum and au2_cum, and the march keeps no history (see
-    the module docstring); any other hook, or none, keeps it.
+    the module docstring); any other hook, or none, keeps it. An even
+    run marches only x >= 0 and hands out mirrored whole states
+    (RunResult.mirrored; module docstring, Mirror symmetry).
     """
     _validate(config)
     profile, data = config.profile, config.data
@@ -383,8 +412,20 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     two_dt_sq = two_dt * two_dt
 
     kernel = _StepKernel(profile, dt, config.p)
-    result = RunResult(dt=dt, n_steps=n_steps)
+    mirrored = _is_even(config)
+    result = RunResult(dt=dt, n_steps=n_steps, mirrored=mirrored)
     history = getattr(diagnostics_hook, "reads_history", True)
+    # the march writes nodes >= half; an even run's centre c = half reads
+    # the ghost u[c - 1] = u[c + 1], and its states mirror x >= 0 onto x < 0
+    half = n // 2 if mirrored else 0
+
+    def part(lo: int, hi: int) -> slice:
+        return slice(max(lo, half), hi)
+
+    def mirror(f: np.ndarray) -> np.ndarray:
+        if mirrored:
+            f[:half] = f[:half:-1]
+        return f
 
     # level k lives in us[k % 4] and vs[k % 2]; u_t holds the newest
     # finalized level's u_t, or in the march d = u^(k+1) - u^(k-1)
@@ -393,6 +434,8 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     if history:
         vs = [np.zeros(n), np.zeros(n)]
         a_weights = profile.a * profile.grid.weights
+        if mirrored:  # a node at x > 0 stands for both halves
+            a_weights[half + 1:] *= 2.0
         squares = np.empty(n)
 
     dissipation_cum = au2_cum = 0.0 if history else math.nan
@@ -403,18 +446,19 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     def a_norm2(x: np.ndarray, w: slice) -> float:
         return float(np.dot(a_weights[w], np.square(x[w], out=squares[w])))
 
-    def snapshot(level: int, w: slice) -> WaveState:
-        u_prev = us[(level - 1) % 4].copy() if level > 0 else None
-        v = vs[level % 2].copy() if history else None
-        return WaveState(t=level * dt, u=us[level % 4].copy(), u_prev=u_prev,
-                         u_t=u_t.copy(), v=v, dt=dt, support=(w.start, w.stop))
+    def snapshot(level: int, lo: int, hi: int) -> WaveState:
+        u_prev = mirror(us[(level - 1) % 4].copy()) if level > 0 else None
+        v = mirror(vs[level % 2].copy()) if history else None
+        return WaveState(t=level * dt, u=mirror(us[level % 4].copy()), u_prev=u_prev,
+                         u_t=mirror(u_t.copy()), v=v, dt=dt, support=(lo, hi))
 
-    def finalize(level: int, w: slice, raw: bool) -> WaveState | None:
+    def finalize(level: int, lo: int, hi: int, raw: bool) -> WaveState | None:
         # a level is finalized once its u_t reconstruction exists; with
         # history the cumulative integrals advance one trapezoid panel per
         # level. With raw, u_t[w] holds d and becomes d / (2 dt) only at a
         # record level.
         nonlocal dissipation_cum, au2_cum, i_prev, j_prev
+        w = part(lo, hi)
         if history:
             i_now = a_norm2(u_t, w)
             if raw:
@@ -428,7 +472,7 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             return None
         if raw:
             np.divide(u_t[w], two_dt, out=u_t[w])
-        state = snapshot(level, w)
+        state = snapshot(level, lo, hi)
         with np.errstate(**caller_errstate):
             rec = diagnostics_hook(state, dissipation_cum, au2_cum)
         if rec is not None:
@@ -437,16 +481,16 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
 
     live = np.flatnonzero((data.u0 != 0.0) | (data.u1 != 0.0))
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-    finalize(0, slice(lo, hi), raw=False)
+    finalize(0, lo, hi, raw=False)
 
     # one error state for the whole march; hooks run under the caller's
     with np.errstate(**_QUIET):
         for k in range(1, n_steps + 1):
-            prev = slice(lo, hi)  # level k-1's window
+            prev_lo, prev_hi = lo, hi  # level k-1's window
             if hi > lo:
                 lo, hi = max(lo - 1, 0), min(hi + 1, n)
             u_new, u_c, u_p = us[k % 4], us[(k - 1) % 4], us[(k - 2) % 4]
-            first, last = max(lo, 1), min(hi, n - 1)
+            first, last = max(lo, half, 1), min(hi, n - 1)
             if last > first:
                 nodes = slice(first, last)
                 views = (u_new[nodes], *_stencil(u_c, first, last))
@@ -455,14 +499,17 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
                 else:
                     kernel.step(*views, u_p[nodes], nodes)
             u_new[0] = u_new[-1] = 0.0  # the buffer may have held u0
-            w = slice(lo, hi)
+            if mirrored:
+                u_new[half - 1] = u_new[half + 1]
+            w = part(lo, hi)
             if _window_bad(u_new[w]):
                 kind = BLOWUP if config.p is not None else INSTABILITY
                 result.termination = Termination(kind, time=k * dt)
                 if k >= 3:  # level k-2's u_t, again from the ring
+                    prev = part(prev_lo, prev_hi)
                     np.subtract(u_c[prev], us[(k - 3) % 4][prev], out=u_t[prev])
                     np.divide(u_t[prev], two_dt, out=u_t[prev])
-                result.final_state = snapshot(max(k - 2, 0), prev)
+                result.final_state = snapshot(max(k - 2, 0), prev_lo, prev_hi)
                 return result
             if history:
                 v_new = vs[k % 2][w]
@@ -471,14 +518,14 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
                 np.add(vs[(k - 1) % 2][w], v_new, out=v_new)
             if k >= 2 and (history or (k - 1) % record_every == 0):
                 np.subtract(u_new[w], u_p[w], out=u_t[w])
-                finalize(k - 1, w, raw=True)
+                finalize(k - 1, lo, hi, raw=True)
 
-    w = slice(lo, hi)
+    w = part(lo, hi)
     u_c, u_p = us[n_steps % 4][w], us[(n_steps - 1) % 4][w]
     if n_steps >= 2:
         u_t[w] = (3.0 * u_c - 4.0 * u_p + us[(n_steps - 2) % 4][w]) / (2.0 * dt)
     else:  # a single-step run cannot do one-sided second order
         u_t[w] = (u_c - data.u0[w]) / dt
-    result.final_state = finalize(n_steps, w, raw=False) or snapshot(n_steps, w)
+    result.final_state = finalize(n_steps, lo, hi, raw=False) or snapshot(n_steps, lo, hi)
     result.termination = Termination(COMPLETED)
     return result

@@ -197,6 +197,43 @@ class TestSemilinearSweep:
         pooled = dw.semilinear_sweep(2.0, [11.0], [1e-4, 10.0], base=base, workers=2)
         assert serial.outcomes == pooled.outcomes
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_raise(self, workers, monkeypatch):
+        monkeypatch.setattr(analysis.solver, "run", lambda *a, **k: pytest.fail("marched"))
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            dw.semilinear_sweep(2.0, [11.0], [1e-3], base=SweepBase(t_end=5.0), workers=workers)
+
+    @pytest.mark.parametrize("workers, pool_size", [(8, 3), (2, 2)])
+    def test_pool_is_capped_at_the_cell_count(self, workers, pool_size, monkeypatch):
+        # a stand-in pool that records its size and runs the cells in process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        sweep = dw.semilinear_sweep(2.0, [11.0], [0.0, 1e-4, 1e-3],
+                                    base=SweepBase(t_end=2.0, dx=0.1), workers=workers)
+        assert sizes == [pool_size]
+        assert all(o in ("decayed_at_rate", "bounded") for o in sweep.outcomes[0])
+
+    def test_one_cell_runs_without_a_pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("pool started"))
+        sweep = dw.semilinear_sweep(2.0, [11.0], [1e-4], base=SweepBase(t_end=2.0, dx=0.1),
+                                    workers=4)
+        assert len(sweep.outcomes[0]) == 1
+
     def test_single_cell_supercritical_decays(self):
         outcome = _run_sweep_cell(11.0, 1e-4, SweepBase(t_end=30.0, dx=0.05))
         assert outcome == "decayed_at_rate"

@@ -40,6 +40,21 @@ class TestGrid:
         assert g.dx > 0
         assert np.min(np.abs(g.x)) <= g.dx
 
+    @settings(max_examples=50, derandomize=True)
+    @given(X=st.floats(0.5, 100.0), half_cells=st.integers(1, 1000))
+    def test_mirror_grid_is_bitwise_antisymmetric(self, X, half_cells):
+        g = dw.Grid(-X, X, 2 * half_cells)
+        c = g.n_nodes // 2
+        assert g.x[c] == 0.0 and np.array_equal(g.x, -g.x[::-1])
+        # the right half is the linspace's, and spacing stays uniform
+        assert np.array_equal(g.x[c + 1:], np.linspace(-X, X, g.n_nodes)[c + 1:])
+        assert np.max(np.abs(np.diff(g.x) - g.dx)) <= 1e-15 * max(1.0, X)
+
+    @pytest.mark.parametrize("x_min, x_max, n_cells", [(-3.0, 5.0, 16), (-60.0, 60.0, 1201)])
+    def test_other_grids_keep_plain_linspace(self, x_min, x_max, n_cells):
+        g = dw.Grid(x_min, x_max, n_cells)
+        assert np.array_equal(g.x, np.linspace(x_min, x_max, n_cells + 1))
+
     def test_trapezoid_weights(self):
         g = dw.Grid(-1.0, 1.0, 8)
         assert g.integrate(np.ones(g.n_nodes)) == pytest.approx(2.0)

@@ -6,7 +6,7 @@ import pytest
 import dampedwave as dw
 from dampedwave import cli
 from dampedwave import config as cfg
-from dampedwave.errors import ConfigError
+from dampedwave.errors import ConfigError, ConvergenceError
 
 from helpers import LINEAR_DEMO_CFG, reference_spec
 
@@ -119,6 +119,7 @@ class TestCli:
         assert manifest["files"]["csv"] == "demo.csv"
         assert manifest["derived_constants"]["k"] > 2.0
         assert len(manifest["config_hash"]) == 64
+        assert manifest["time"]["mirrored"] is True  # centred data on [-60, 60]
 
     def test_reruns_are_byte_identical(self, demo_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -199,6 +200,35 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"invalid poincare input: {option}")
+
+    @pytest.mark.parametrize("argv", [
+        ["--nodes", "1", "--L", "1", "--domain", "5"],
+        ["--nodes", "3", "--L", "1", "--domain", "5"],
+        ["--domain", "-5", "--L", "1", "--nodes", "64"],
+        ["--L", "0", "--domain", "5", "--nodes", "64"],
+        ["--L", "10", "--domain", "5", "--nodes", "64"],
+    ], ids=["one-cell", "no-inner-mass", "negative-domain", "zero-L", "L-beyond-domain"])
+    def test_poincare_invalid_configuration_exits_2(self, argv, capsys):
+        assert cli.main(["poincare", *argv]) == cli.EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("invalid poincare input: ")
+
+    def test_poincare_convergence_failure_exits_1(self, monkeypatch, capsys):
+        def stalled(*args, **kwargs):
+            raise ConvergenceError("no convergence")
+        monkeypatch.setattr(cli, "estimate_c_star", stalled)
+        argv = ["poincare", "--L", "1", "--domain", "5", "--nodes", "64"]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith("poincare estimate failed: no convergence")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_workers_below_one_exits_2(self, workers, tmp_path, capsys):
+        code = cli.main(["sweep", "--p", "11", "--i0", "1e-3", "--t-end", "5",
+                         "--workers", workers, "--out", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert "invalid sweep configuration: workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_subcommand(self, tmp_path, capsys):
         code = cli.main(["sweep", "--beta", "2", "--p", "2,11", "--i0", "1e-4,20",

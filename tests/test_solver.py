@@ -208,13 +208,20 @@ class TestRunControl:
         assert result.termination.time is not None
 
 
-def oracle_levels(config, dt, n_levels):
+def oracle_levels(config, dt, n_levels, mirrored=False):
     """u^0 .. u^n_levels by a plain first_step + leapfrog_step loop on the
-    whole grid."""
+    whole grid. With mirrored (the oracle of an even run), every level
+    after u^0 gets its left half overwritten by the mirrored right half."""
     prof, data, p = config.profile, config.data, config.p
-    levels = [data.u0, solver.first_step(data.u0, data.u1, prof, dt, p)]
+    half = prof.grid.n_nodes // 2
+
+    def level(u):
+        if mirrored:
+            u[:half] = u[:half:-1]
+        return u
+    levels = [data.u0, level(solver.first_step(data.u0, data.u1, prof, dt, p))]
     while len(levels) <= n_levels:
-        levels.append(solver.leapfrog_step(levels[-1], levels[-2], prof, dt, p))
+        levels.append(level(solver.leapfrog_step(levels[-1], levels[-2], prof, dt, p)))
     return levels
 
 
@@ -248,34 +255,97 @@ def assert_state_matches(state, levels, dt, u1, final=False):
         assert state.u_prev is None
 
 
-def bump_config(p, amplitude, t_end=3.0, record_every=5):
-    # support radius 2 > L = 1, and X = 6 leaves the light cone inside the grid
+# an off-centre bump makes a run that is not even: it marches the whole line
+OFF_CENTRE = 0.3
+
+
+def bump_config(p, amplitude, t_end=3.0, record_every=5, center=0.0):
+    # support radius 2 (+ center) > L = 1, and X = 6 leaves the light cone
+    # inside the grid
     grid = solver.domain_for_radius(2.0, t_end, 0.05, 1.0)
     profile = example1_profile(grid)
-    data = dw.make_initial_data(grid, dw.polynomial_bump(grid, amplitude, 2.0),
-                                dw.polynomial_bump(grid, 0.5 * amplitude, 1.5))
+    data = dw.make_initial_data(grid, dw.polynomial_bump(grid, amplitude, 2.0, center),
+                                dw.polynomial_bump(grid, 0.5 * amplitude, 1.5, center))
     return solver.RunConfig(profile=profile, data=data, t_end=t_end, p=p,
                             record_every=record_every)
 
 
-def blowup_config(record_every):
+def blowup_config(record_every, center=0.0):
     grid = solver.domain_for_radius(2.0, 20.0, 0.05, 2.0)
-    data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 4.0, 2.0),
+    data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 4.0, 2.0, center),
                                 np.zeros(grid.n_nodes))
     return solver.RunConfig(profile=example1_profile(grid), data=data,
                             t_end=20.0, p=2.0, record_every=record_every)
 
 
+def check_final_state(config, mirrored):
+    result = solver.run(config)
+    assert result.termination.kind == solver.COMPLETED
+    assert result.mirrored is mirrored
+    levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
+    assert_state_matches(result.final_state, levels, result.dt, config.data.u1, final=True)
+    # the window never reached the ends, so the skipped nodes were live zeros
+    assert np.all(result.final_state.u[:5] == 0.0) and np.all(result.final_state.u[-5:] == 0.0)
+
+
+def check_blowup_state(config, mirrored):
+    result = solver.run(config)
+    assert result.termination.kind == solver.BLOWUP
+    assert result.mirrored is mirrored
+    k = round(result.termination.time / result.dt)
+    state = result.final_state
+    assert round(state.t / result.dt) == k - 2
+    levels = oracle_levels(config, result.dt, k - 1, mirrored)
+    assert_state_matches(state, levels, result.dt, config.data.u1)
+
+
+def check_blowup_record_levels(config, mirrored):
+    # with a hook at every level, level k-2's u_t was already divided
+    # by 2 dt for its record before the blowup state rebuilds it
+    kept = []
+    result = solver.run(config, lambda state, d, a2: kept.append(state))
+    assert result.mirrored is mirrored
+    k = round(result.termination.time / result.dt)
+    assert round(kept[-1].t / result.dt) == round(result.final_state.t / result.dt) == k - 2
+    levels = oracle_levels(config, result.dt, k - 1, mirrored)
+    for state in kept + [result.final_state]:
+        assert_state_matches(state, levels, result.dt, config.data.u1)
+
+
+def check_kept_states(config, mirrored):
+    kept = []
+    result = solver.run(config, lambda state, d, a2: kept.append(state))
+    assert len(kept) == result.n_steps + 1
+    assert result.mirrored is mirrored
+    levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
+    for state in kept[:-1]:
+        assert_state_matches(state, levels, result.dt, config.data.u1)
+    assert_state_matches(kept[-1], levels, result.dt, config.data.u1, final=True)
+
+
+WINDOW_CASES = pytest.mark.parametrize("p, amplitude", [(None, 1e-3), (3.0, 0.5), (2.5, 0.5)])
+
+
 class TestWindowedMarch:
-    @pytest.mark.parametrize("p, amplitude", [(None, 1e-3), (3.0, 0.5), (2.5, 0.5)])
+    # centred data make even runs (mirrored oracle); off-centre data march
+    # the whole line (plain oracle)
+    @WINDOW_CASES
     def test_final_state_equals_full_grid_oracle(self, p, amplitude):
-        config = bump_config(p, amplitude)
-        result = solver.run(config)
-        assert result.termination.kind == solver.COMPLETED
-        levels = oracle_levels(config, result.dt, result.n_steps)
-        assert_state_matches(result.final_state, levels, result.dt, config.data.u1, final=True)
-        # the window never reached the ends, so the skipped nodes were live zeros
-        assert np.all(result.final_state.u[:5] == 0.0) and np.all(result.final_state.u[-5:] == 0.0)
+        check_final_state(bump_config(p, amplitude), mirrored=True)
+
+    @WINDOW_CASES
+    def test_off_centre_final_state_equals_plain_oracle(self, p, amplitude):
+        check_final_state(bump_config(p, amplitude, center=OFF_CENTRE), mirrored=False)
+
+    def test_plain_march_of_even_data_is_not_bitwise_even(self):
+        # the stencil adds its terms left to right, so a mirrored node sums
+        # them in the other order: the even run needs the mirrored oracle
+        config = bump_config(3.0, 0.5)
+        dt = solver.cfl_timestep(config.profile, config.cfl)
+        plain, mirrored = (oracle_levels(config, dt, 30, m)[-1] for m in (False, True))
+        assert not np.array_equal(plain, plain[::-1])
+        assert not np.array_equal(plain, mirrored)
+        assert np.max(np.abs(plain - mirrored)) < 1e-12 * np.max(np.abs(plain))
 
     def test_forcing_is_above_roundoff(self):
         # guards the p = 3 oracle case above against a forcing lost in rounding
@@ -284,36 +354,24 @@ class TestWindowedMarch:
         assert np.max(np.abs(forced - linear)) > 1e-3 * np.max(np.abs(linear))
 
     def test_blowup_final_state_is_level_k_minus_2(self):
-        config = blowup_config(record_every=10)
-        result = solver.run(config)
-        assert result.termination.kind == solver.BLOWUP
-        k = round(result.termination.time / result.dt)
-        state = result.final_state
-        assert round(state.t / result.dt) == k - 2
-        levels = oracle_levels(config, result.dt, k - 1)
-        assert_state_matches(state, levels, result.dt, config.data.u1)
+        check_blowup_state(blowup_config(record_every=10), mirrored=True)
+
+    def test_off_centre_blowup_final_state_is_level_k_minus_2(self):
+        check_blowup_state(blowup_config(record_every=10, center=OFF_CENTRE), mirrored=False)
 
     def test_blowup_state_of_a_record_level(self):
-        # with a hook at every level, level k-2's u_t was already divided
-        # by 2 dt for its record before the blowup state rebuilds it
-        config = blowup_config(record_every=1)
-        kept = []
-        result = solver.run(config, lambda state, d, a2: kept.append(state))
-        k = round(result.termination.time / result.dt)
-        assert round(kept[-1].t / result.dt) == round(result.final_state.t / result.dt) == k - 2
-        levels = oracle_levels(config, result.dt, k - 1)
-        for state in kept + [result.final_state]:
-            assert_state_matches(state, levels, result.dt, config.data.u1)
+        check_blowup_record_levels(blowup_config(record_every=1), mirrored=True)
+
+    def test_off_centre_blowup_state_of_a_record_level(self):
+        check_blowup_record_levels(blowup_config(record_every=1, center=OFF_CENTRE),
+                                   mirrored=False)
 
     def test_states_kept_by_a_hook_are_not_overwritten(self):
-        config = bump_config(3.0, 0.5, record_every=1)
-        kept = []
-        result = solver.run(config, lambda state, d, a2: kept.append(state))
-        assert len(kept) == result.n_steps + 1
-        levels = oracle_levels(config, result.dt, result.n_steps)
-        for state in kept[:-1]:
-            assert_state_matches(state, levels, result.dt, config.data.u1)
-        assert_state_matches(kept[-1], levels, result.dt, config.data.u1, final=True)
+        check_kept_states(bump_config(3.0, 0.5, record_every=1), mirrored=True)
+
+    def test_off_centre_states_kept_by_a_hook_are_not_overwritten(self):
+        check_kept_states(bump_config(3.0, 0.5, record_every=1, center=OFF_CENTRE),
+                          mirrored=False)
 
     def test_zero_data(self):
         grid = dw.Grid(-10.0, 10.0, 400)
@@ -398,11 +456,15 @@ class RecordingNormRecorder(NormRecorder):
 
 
 class TestNoHistory:
-    @pytest.mark.parametrize("config", [bump_config(3.0, 0.5, t_end=3.0, record_every=7),
-                                        bump_config(None, 1e-3, t_end=2.0, record_every=3),
-                                        blowup_config(record_every=10),
-                                        blowup_config(record_every=1)],
-                             ids=["completed-p3", "completed-linear", "blowup", "blowup-every-level"])
+    @pytest.mark.parametrize("config", [
+        bump_config(3.0, 0.5, t_end=3.0, record_every=7),
+        bump_config(None, 1e-3, t_end=2.0, record_every=3),
+        blowup_config(record_every=10),
+        blowup_config(record_every=1),
+        bump_config(3.0, 0.5, t_end=3.0, record_every=7, center=OFF_CENTRE),
+        blowup_config(record_every=1, center=OFF_CENTRE),
+    ], ids=["completed-p3", "completed-linear", "blowup", "blowup-every-level",
+            "completed-p3-off-centre", "blowup-every-level-off-centre"])
     def test_norm_recorder_march_matches_full_history(self, config):
         lean = RecordingNormRecorder(config)
         assert lean.reads_history is False
@@ -417,6 +479,7 @@ class TestNoHistory:
         full = solver.run(config, full_hook)
 
         assert result.termination == full.termination
+        assert result.mirrored == full.mirrored
         assert result.records == full.records
         assert all(isinstance(r, NormRecord) for r in result.records)
         assert len(lean.calls) == len(full_states)
