@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from .analysis import (
     FitResult,
     SemilinearSweep,
-    SweepBase,
     check_gagliardo_nirenberg,
     check_lemma31,
     fit_decay,
@@ -59,7 +58,6 @@ from .solver import (
     Termination,
     WaveState,
     cfl_timestep,
-    make_domain,
     run,
 )
 from .spectral import (

@@ -15,27 +15,22 @@ valid exactly for theta > 1 (for theta <= 1 the scaled sup keeps growing,
 which the report exposes instead of raising), and the interpolation
 inequality ||u||_2p <= C ||u||^(1-theta) ||u_x||^theta with
 theta = (p-1)/(2p), probed on random smoothed samples.
+
+A semilinear sweep is a base RunSpec: each (p, I0) cell is the base with
+|u|^p, built by config.build_problem as for `dampedwave run`, its data
+rescaled to I0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import config as cfg
 from . import solver
-from .coefficients import (
-    CoefficientProfile,
-    Grid,
-    InitialData,
-    build_damping_plateau,
-    build_potential_example1,
-    compute_data_norms,
-    gaussian_bump,
-    make_initial_data,
-    make_profile,
-)
+from .coefficients import CoefficientProfile, Grid, InitialData, compute_data_norms
 from .diagnostics import EnergyRecord, NormRecord, NormRecorder
 from .errors import ConfigError, FitError, HypothesisError
 
@@ -237,24 +232,6 @@ def interpolation_ratio(grid: Grid, u: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepBase:
-    """Shared setup for one sweep: the potential family parameters, the
-    data shape (unit-amplitude gaussian bump), and run controls."""
-
-    beta: float = 2.0
-    V0: float = 0.01
-    L: float = 1.0
-    eps1: float = 1.0
-    ramp: str = "sharp"
-    data_width: float = 0.75
-    dx: float = 0.05
-    t_end: float = 40.0
-    cfl: float = 0.9
-    record_every: int = 10
-    padding: float = 3.0
-
-
-@dataclass(frozen=True)
 class SemilinearSweep:
     beta: float
     p_values: tuple[float, ...]
@@ -314,65 +291,45 @@ def classify_outcome(result: solver.RunResult, t_end: float) -> str:
 
 
 def _sweep_cell(args) -> tuple[int, int, str]:
-    (i, j, p, i0, base) = args
+    (i, j, p, i0, spec) = args
     try:
-        outcome = _run_sweep_cell(p, i0, base)
+        outcome = _run_sweep_cell(p, i0, spec)
     except (ConfigError, HypothesisError) as exc:
         outcome = f"error({type(exc).__name__})"
     return i, j, outcome
 
 
-def _sweep_problem(base: SweepBase) -> tuple[CoefficientProfile, InitialData]:
-    """The profile and unit-amplitude data every cell of a sweep shares.
-    Raises ConfigError/HypothesisError when they are invalid for every cell,
-    ConfigError first for any non-finite number in the base."""
-    for f in fields(base):
-        value = getattr(base, f.name)
-        if isinstance(value, (int, float)) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
-    # truncation radius of the unit gaussian bump at the data floor
-    radius = base.data_width * math.sqrt(2.0 * math.log(1e14))
-    grid = solver.domain_for_radius(radius, base.t_end, base.dx, base.padding)
-    V = build_potential_example1(base.V0, base.beta, base.L, grid)
-    a = build_damping_plateau(base.eps1, base.L, base.ramp, grid)
-    profile = make_profile(grid, V, a, base.L, base.eps1, beta=base.beta, V0=base.V0)
-    data = make_initial_data(
-        grid, gaussian_bump(grid, 1.0, base.data_width), np.zeros(grid.n_nodes)
-    )
-    solver.check_semilinear_support(data, profile)
-    return profile, data
-
-
-def _run_sweep_cell(p: float, i0: float, base: SweepBase) -> str:
-    profile, data = _sweep_problem(base)
+def _run_sweep_cell(p: float, i0: float, spec: cfg.RunSpec) -> str:
+    spec = replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p))
+    _grid, profile, data = cfg.build_problem(spec)
     data = scale_data_to_i0(data, profile, i0)
-    config = solver.RunConfig(
-        profile=profile, data=data, t_end=base.t_end, cfl=base.cfl,
-        p=p, record_every=base.record_every,
-    )
-    result = solver.run(config, NormRecorder(profile, None, data, None))
-    return classify_outcome(result, base.t_end)
+    result = solver.run(cfg.run_config_from_spec(spec, profile, data),
+                        NormRecorder(profile, None, data, None))
+    return classify_outcome(result, spec.time.t_end)
 
 
 def semilinear_sweep(
-    beta: float,
+    spec: cfg.RunSpec,
     p_values: list[float],
     I0_values: list[float],
-    base: SweepBase | None = None,
     workers: int = 1,
 ) -> SemilinearSweep:
-    """Outcome matrix over (p, I0). A base that is invalid for every cell
-    raises ConfigError/HypothesisError before any cell runs; a cell that
-    fails on its own becomes an error(<exception name>) outcome token and
-    never aborts the sweep. workers must be >= 1 (ConfigError otherwise);
-    more than one dispatches cells to a process pool of at most one worker
-    per cell. Aggregation order is deterministic either way."""
+    """Outcome matrix over (p, I0) for a base spec with a potential beta.
+    A base that is invalid for every cell raises ConfigError/HypothesisError
+    before any cell runs; a cell that fails on its own becomes an
+    error(<exception name>) outcome token and never aborts the sweep.
+    workers must be >= 1 (ConfigError otherwise); more than one dispatches
+    cells to a process pool of at most one worker per cell. Aggregation
+    order is deterministic either way."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    base = replace(base or SweepBase(), beta=beta)
-    _sweep_problem(base)
+    beta = spec.potential.beta
+    if beta is None:
+        raise ConfigError(f"a sweep needs a potential with beta, got {spec.potential.family!r}")
+    _grid, profile, data = cfg.build_problem(spec)
+    solver.check_semilinear_support(data, profile)
     cells = [
-        (i, j, p, i0, base)
+        (i, j, p, i0, spec)
         for i, p in enumerate(p_values)
         for j, i0 in enumerate(I0_values)
     ]

@@ -15,6 +15,10 @@ edge tail of its solve), termination and time.mirrored (whether the
 run marched only x >= 0). Outputs are deterministic functions of the
 config bytes. The default output directory may be set with the
 DAMPEDWAVE_OUT environment variable.
+
+A sweep is a base RunSpec built from its flags, each (p, I0) cell built as
+`run` builds a config; its manifest holds the base as config text
+(base_config), so the manifest alone reruns it.
 """
 
 from __future__ import annotations
@@ -265,13 +269,15 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    base = analysis.SweepBase(
-        beta=args.beta, V0=args.V0, L=args.L, eps1=args.eps1,
-        t_end=args.t_end, dx=args.dx,
+    spec = cfg.RunSpec(
+        grid=cfg.GridSpec(mode="auto", dx=args.dx),
+        potential=cfg.PotentialSpec("example1", V0=args.V0, beta=args.beta, L=args.L),
+        damping=cfg.DampingSpec("plateau", eps1=args.eps1, L=args.L),
+        data=cfg.DataSpec(u0=cfg.FieldSpec("gaussian", amplitude=1.0, width=0.75)),
+        time=cfg.TimeSpec(t_end=args.t_end),
     )
     try:
-        sweep = analysis.semilinear_sweep(args.beta, p_values, i0_values,
-                                          base=base, workers=args.workers)
+        sweep = analysis.semilinear_sweep(spec, p_values, i0_values, workers=args.workers)
     except _VALIDATION_ERRORS as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -289,6 +295,7 @@ def cmd_sweep(args) -> int:
         "p_critical": sweep.p_critical,
         "p_values": list(sweep.p_values),
         "I0_values": list(sweep.I0_values),
+        "base_config": cfg.emit_config(spec),
         "files": {"csv": path.name},
     }
     (out / f"{args.name}.manifest.json").write_text(

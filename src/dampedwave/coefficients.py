@@ -87,9 +87,6 @@ class Grid:
         i = int(round((x0 - self.x_min) / self.dx))
         return min(max(i, 0), self.n_cells)
 
-    def refined(self, factor: int = 2) -> "Grid":
-        return Grid(self.x_min, self.x_max, self.n_cells * factor)
-
 
 def inner_cell_weights(grid: Grid, L: float) -> np.ndarray:
     """Quadrature weights for integrals over |x| <= L.

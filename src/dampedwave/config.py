@@ -1,6 +1,6 @@
 """Run-configuration files: flat sectioned key = value text.
 
-Sections and keys (see docs/config.md for the full grammar):
+Sections and keys (emit_config() writes each one a spec sets):
 
     [grid]          mode = explicit | auto
                     explicit: x_min, x_max, n_cells
@@ -18,13 +18,16 @@ Sections and keys (see docs/config.md for the full grammar):
 Parsing is strict: unknown keys, missing sections, and non-finite numbers
 are configuration errors that name the offending section and key.
 emit_config() writes a canonical form whose parse round-trips exactly.
+
+build_problem() is the one route from a spec to grid, profile and data
+(runs and sweep cells); it names a hand-built spec's non-finite numbers too.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -404,17 +407,25 @@ def build_profile_from_spec(spec: RunSpec, grid: Grid) -> CoefficientProfile:
                         V0=pot.V0 if pot.family == "example1" else None)
 
 
-def build_data_from_spec(spec: RunSpec, grid: Grid) -> InitialData:
-    u0 = _sample_field(grid, spec.data.u0)
-    u1 = _sample_field(grid, spec.data.u1)
-    return make_initial_data(grid, u0, u1, spec.data.support_radius)
+def _require_finite(node, section: str, prefix: str = "") -> None:
+    """ConfigError naming [section] key for a non-finite number in one spec
+    section; a nested field's key is prefixed as in the text (u0_width)."""
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if is_dataclass(value):
+            _require_finite(value, section, f"{prefix}{f.name}_")
+        elif isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {prefix}{f.name} must be finite, got {value}")
 
 
 def build_problem(spec: RunSpec) -> tuple[Grid, CoefficientProfile, InitialData]:
+    """Grid, coefficient profile and initial data of a spec."""
+    for f in fields(spec):
+        _require_finite(getattr(spec, f.name), f.name)
     grid = build_grid(spec)
     profile = build_profile_from_spec(spec, grid)
-    data = build_data_from_spec(spec, grid)
-    return grid, profile, data
+    u0, u1 = (_sample_field(grid, f) for f in (spec.data.u0, spec.data.u1))
+    return grid, profile, make_initial_data(grid, u0, u1, spec.data.support_radius)
 
 
 def run_config_from_spec(

@@ -180,12 +180,6 @@ def domain_for_radius(support_radius: float, t_end: float, dx: float,
     return Grid(-X, X, n_cells)
 
 
-def make_domain(data: InitialData, t_end: float, dx: float, padding: float = 3.0) -> Grid:
-    if data.support_radius is None:
-        raise ConfigError("unbounded initial data: supply an explicit truncation radius")
-    return domain_for_radius(data.support_radius, t_end, dx, padding)
-
-
 def cfl_timestep(profile: CoefficientProfile, cfl: float) -> float:
     if not 0.0 < cfl < 1.0:
         raise ConfigError(f"Courant factor must lie in (0, 1), got {cfl}")

@@ -43,6 +43,19 @@ def reference_spec(n_cells=6000, t_end=50.0, record_every=10):
     )
 
 
+def sweep_spec(beta=2.0, V0=0.01, L=1.0, eps1=1.0, data_width=0.75, dx=0.05,
+               t_end=40.0, cfl=0.9, padding=3.0):
+    """The base spec `dampedwave sweep` builds (its defaults here), one
+    keyword per number, L shared by the potential and the damping."""
+    return cfg.RunSpec(
+        grid=cfg.GridSpec(mode="auto", dx=dx, padding=padding),
+        potential=cfg.PotentialSpec("example1", V0=V0, beta=beta, L=L),
+        damping=cfg.DampingSpec("plateau", eps1=eps1, L=L),
+        data=cfg.DataSpec(u0=cfg.FieldSpec("gaussian", amplitude=1.0, width=data_width)),
+        time=cfg.TimeSpec(t_end=t_end, cfl=cfl),
+    )
+
+
 LINEAR_DEMO_CFG = """\
 [grid]
 mode = explicit

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 import dampedwave as dw
 from dampedwave import analysis
+from dampedwave import config as cfg
 from dampedwave.analysis import (
-    SweepBase, _run_sweep_cell, _sweep_cell, interpolation_ratio, scale_data_to_i0,
+    _run_sweep_cell, _sweep_cell, interpolation_ratio, scale_data_to_i0,
 )
 from dampedwave.diagnostics import EnergyRecord
 from dampedwave.errors import ConfigError, FitError, HypothesisError
 
-from helpers import example1_profile
+from helpers import example1_profile, sweep_spec
 
 
 def synthetic_records(func, t_values):
@@ -179,8 +180,8 @@ class TestDataScaling:
 
 class TestSemilinearSweep:
     def test_outcome_matrix_structure(self):
-        base = SweepBase(t_end=20.0, dx=0.1)
-        sweep = dw.semilinear_sweep(2.0, [2.0, 11.0], [0.0, 1e-4, 20.0], base=base)
+        base = sweep_spec(t_end=20.0, dx=0.1)
+        sweep = dw.semilinear_sweep(base, [2.0, 11.0], [0.0, 1e-4, 20.0])
         assert sweep.p_critical == 9.0
         assert len(sweep.outcomes) == 2
         assert len(sweep.outcomes[0]) == 3
@@ -192,16 +193,16 @@ class TestSemilinearSweep:
         assert sweep.outcomes[0][2].startswith("blowup(t=")
 
     def test_worker_pool_matches_serial(self):
-        base = SweepBase(t_end=10.0, dx=0.1)
-        serial = dw.semilinear_sweep(2.0, [11.0], [1e-4, 10.0], base=base, workers=1)
-        pooled = dw.semilinear_sweep(2.0, [11.0], [1e-4, 10.0], base=base, workers=2)
+        base = sweep_spec(t_end=10.0, dx=0.1)
+        serial = dw.semilinear_sweep(base, [11.0], [1e-4, 10.0], workers=1)
+        pooled = dw.semilinear_sweep(base, [11.0], [1e-4, 10.0], workers=2)
         assert serial.outcomes == pooled.outcomes
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_raise(self, workers, monkeypatch):
         monkeypatch.setattr(analysis.solver, "run", lambda *a, **k: pytest.fail("marched"))
         with pytest.raises(ConfigError, match="workers must be >= 1"):
-            dw.semilinear_sweep(2.0, [11.0], [1e-3], base=SweepBase(t_end=5.0), workers=workers)
+            dw.semilinear_sweep(sweep_spec(t_end=5.0), [11.0], [1e-3], workers=workers)
 
     @pytest.mark.parametrize("workers, pool_size", [(8, 3), (2, 2)])
     def test_pool_is_capped_at_the_cell_count(self, workers, pool_size, monkeypatch):
@@ -222,39 +223,38 @@ class TestSemilinearSweep:
                 return map(fn, cells)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        sweep = dw.semilinear_sweep(2.0, [11.0], [0.0, 1e-4, 1e-3],
-                                    base=SweepBase(t_end=2.0, dx=0.1), workers=workers)
+        sweep = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0], [0.0, 1e-4, 1e-3],
+                                    workers=workers)
         assert sizes == [pool_size]
         assert all(o in ("decayed_at_rate", "bounded") for o in sweep.outcomes[0])
 
     def test_one_cell_runs_without_a_pool(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *a, **k: pytest.fail("pool started"))
-        sweep = dw.semilinear_sweep(2.0, [11.0], [1e-4], base=SweepBase(t_end=2.0, dx=0.1),
-                                    workers=4)
+        sweep = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0], [1e-4], workers=4)
         assert len(sweep.outcomes[0]) == 1
 
     def test_single_cell_supercritical_decays(self):
-        outcome = _run_sweep_cell(11.0, 1e-4, SweepBase(t_end=30.0, dx=0.05))
+        outcome = _run_sweep_cell(11.0, 1e-4, sweep_spec(t_end=30.0, dx=0.05))
         assert outcome == "decayed_at_rate"
 
     def test_invalid_cell_becomes_error_token(self):
-        base = SweepBase(t_end=2.0, dx=0.1)
+        base = sweep_spec(t_end=2.0, dx=0.1)
         assert _sweep_cell((0, 1, 0.5, 1e-3, base)) == (0, 1, "error(ConfigError)")
         assert _sweep_cell((1, 0, 3.0, -1.0, base)) == (1, 0, "error(HypothesisError)")
         assert _sweep_cell((0, 0, math.nan, 1e-3, base)) == (0, 0, "error(ConfigError)")
         assert _sweep_cell((0, 0, 3.0, math.inf, base)) == (0, 0, "error(HypothesisError)")
 
     def test_mixed_sweep_keeps_valid_cells(self):
-        sweep = dw.semilinear_sweep(2.0, [0.5, 11.0], [1e-4], base=SweepBase(t_end=5.0, dx=0.1))
+        sweep = dw.semilinear_sweep(sweep_spec(t_end=5.0, dx=0.1), [0.5, 11.0], [1e-4])
         assert sweep.outcomes[0] == ("error(ConfigError)",)
         assert sweep.outcomes[1][0] in ("decayed_at_rate", "bounded")
 
     @pytest.mark.parametrize("base", [
-        SweepBase(L=10.0, t_end=5.0), SweepBase(dx=0.0, t_end=5.0),
-        SweepBase(dx=math.nan), SweepBase(t_end=math.inf), SweepBase(L=math.nan),
-        SweepBase(V0=math.nan), SweepBase(eps1=math.nan), SweepBase(data_width=math.inf),
-        SweepBase(cfl=math.nan), SweepBase(padding=math.inf),
+        sweep_spec(L=10.0, t_end=5.0), sweep_spec(dx=0.0, t_end=5.0),
+        sweep_spec(dx=math.nan), sweep_spec(t_end=math.inf), sweep_spec(L=math.nan),
+        sweep_spec(V0=math.nan), sweep_spec(eps1=math.nan), sweep_spec(data_width=math.inf),
+        sweep_spec(cfl=math.nan), sweep_spec(padding=math.inf),
     ])
     def test_base_invalid_for_every_cell_raises_before_marching(self, base, monkeypatch):
         def never(*args, **kwargs):
@@ -262,10 +262,31 @@ class TestSemilinearSweep:
         monkeypatch.setattr(analysis.solver, "run", never)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         with pytest.raises(ConfigError):
-            dw.semilinear_sweep(2.0, [11.0], [1e-3], base=base, workers=2)
+            dw.semilinear_sweep(base, [11.0], [1e-3], workers=2)
+
+    @pytest.mark.parametrize("potential", [
+        cfg.PotentialSpec("gaussian", V0=0.01, beta=None, nu=1.0, L=None),
+        cfg.PotentialSpec("none", V0=None, beta=None, nu=None, L=None),
+    ], ids=["gaussian", "none"])
+    def test_potential_without_beta_raises_before_marching(self, potential, monkeypatch):
+        monkeypatch.setattr(analysis.solver, "run", lambda *a, **k: pytest.fail("marched"))
+        base = dataclasses.replace(sweep_spec(t_end=5.0), potential=potential)
+        with pytest.raises(ConfigError, match="needs a potential with beta"):
+            dw.semilinear_sweep(base, [11.0], [1e-3])
+
+    def test_each_cell_is_built_from_the_base_with_its_power(self, monkeypatch):
+        built = []
+        build = analysis.cfg.build_problem
+        monkeypatch.setattr(analysis.cfg, "build_problem",
+                            lambda spec: built.append(spec) or build(spec))
+        base = sweep_spec(t_end=2.0, dx=0.1)
+        dw.semilinear_sweep(base, [3.0, 11.0], [1e-4], workers=1)
+        assert built == [base] + [
+            dataclasses.replace(base, nonlinearity=cfg.NonlinearitySpec("power", p))
+            for p in (3.0, 11.0)]
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
     def test_non_finite_beta_raises_before_marching(self, beta, monkeypatch):
         monkeypatch.setattr(analysis.solver, "run", lambda *a, **k: pytest.fail("marched"))
         with pytest.raises(ConfigError, match="beta must be finite"):
-            dw.semilinear_sweep(beta, [11.0], [1e-3], base=SweepBase(t_end=5.0), workers=1)
+            dw.semilinear_sweep(sweep_spec(beta=beta, t_end=5.0), [11.0], [1e-3], workers=1)

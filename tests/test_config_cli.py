@@ -1,10 +1,13 @@
 import json
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave import cli
+from dampedwave import analysis, cli, runner
 from dampedwave import config as cfg
 from dampedwave.errors import ConfigError, ConvergenceError
 
@@ -65,6 +68,21 @@ class TestConfigParsing:
         spec = cfg.parse_config(LINEAR_DEMO_CFG.replace("L = 1.0\nramp", "L = 2.0\nramp"))
         with pytest.raises(ConfigError, match="must agree"):
             cfg.build_problem(spec)
+
+    @pytest.mark.parametrize("path, key", [
+        ("grid.dx", "[grid] dx"), ("time.t_end", "[time] t_end"),
+        ("potential.V0", "[potential] V0"), ("data.u0.width", "[data] u0_width"),
+    ])
+    def test_non_finite_hand_built_spec_named(self, path, key):
+        def with_nan(node, names):
+            value = math.nan if len(names) == 1 else with_nan(getattr(node, names[0]),
+                                                              names[1:])
+            return replace(node, **{names[0]: value})
+        spec = replace(reference_spec(), grid=cfg.GridSpec(mode="auto", dx=0.05))
+        spec = with_nan(spec, path.split("."))
+        for build in (cfg.build_problem, runner.execute):
+            with pytest.raises(ConfigError, match=re.escape(f"{key} must be finite, got nan")):
+                build(spec)
 
     def test_auto_grid_sizing(self):
         spec = cfg.parse_config(LINEAR_DEMO_CFG.replace(
@@ -240,6 +258,29 @@ class TestCli:
         assert len(lines) == 3
         manifest = json.loads((tmp_path / "sw.manifest.json").read_text())
         assert manifest["p_critical"] == 9.0
+
+    def test_sweep_csv_is_unchanged(self, tmp_path):
+        # pinned outcome tokens: the way cells are built must not move them
+        argv = ["sweep", "--p", "3,11", "--i0", "1,30", "--dx", "0.05", "--t-end", "5",
+                "--workers", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == (
+            b"p\\I0,1,30\n3,bounded,blowup(t=0.416667)\n11,bounded,blowup(t=0.0833333)\n")
+
+    def test_sweep_manifest_holds_its_base_spec(self, tmp_path, monkeypatch):
+        bases = []
+        sweep = analysis.semilinear_sweep
+        monkeypatch.setattr(analysis, "semilinear_sweep",
+                            lambda spec, *a, **k: bases.append(spec) or sweep(spec, *a, **k))
+        argv = ["sweep", "--beta", "3", "--V0", "0.02", "--L", "1.5", "--eps1", "0.5",
+                "--p", "11", "--i0", "1e-3", "--t-end", "3", "--dx", "0.1",
+                "--workers", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
+        base = cfg.parse_config(manifest["base_config"])
+        assert bases == [base]
+        assert (base.potential.beta, base.potential.V0, base.damping.L, base.damping.eps1,
+                base.time.t_end, base.grid.dx) == (3.0, 0.02, 1.5, 0.5, 3.0, 0.1)
 
     @pytest.mark.parametrize("extra", [["--L", "10"], ["--dx", "0"], ["--p", "nan"],
                                        ["--i0", "1e-3,inf"], ["--p", "11,-inf"],

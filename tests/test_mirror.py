@@ -14,7 +14,7 @@ from dampedwave import analysis, solver
 from dampedwave import config as cfg
 from dampedwave.diagnostics import NormRecorder
 
-from helpers import example1_profile, reference_spec
+from helpers import example1_profile, reference_spec, sweep_spec
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -53,12 +53,12 @@ class TestWhichRunsMirror:
     def test_benchmark_sweep_base_marches_mirrored(self):
         # the grid and data of `dampedwave sweep --dx 0.02 --t-end 40`,
         # marched for a short while
-        base = dataclasses.replace(analysis.SweepBase(), dx=0.02, t_end=40.0)
-        profile, data = analysis._sweep_problem(base)
+        base = sweep_spec(dx=0.02, t_end=40.0)
+        _grid, profile, data = cfg.build_problem(base)
         data = analysis.scale_data_to_i0(data, profile, 1.0)
         assert_even_problem(profile.grid, profile, data)
         config = solver.RunConfig(profile=profile, data=data, t_end=0.5, p=11.0,
-                                  record_every=base.record_every)
+                                  record_every=base.time.record_every)
         result = solver.run(config, NormRecorder(profile, None, data, None))
         assert result.mirrored and result.termination.kind == solver.COMPLETED
 

@@ -88,21 +88,12 @@ class TestScheme:
 
 
 class TestDomain:
-    def test_make_domain_formula(self):
-        grid = dw.Grid(-10.0, 10.0, 100)
-        data = dw.make_initial_data(grid, np.zeros(101), np.zeros(101), support_radius=2.0)
-        domain = solver.make_domain(data, t_end=50.0, dx=0.05, padding=3.0)
+    def test_domain_for_radius_formula(self):
+        domain = solver.domain_for_radius(2.0, t_end=50.0, dx=0.05, padding=3.0)
         assert domain.x_max == pytest.approx(55.0)
         assert domain.x_min == pytest.approx(-55.0)
-        half = solver.make_domain(data, t_end=25.0, dx=0.05, padding=3.0)
+        half = solver.domain_for_radius(2.0, t_end=25.0, dx=0.05, padding=3.0)
         assert half.x_max == pytest.approx(30.0)
-
-    def test_unbounded_data_requires_radius(self):
-        grid = dw.Grid(-10.0, 10.0, 100)
-        data = dw.make_initial_data(grid, np.ones(101), np.zeros(101),
-                                    support_radius=np.inf)
-        with pytest.raises(ConfigError):
-            solver.make_domain(data, 10.0, 0.05)
 
     def test_boundary_stays_silent(self):
         # with X = R + t_end + padding nothing reaches the edge before t_end
@@ -239,13 +230,32 @@ def oracle_fields(levels, level, dt, u1, final=False):
     return levels[level], u_t, v
 
 
-def assert_state_matches(state, levels, dt, u1, final=False):
+def light_cone(data, level):
+    """Level `level`'s window: the live range of u0 and u1 widened by one
+    node per level, clipped to the grid (solver module docstring)."""
+    live = np.flatnonzero((data.u0 != 0.0) | (data.u1 != 0.0))
+    if not live.size:
+        return 0, 0
+    return max(int(live[0]) - level, 0), min(int(live[-1]) + 1 + level, data.u0.size)
+
+
+def assert_state_matches(state, levels, dt, data, final=False, window_level=None,
+                         mirrored=False):
+    """The state's fields equal the oracle's, and its support is the
+    documented window: window_level's, by default the next level's for a
+    record state (level 0 reads only u1: its own) and the last one's for
+    the final state; symmetric, (n - hi, hi), in an even run."""
     level = round(state.t / dt)
+    if window_level is None:
+        window_level = level if final or level == 0 else level + 1
     lo, hi = state.support
+    assert (lo, hi) == light_cone(data, window_level), f"window at level {level}"
+    if mirrored:
+        assert lo == data.u0.size - hi
     for name in ("u", "u_prev", "u_t", "v"):
         f = getattr(state, name)
         assert f is None or not (f[:lo].any() or f[hi:].any()), f"{name} outside support"
-    u, u_t, v = oracle_fields(levels, level, dt, u1, final)
+    u, u_t, v = oracle_fields(levels, level, dt, data.u1, final)
     assert np.array_equal(state.u, u), f"u differs at level {level}"
     assert np.array_equal(state.u_t, u_t), f"u_t differs at level {level}"
     assert np.array_equal(state.v, v), f"v differs at level {level}"
@@ -283,7 +293,8 @@ def check_final_state(config, mirrored):
     assert result.termination.kind == solver.COMPLETED
     assert result.mirrored is mirrored
     levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
-    assert_state_matches(result.final_state, levels, result.dt, config.data.u1, final=True)
+    assert_state_matches(result.final_state, levels, result.dt, config.data, final=True,
+                         mirrored=mirrored)
     # the window never reached the ends, so the skipped nodes were live zeros
     assert np.all(result.final_state.u[:5] == 0.0) and np.all(result.final_state.u[-5:] == 0.0)
 
@@ -296,7 +307,8 @@ def check_blowup_state(config, mirrored):
     state = result.final_state
     assert round(state.t / result.dt) == k - 2
     levels = oracle_levels(config, result.dt, k - 1, mirrored)
-    assert_state_matches(state, levels, result.dt, config.data.u1)
+    assert_state_matches(state, levels, result.dt, config.data, window_level=k - 1,
+                         mirrored=mirrored)
 
 
 def check_blowup_record_levels(config, mirrored):
@@ -308,8 +320,10 @@ def check_blowup_record_levels(config, mirrored):
     k = round(result.termination.time / result.dt)
     assert round(kept[-1].t / result.dt) == round(result.final_state.t / result.dt) == k - 2
     levels = oracle_levels(config, result.dt, k - 1, mirrored)
-    for state in kept + [result.final_state]:
-        assert_state_matches(state, levels, result.dt, config.data.u1)
+    for state in kept:
+        assert_state_matches(state, levels, result.dt, config.data, mirrored=mirrored)
+    assert_state_matches(result.final_state, levels, result.dt, config.data,
+                         window_level=k - 1, mirrored=mirrored)
 
 
 def check_kept_states(config, mirrored):
@@ -319,8 +333,9 @@ def check_kept_states(config, mirrored):
     assert result.mirrored is mirrored
     levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
     for state in kept[:-1]:
-        assert_state_matches(state, levels, result.dt, config.data.u1)
-    assert_state_matches(kept[-1], levels, result.dt, config.data.u1, final=True)
+        assert_state_matches(state, levels, result.dt, config.data, mirrored=mirrored)
+    assert_state_matches(kept[-1], levels, result.dt, config.data, final=True,
+                         mirrored=mirrored)
 
 
 WINDOW_CASES = pytest.mark.parametrize("p, amplitude", [(None, 1e-3), (3.0, 0.5), (2.5, 0.5)])
@@ -400,8 +415,8 @@ class TestWindowedMarch:
         levels = oracle_levels(config, result.dt, result.n_steps)
         assert u0[0] != 0.0 and kept[1].v[0] != 0.0
         for state in kept[:-1]:
-            assert_state_matches(state, levels, result.dt, u1)
-        assert_state_matches(result.final_state, levels, result.dt, u1, final=True)
+            assert_state_matches(state, levels, result.dt, data)
+        assert_state_matches(result.final_state, levels, result.dt, data, final=True)
 
 
 def unfused_step(u, u_prev, profile, dt, p):
