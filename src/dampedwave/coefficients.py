@@ -92,20 +92,16 @@ def inner_cell_weights(grid: Grid, L: float) -> np.ndarray:
     """Quadrature weights for integrals over |x| <= L.
 
     Each node with |x_i| <= L gets the length of its trapezoid cell
-    intersected with [-L, L]; nodes outside get zero. Slivers of [-L, L]
-    not covered by inner-node cells are dropped, so the weighted sum is
-    a lower bound for the exact integral of a nonnegative integrand.
-    That one-sidedness is what makes the discrete localized-norm bound
-    (local L2 vs energy through min V on the core) hold exactly.
+    intersected with [-L, L], the inner part of partition_cell_weights;
+    nodes outside get zero. Slivers of [-L, L] not covered by inner-node
+    cells are dropped, so the weighted sum is a lower bound for the exact
+    integral of a nonnegative integrand. That one-sidedness is what makes
+    the discrete localized-norm bound (local L2 vs energy through min V on
+    the core) hold exactly.
     """
-    if L <= 0:
-        raise GridDomainError("inner radius L must be positive")
-    x, dx, h = grid.x, grid.dx, grid.dx / 2
+    w_in, _w_out = partition_cell_weights(grid, L)
     tol = MONOTONICITY_SLACK * max(1.0, L)
-    mask = np.abs(x) <= L + tol
-    lo = np.maximum(np.maximum(x - h, -L), grid.x_min)
-    hi = np.minimum(np.minimum(x + h, L), grid.x_max)
-    return np.where(mask, np.clip(hi - lo, 0.0, None), 0.0)
+    return np.where(np.abs(grid.x) <= L + tol, w_in, 0.0)
 
 
 def partition_cell_weights(grid: Grid, L: float) -> tuple[np.ndarray, np.ndarray]:

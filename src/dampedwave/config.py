@@ -1,53 +1,51 @@
 """Run-configuration files: flat sectioned key = value text.
 
-Sections and keys (emit_config() writes each one a spec sets):
+A RunSpec is one section per field: [grid], [potential], [damping],
+[data], [time] and the optional [nonlinearity]. Its schema is one table,
+_VARIANTS: per section the tag key (grid mode, potential and damping
+family, nonlinearity kind; [time] has none) and, under each tag value,
+the keys that variant carries, in the order emit_config() writes them.
+A carried key whose dataclass default is None is required; a key outside
+the variant keeps its default. [data] is the one special case: two
+prefixed fields u0_* and u1_* (kind, amplitude, width = gaussian sigma
+or bump radius, center) and an optional support_radius override. An
+auto grid sizes its domain from the data support.
 
-    [grid]          mode = explicit | auto
-                    explicit: x_min, x_max, n_cells
-                    auto:     dx, padding  (domain sized from data support)
-    [potential]     family = example1 | gaussian | none
-                    example1: V0, beta, L    gaussian: V0, nu
-    [damping]       family = plateau | none
-                    plateau: eps1, L, ramp (sharp | smooth)
-    [data]          u0 / u1 = gaussian | bump | zero with amplitude,
-                    width (gaussian sigma or bump radius), center;
-                    optional support_radius override
-    [time]          t_end, cfl, record_every
-    [nonlinearity]  kind = none | power; power: p
-
-Parsing is strict: unknown keys, missing sections, and non-finite numbers
-are configuration errors that name the offending section and key.
-emit_config() writes a canonical form whose parse round-trips exactly.
-
-build_problem() is the one route from a spec to grid, profile and data
-(runs and sweep cells); it names a hand-built spec's non-finite numbers too.
+check_spec() is the one validator of a spec's values. It names the
+section and key of an unknown variant or ramp, a missing required key, a
+key set outside its variant, a non-finite number, a non-integer count
+and a value out of range. parse_config() checks only the text (parseable,
+known sections and keys, values that convert) and returns check_spec()
+of what it read; emit_config() writes a canonical form that parses back
+to an equal spec. build_problem() is the one route from a spec to grid,
+profile and data (runs and sweep cells); it calls check_spec() first, so
+a hand-built spec is held to the same rules as config text.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import solver
 from .coefficients import (
+    TRUNCATION_FLOOR,
     CoefficientProfile,
     Grid,
     InitialData,
     build_damping_plateau,
     build_potential_example1,
     build_potential_gaussian,
-    free_space_profile,
     gaussian_bump,
     make_initial_data,
     make_profile,
     polynomial_bump,
 )
 from .errors import ConfigError
-
-_DATA_KINDS = ("gaussian", "bump", "zero")
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,17 @@ class GridSpec:
 @dataclass(frozen=True)
 class PotentialSpec:
     family: str = "example1"
-    V0: float | None = 0.01
-    beta: float | None = 2.0
+    V0: float | None = None
+    beta: float | None = None
     nu: float | None = None
-    L: float | None = 1.0
+    L: float | None = None
 
 
 @dataclass(frozen=True)
 class DampingSpec:
     family: str = "plateau"
-    eps1: float | None = 1.0
-    L: float | None = 1.0
+    eps1: float | None = None
+    L: float | None = None
     ramp: str = "sharp"
 
 
@@ -94,7 +92,7 @@ class DataSpec:
 
 @dataclass(frozen=True)
 class TimeSpec:
-    t_end: float = 50.0
+    t_end: float | None = None
     cfl: float = 0.9
     record_every: int = 10
 
@@ -115,179 +113,156 @@ class RunSpec:
     nonlinearity: NonlinearitySpec = field(default_factory=NonlinearitySpec)
 
 
-class _Section:
-    def __init__(self, name: str, raw: dict[str, str]):
-        self.name = name
-        self.raw = dict(raw)
-        self.seen: set[str] = set()
-
-    def get(self, key: str, default=None, required: bool = False) -> str | None:
-        self.seen.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if required:
-            raise ConfigError(f"[{self.name}] is missing required key {key!r}")
-        return default
-
-    def get_float(self, key: str, default=None, required: bool = False) -> float | None:
-        raw = self.get(key, None, required)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not a number") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"[{self.name}] {key} must be finite, got {raw!r}")
-        return value
-
-    def get_int(self, key: str, default=None, required: bool = False) -> int | None:
-        raw = self.get(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key} = {raw!r} is not an integer") from exc
-
-    def finish(self) -> None:
-        unknown = set(self.raw) - self.seen
-        if unknown:
-            raise ConfigError(
-                f"[{self.name}] has unknown keys: {', '.join(sorted(unknown))}"
-            )
+# The schema. Per spec class: its tag key (None: one variant only) and,
+# under each tag value, the keys that variant carries in emit order.
+_VARIANTS = {
+    GridSpec: ("mode", {"explicit": ("x_min", "x_max", "n_cells"),
+                        "auto": ("dx", "padding")}),
+    PotentialSpec: ("family", {"example1": ("V0", "beta", "L"),
+                               "gaussian": ("V0", "nu"), "none": ()}),
+    DampingSpec: ("family", {"plateau": ("eps1", "L", "ramp"), "none": ()}),
+    FieldSpec: ("kind", dict.fromkeys(("gaussian", "bump", "zero"),
+                                      ("amplitude", "width", "center"))),
+    TimeSpec: (None, {None: ("t_end", "cfl", "record_every")}),
+    NonlinearitySpec: ("kind", {"none": (), "power": ("p",)}),
+}
+_SECTIONS = {"grid": GridSpec, "potential": PotentialSpec, "damping": DampingSpec,
+             "data": DataSpec, "time": TimeSpec, "nonlinearity": NonlinearitySpec}
+_CHOICES = {"ramp": ("sharp", "smooth")}
+_INTEGERS = ("n_cells", "record_every")
 
 
-def _field_spec(section: _Section, prefix: str) -> FieldSpec:
-    kind = section.get(f"{prefix}_kind", "zero")
-    if kind not in _DATA_KINDS:
+def _keys(node) -> tuple[str, ...]:
+    """Keys a spec node's variant carries, tag first (only the tag for an
+    unknown variant)."""
+    tag, variants = _VARIANTS[type(node)]
+    if tag is None:
+        return variants[None]
+    return (tag,) + variants.get(getattr(node, tag), ())
+
+
+def _nodes(spec: RunSpec, section: str) -> tuple[tuple[str, object], ...]:
+    """(text key prefix, node) of the tagged nodes of one spec section."""
+    node = getattr(spec, section)
+    if section == "data":
+        return (("u0_", node.u0), ("u1_", node.u1))
+    return (("", node),)
+
+
+def _one_of(section: str, key: str, value, choices) -> None:
+    if value not in choices:
         raise ConfigError(
-            f"[data] {prefix}_kind must be one of {_DATA_KINDS}, got {kind!r}"
+            f"[{section}] {key} must be one of {' | '.join(choices)}, got {value!r}"
         )
-    amplitude = section.get_float(f"{prefix}_amplitude", 0.0)
-    width = section.get_float(f"{prefix}_width", 1.0)
-    center = section.get_float(f"{prefix}_center", 0.0)
-    if kind != "zero" and width <= 0:
-        raise ConfigError(f"[data] {prefix}_width must be positive for kind {kind!r}")
-    return FieldSpec(kind=kind, amplitude=amplitude, width=width, center=center)
+
+
+def _number(section: str, key: str, value, integer: bool = False) -> None:
+    if not isinstance(value, numbers.Integral if integer else numbers.Real):
+        noun = "an integer" if integer else "a number"
+        raise ConfigError(f"[{section}] {key} must be {noun}, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+
+
+def check_spec(spec: RunSpec) -> RunSpec:
+    """The one validator of a spec's values; returns the spec unchanged.
+
+    ConfigError names [section] key for an unknown variant or ramp, a
+    carried key that is None, a key outside its variant set away from its
+    default, a non-finite number, a non-integer n_cells or record_every,
+    a width <= 0 of non-zero data, support_radius < 0, t_end <= 0, cfl
+    outside (0, 1) and record_every < 1.
+    """
+    for section in _SECTIONS:
+        for prefix, node in _nodes(spec, section):
+            tag, variants = _VARIANTS[type(node)]
+            if tag is not None:
+                _one_of(section, prefix + tag, getattr(node, tag), variants)
+            where = f" for {tag} = {getattr(node, tag)}" if tag else ""
+            carried = _keys(node)
+            for f in fields(node):
+                key, value = prefix + f.name, getattr(node, f.name)
+                if f.name not in carried:
+                    if value != f.default:
+                        raise ConfigError(f"[{section}] {key} is not a key{where}")
+                elif f.name == tag:
+                    continue
+                elif value is None:
+                    raise ConfigError(f"[{section}] {key} is required{where}")
+                elif f.name in _CHOICES:
+                    _one_of(section, key, value, _CHOICES[f.name])
+                else:
+                    _number(section, key, value, f.name in _INTEGERS)
+            if type(node) is FieldSpec and node.kind != "zero" and node.width <= 0:
+                raise ConfigError(
+                    f"[data] {prefix}width must be positive for kind {node.kind!r}"
+                )
+    radius = spec.data.support_radius
+    if radius is not None:
+        _number("data", "support_radius", radius)
+        if radius < 0:
+            raise ConfigError("[data] support_radius must be >= 0")
+    if spec.time.t_end <= 0:
+        raise ConfigError("[time] t_end must be positive")
+    if not 0.0 < spec.time.cfl < 1.0:
+        raise ConfigError("[time] cfl must lie in (0, 1)")
+    if spec.time.record_every < 1:
+        raise ConfigError("[time] record_every must be >= 1")
+    return spec
+
+
+def _convert(section: str, prefix: str, key: str, text: str):
+    """Text of key as its field's type: str for a choice, int for a count,
+    float otherwise; ConfigError for text that does not convert."""
+    if key in _CHOICES:
+        return text
+    kind = int if key in _INTEGERS else float
+    try:
+        return kind(text)
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {prefix}{key} = {text!r} is not {noun}") from exc
+
+
+def _read(cls, section: str, raw: dict[str, str], prefix: str = ""):
+    """A spec node from one section's text; pops the keys it reads from raw."""
+    if cls is DataSpec:
+        radius = raw.pop("support_radius", None)
+        return DataSpec(
+            _read(FieldSpec, section, raw, "u0_"), _read(FieldSpec, section, raw, "u1_"),
+            None if radius is None
+            else _convert(section, "", "support_radius", radius),
+        )
+    tag = _VARIANTS[cls][0]
+    values = {tag: raw.pop(prefix + tag)} if tag and prefix + tag in raw else {}
+    node = cls(**values)
+    return replace(node, **{key: _convert(section, prefix, key, raw.pop(prefix + key))
+                            for key in _keys(node) if key != tag and prefix + key in raw})
 
 
 def parse_config(text: str) -> RunSpec:
-    parser = configparser.ConfigParser(interpolation=None)
+    """The spec of config text; text faults are named here, values by check_spec."""
+    parser =configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep key case (V0, L, ...)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config is not parseable: {exc}") from exc
 
-    sections = {name: _Section(name, dict(parser[name])) for name in parser.sections()}
-    for required in ("grid", "potential", "damping", "data", "time"):
-        if required not in sections:
-            raise ConfigError(f"missing [{required}] section")
-    known = {"grid", "potential", "damping", "data", "time", "nonlinearity"}
-    stray = set(sections) - known
+    raw = {name: dict(parser[name]) for name in parser.sections()}
+    for name in _SECTIONS:
+        if name not in raw and name != "nonlinearity":
+            raise ConfigError(f"missing [{name}] section")
+    stray = set(raw) - set(_SECTIONS)
     if stray:
         raise ConfigError(f"unknown sections: {', '.join(sorted(stray))}")
 
-    g = sections["grid"]
-    mode = g.get("mode", "explicit")
-    if mode == "explicit":
-        grid = GridSpec(
-            mode="explicit",
-            x_min=g.get_float("x_min", required=True),
-            x_max=g.get_float("x_max", required=True),
-            n_cells=g.get_int("n_cells", required=True),
-        )
-    elif mode == "auto":
-        grid = GridSpec(
-            mode="auto",
-            dx=g.get_float("dx", required=True),
-            padding=g.get_float("padding", 3.0),
-        )
-    else:
-        raise ConfigError(f"[grid] mode must be 'explicit' or 'auto', got {mode!r}")
-    g.finish()
-
-    p = sections["potential"]
-    family = p.get("family", "example1")
-    if family == "example1":
-        potential = PotentialSpec(
-            family=family,
-            V0=p.get_float("V0", required=True),
-            beta=p.get_float("beta", required=True),
-            L=p.get_float("L", required=True),
-            nu=None,
-        )
-    elif family == "gaussian":
-        potential = PotentialSpec(
-            family=family,
-            V0=p.get_float("V0", required=True),
-            nu=p.get_float("nu", required=True),
-            beta=None, L=None,
-        )
-    elif family == "none":
-        potential = PotentialSpec(family=family, V0=None, beta=None, nu=None, L=None)
-    else:
-        raise ConfigError(
-            f"[potential] family must be example1 | gaussian | none, got {family!r}"
-        )
-    p.finish()
-
-    d = sections["damping"]
-    dfamily = d.get("family", "plateau")
-    if dfamily == "plateau":
-        ramp = d.get("ramp", "sharp")
-        if ramp not in ("sharp", "smooth"):
-            raise ConfigError(f"[damping] ramp must be sharp | smooth, got {ramp!r}")
-        damping = DampingSpec(
-            family=dfamily,
-            eps1=d.get_float("eps1", required=True),
-            L=d.get_float("L", required=True),
-            ramp=ramp,
-        )
-    elif dfamily == "none":
-        damping = DampingSpec(family=dfamily, eps1=None, L=None, ramp="sharp")
-    else:
-        raise ConfigError(f"[damping] family must be plateau | none, got {dfamily!r}")
-    d.finish()
-
-    ds = sections["data"]
-    data = DataSpec(
-        u0=_field_spec(ds, "u0"),
-        u1=_field_spec(ds, "u1"),
-        support_radius=ds.get_float("support_radius", None),
-    )
-    ds.finish()
-
-    ts = sections["time"]
-    time_spec = TimeSpec(
-        t_end=ts.get_float("t_end", required=True),
-        cfl=ts.get_float("cfl", 0.9),
-        record_every=ts.get_int("record_every", 10),
-    )
-    if time_spec.t_end <= 0:
-        raise ConfigError("[time] t_end must be positive")
-    if not 0.0 < time_spec.cfl < 1.0:
-        raise ConfigError("[time] cfl must lie in (0, 1)")
-    if time_spec.record_every < 1:
-        raise ConfigError("[time] record_every must be >= 1")
-    ts.finish()
-
-    if "nonlinearity" in sections:
-        ns = sections["nonlinearity"]
-        kind = ns.get("kind", "none")
-        if kind == "power":
-            nonlinearity = NonlinearitySpec(kind="power", p=ns.get_float("p", required=True))
-        elif kind == "none":
-            nonlinearity = NonlinearitySpec()
-        else:
-            raise ConfigError(f"[nonlinearity] kind must be none | power, got {kind!r}")
-        ns.finish()
-    else:
-        nonlinearity = NonlinearitySpec()
-
-    return RunSpec(grid=grid, potential=potential, damping=damping,
-                   data=data, time=time_spec, nonlinearity=nonlinearity)
+    spec = check_spec(RunSpec(**{name: _read(cls, name, raw.setdefault(name, {}))
+                                 for name, cls in _SECTIONS.items()}))
+    for name, rest in raw.items():
+        if rest:
+            raise ConfigError(f"[{name}] has unknown keys: {', '.join(sorted(rest))}")
+    return spec
 
 
 def load_config(path: str) -> tuple[RunSpec, bytes]:
@@ -297,54 +272,21 @@ def load_config(path: str) -> tuple[RunSpec, bytes]:
 
 
 def emit_config(spec: RunSpec) -> str:
-    """Canonical text form; parse_config(emit_config(s)) == s."""
+    """Canonical text form; parse_config(emit_config(s)) == s for every
+    spec check_spec accepts."""
+    check_spec(spec)
+    pairs = {name: [(prefix + key, getattr(node, key))
+                    for prefix, node in _nodes(spec, name) for key in _keys(node)]
+             for name in _SECTIONS}
+    pairs["data"].append(("support_radius", spec.data.support_radius))
     lines: list[str] = []
-
-    def sec(name: str, *pairs):
+    for name, items in pairs.items():
         lines.append(f"[{name}]")
-        for key, value in pairs:
+        for key, value in items:
             if value is not None:
-                lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+                lines.append(f"{key} = {float(value)!r}" if isinstance(value, float)
+                             else f"{key} = {value}")
         lines.append("")
-
-    if spec.grid.mode == "explicit":
-        sec("grid", ("mode", "explicit"), ("x_min", spec.grid.x_min),
-            ("x_max", spec.grid.x_max), ("n_cells", spec.grid.n_cells))
-    else:
-        sec("grid", ("mode", "auto"), ("dx", spec.grid.dx), ("padding", spec.grid.padding))
-
-    pot = spec.potential
-    if pot.family == "example1":
-        sec("potential", ("family", pot.family), ("V0", pot.V0),
-            ("beta", pot.beta), ("L", pot.L))
-    elif pot.family == "gaussian":
-        sec("potential", ("family", pot.family), ("V0", pot.V0), ("nu", pot.nu))
-    else:
-        sec("potential", ("family", "none"))
-
-    dmp = spec.damping
-    if dmp.family == "plateau":
-        sec("damping", ("family", dmp.family), ("eps1", dmp.eps1),
-            ("L", dmp.L), ("ramp", dmp.ramp))
-    else:
-        sec("damping", ("family", "none"))
-
-    d = spec.data
-    sec("data",
-        ("u0_kind", d.u0.kind), ("u0_amplitude", d.u0.amplitude),
-        ("u0_width", d.u0.width), ("u0_center", d.u0.center),
-        ("u1_kind", d.u1.kind), ("u1_amplitude", d.u1.amplitude),
-        ("u1_width", d.u1.width), ("u1_center", d.u1.center),
-        ("support_radius", d.support_radius))
-
-    sec("time", ("t_end", spec.time.t_end), ("cfl", spec.time.cfl),
-        ("record_every", spec.time.record_every))
-
-    if spec.nonlinearity.kind == "power":
-        sec("nonlinearity", ("kind", "power"), ("p", spec.nonlinearity.p))
-    else:
-        sec("nonlinearity", ("kind", "none"))
-
     return "\n".join(lines)
 
 
@@ -358,8 +300,9 @@ def _field_radius(f: FieldSpec) -> float:
         return 0.0
     if f.kind == "bump":
         return abs(f.center) + f.width
-    # gaussian: amplitude exp(-r^2 / 2 width^2) falls below 1e-14
-    decades = math.log(abs(f.amplitude) / 1e-14) if abs(f.amplitude) > 1e-14 else 0.0
+    # gaussian: amplitude exp(-r^2 / 2 width^2) falls below the floor
+    floor = TRUNCATION_FLOOR
+    decades = math.log(abs(f.amplitude) / floor) if abs(f.amplitude) > floor else 0.0
     return abs(f.center) + f.width * math.sqrt(2.0 * max(decades, 0.0))
 
 
@@ -401,27 +344,13 @@ def build_profile_from_spec(spec: RunSpec, grid: Grid) -> CoefficientProfile:
         a = np.zeros(grid.n_nodes)
         L, eps1 = (pot.L if pot.L is not None else 1.0), 0.0
 
-    if pot.family == "none" and dmp.family == "none":
-        return free_space_profile(grid, L=1.0)
     return make_profile(grid, V, a, L, eps1, beta=pot.beta,
                         V0=pot.V0 if pot.family == "example1" else None)
 
 
-def _require_finite(node, section: str, prefix: str = "") -> None:
-    """ConfigError naming [section] key for a non-finite number in one spec
-    section; a nested field's key is prefixed as in the text (u0_width)."""
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if is_dataclass(value):
-            _require_finite(value, section, f"{prefix}{f.name}_")
-        elif isinstance(value, (int, float)) and not math.isfinite(value):
-            raise ConfigError(f"[{section}] {prefix}{f.name} must be finite, got {value}")
-
-
 def build_problem(spec: RunSpec) -> tuple[Grid, CoefficientProfile, InitialData]:
-    """Grid, coefficient profile and initial data of a spec."""
-    for f in fields(spec):
-        _require_finite(getattr(spec, f.name), f.name)
+    """Grid, coefficient profile and initial data of a spec; check_spec first."""
+    check_spec(spec)
     grid = build_grid(spec)
     profile = build_profile_from_spec(spec, grid)
     u0, u1 = (_sample_field(grid, f) for f in (spec.data.u0, spec.data.u1))

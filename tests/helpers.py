@@ -1,10 +1,15 @@
 """Shared builders for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
+from hypothesis import strategies as st
 
 import dampedwave as dw
 from dampedwave import config as cfg
 from dampedwave import solver
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 def example1_profile(grid, V0=0.01, beta=2.0, L=1.0, eps1=1.0, ramp="sharp"):
@@ -53,6 +58,43 @@ def sweep_spec(beta=2.0, V0=0.01, L=1.0, eps1=1.0, data_width=0.75, dx=0.05,
         damping=cfg.DampingSpec("plateau", eps1=eps1, L=L),
         data=cfg.DataSpec(u0=cfg.FieldSpec("gaussian", amplitude=1.0, width=data_width)),
         time=cfg.TimeSpec(t_end=t_end, cfl=cfl),
+    )
+
+
+@st.composite
+def centred_specs(draw):
+    """Valid specs of even problems: centred data on an explicit mirror grid
+    or an auto grid, every potential and damping family, with and without p."""
+    L = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        X = draw(st.floats(3.0, 20.0))
+        grid = cfg.GridSpec(mode="explicit", x_min=-X, x_max=X,
+                            n_cells=2 * draw(st.integers(40, 300)))
+    else:
+        grid = cfg.GridSpec(mode="auto", dx=draw(st.floats(0.05, 0.2)),
+                            padding=draw(st.floats(0.5, 3.0)))
+    family = draw(st.sampled_from(["example1", "gaussian", "none"]))
+    V0 = draw(st.floats(1e-3, 0.1))
+    beta = draw(st.floats(1.1, 4.0))
+    p = draw(st.sampled_from([None, 3.0, 11.0]))
+    amplitude = draw(st.floats(1e-3, 1.0))
+    return cfg.RunSpec(
+        grid=grid,
+        potential={"example1": cfg.PotentialSpec("example1", V0, beta, None, L),
+                   "gaussian": cfg.PotentialSpec("gaussian", V0, None, beta / 2.0, None),
+                   "none": cfg.PotentialSpec("none")}[family],
+        damping=(cfg.DampingSpec("plateau", draw(st.floats(0.1, 2.0)), L,
+                                 draw(st.sampled_from(["sharp", "smooth"])))
+                 if draw(st.booleans()) else cfg.DampingSpec("none")),
+        data=cfg.DataSpec(
+            u0=cfg.FieldSpec("gaussian", amplitude, draw(st.floats(0.3, 2.0))),
+            u1=cfg.FieldSpec("bump", amplitude * draw(st.floats(-1.0, 1.0)),
+                             draw(st.floats(L + 0.1, L + 3.0))),
+            support_radius=draw(st.none() | st.floats(1.0, 8.0))),
+        time=cfg.TimeSpec(t_end=draw(st.floats(0.2, 1.0)), cfl=draw(st.floats(0.5, 0.95)),
+                          record_every=draw(st.integers(1, 4))),
+        nonlinearity=(cfg.NonlinearitySpec() if p is None
+                      else cfg.NonlinearitySpec("power", p)),
     )
 
 

@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import dampedwave as dw
 from dampedwave import analysis, cli, runner
 from dampedwave import config as cfg
 from dampedwave.errors import ConfigError, ConvergenceError
 
-from helpers import LINEAR_DEMO_CFG, reference_spec
+from helpers import CONFIGS, LINEAR_DEMO_CFG, centred_specs, reference_spec
 
 
 class TestConfigParsing:
@@ -45,6 +46,30 @@ class TestConfigParsing:
         ]
         for spec in specs:
             assert cfg.parse_config(cfg.emit_config(spec)) == spec
+
+    def test_emitted_text_is_canonical(self):
+        full_data = ("u0_center = 0.0\nu1_kind = zero\nu1_amplitude = 0.0\n"
+                     "u1_width = 1.0\nu1_center = 0.0\n")
+        assert (cfg.emit_config(cfg.parse_config(LINEAR_DEMO_CFG))
+                == LINEAR_DEMO_CFG.replace("u1_kind = zero\n", full_data))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(spec=centred_specs())
+    def test_round_trip_property(self, spec):
+        assert cfg.check_spec(spec) is spec
+        assert cfg.parse_config(cfg.emit_config(spec)) == spec
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_committed_configs_round_trip(self, path):
+        spec, _raw = cfg.load_config(str(path))
+        assert cfg.parse_config(cfg.emit_config(spec)) == spec
+
+    def test_numpy_scalars_emit_as_plain_numbers(self):
+        spec = reference_spec()
+        spec = replace(spec, potential=replace(spec.potential, V0=np.float64(0.01)),
+                       grid=replace(spec.grid, n_cells=np.int64(6000)))
+        assert "V0 = 0.01\n" in cfg.emit_config(spec)
+        assert cfg.parse_config(cfg.emit_config(spec)) == spec
 
     def test_missing_section_named(self):
         broken = LINEAR_DEMO_CFG.replace("[damping]", "[dampink]")
@@ -82,6 +107,30 @@ class TestConfigParsing:
         spec = with_nan(spec, path.split("."))
         for build in (cfg.build_problem, runner.execute):
             with pytest.raises(ConfigError, match=re.escape(f"{key} must be finite, got nan")):
+                build(spec)
+
+    @pytest.mark.parametrize("key, change", [
+        ("[data] u0_kind", lambda s: replace(s, data=replace(s.data, u0=cfg.FieldSpec("foo")))),
+        ("[potential] family", lambda s: replace(s, potential=cfg.PotentialSpec("foo"))),
+        ("[grid] mode", lambda s: replace(s, grid=cfg.GridSpec(mode="foo"))),
+        ("[damping] ramp", lambda s: replace(s, damping=replace(s.damping, ramp="foo"))),
+        ("[data] support_radius",
+         lambda s: replace(s, data=replace(s.data, support_radius=-1.0))),
+        ("[grid] n_cells", lambda s: replace(s, grid=replace(s.grid, n_cells=600.5))),
+        ("[potential] beta is required",
+         lambda s: replace(s, potential=replace(s.potential, beta=None))),
+        ("[time] cfl", lambda s: replace(s, time=replace(s.time, cfl=1.5))),
+        ("[time] record_every", lambda s: replace(s, time=replace(s.time, record_every=0))),
+        ("[data] u0_width",
+         lambda s: replace(s, data=replace(s.data, u0=replace(s.data.u0, width=-1.0)))),
+        ("[potential] L", lambda s: replace(s, potential=cfg.PotentialSpec(
+            "gaussian", V0=0.01, nu=1.0, L=2.0), damping=cfg.DampingSpec("none"))),
+    ], ids=["kind", "family", "mode", "ramp", "support_radius", "n_cells", "beta", "cfl",
+            "record_every", "width", "key_outside_variant"])
+    def test_bad_hand_built_spec_named(self, key, change):
+        spec = change(reference_spec(n_cells=600, t_end=1.0))
+        for build in (cfg.build_problem, runner.execute, cfg.emit_config):
+            with pytest.raises(ConfigError, match=re.escape(key)):
                 build(spec)
 
     def test_auto_grid_sizing(self):

@@ -2,21 +2,17 @@
 hand out (solver module docstring, Mirror symmetry)."""
 
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dampedwave as dw
 from dampedwave import analysis, solver
 from dampedwave import config as cfg
 from dampedwave.diagnostics import NormRecorder
 
-from helpers import example1_profile, reference_spec, sweep_spec
-
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+from helpers import CONFIGS, centred_specs, example1_profile, reference_spec, sweep_spec
 
 
 def is_palindrome(f):
@@ -106,34 +102,6 @@ class TestWhichRunsMirror:
             spec.grid, x_min=x_min, x_max=x_max))
         _problem, result, _states = march(spec, t_end=1.0)
         assert not result.mirrored
-
-
-@st.composite
-def centred_specs(draw):
-    X = draw(st.floats(3.0, 20.0))
-    L = draw(st.floats(0.5, 2.0))
-    family = draw(st.sampled_from(["example1", "gaussian"]))
-    V0 = draw(st.floats(1e-3, 0.1))
-    beta = draw(st.floats(1.1, 4.0))
-    p = draw(st.sampled_from([None, 3.0, 11.0]))
-    amplitude = draw(st.floats(1e-3, 1.0))
-    return cfg.RunSpec(
-        grid=cfg.GridSpec(mode="explicit", x_min=-X, x_max=X,
-                          n_cells=2 * draw(st.integers(40, 300))),
-        potential=(cfg.PotentialSpec("example1", V0, beta, None, L)
-                   if family == "example1" else
-                   cfg.PotentialSpec("gaussian", V0, None, beta / 2.0, None)),
-        damping=cfg.DampingSpec("plateau", draw(st.floats(0.1, 2.0)), L,
-                                draw(st.sampled_from(["sharp", "smooth"]))),
-        data=cfg.DataSpec(
-            u0=cfg.FieldSpec("gaussian", amplitude, draw(st.floats(0.3, 2.0))),
-            u1=cfg.FieldSpec("bump", amplitude * draw(st.floats(-1.0, 1.0)),
-                             draw(st.floats(L + 0.1, L + 3.0)))),
-        time=cfg.TimeSpec(t_end=draw(st.floats(0.2, 1.0)),
-                          record_every=draw(st.integers(1, 4))),
-        nonlinearity=(cfg.NonlinearitySpec() if p is None
-                      else cfg.NonlinearitySpec("power", p)),
-    )
 
 
 class TestMirrorProperty:
