@@ -24,7 +24,8 @@ rescaled to I0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from . import solver
 from .coefficients import CoefficientProfile, Grid, InitialData, compute_data_norms
 from .diagnostics import EnergyRecord, NormRecord, NormRecorder
 from .errors import ConfigError, FitError, HypothesisError
+from .spectral import smoothed_noise
 
 QUANTITY_FLOOR = 1e-300
 MIN_FIT_RECORDS = 10
@@ -48,39 +50,39 @@ class FitResult:
     claimed_rate: float
 
 
-def series_quantity(records: list[EnergyRecord], name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (t, values) for a record field; 'l2_u_sq' derives ||u||^2."""
-    t = np.array([r.t for r in records])
-    if name == "l2_u_sq":
-        q = np.array([r.l2_u**2 for r in records])
-    else:
-        try:
-            q = np.array([getattr(r, name) for r in records])
-        except AttributeError as exc:
-            raise FitError(f"unknown record quantity {name!r}") from exc
-    return t, q
+def record_columns(records: list[EnergyRecord | NormRecord]) -> dict[str, np.ndarray]:
+    """The fields of a run's records as named columns."""
+    names = [f.name for f in fields(records[0])] if records else []
+    return {name: np.array([getattr(r, name) for r in records]) for name in names}
 
 
 def fit_decay(
-    records: list[EnergyRecord],
+    records: list[EnergyRecord | NormRecord],
     quantity: str,
     window: tuple[float, float],
     claimed_rate: float = 1.0,
 ) -> FitResult:
     """Least-squares slope of log(quantity) vs log(1+t) on the window,
     plus the sup of quantity * (1+t)^claimed_rate over the same window."""
-    t, q = series_quantity(records, quantity)
-    return fit_series(t, q, quantity, window, claimed_rate)
+    return fit_columns(record_columns(records), quantity, window, claimed_rate)
 
 
-def fit_series(
-    t: np.ndarray,
-    q: np.ndarray,
+def fit_columns(
+    columns: Mapping[str, np.ndarray],
     quantity: str,
     window: tuple[float, float],
     claimed_rate: float = 1.0,
 ) -> FitResult:
-    """fit_decay on a bare (t, values) series, e.g. a CSV column."""
+    """fit_decay on a run's named columns (a CSV's, or record_columns).
+    'l2_u_sq' derives ||u||^2 from l2_u; a missing column raises FitError."""
+    source = "l2_u" if quantity == "l2_u_sq" else quantity
+    for column in ("t", source):
+        if column not in columns:
+            raise FitError(f"no column {column!r} for quantity {quantity!r}; "
+                           f"columns: {', '.join(columns)}")
+    t, q = columns["t"], columns[source]
+    if quantity == "l2_u_sq":
+        q = q**2
     t_lo, t_hi = window
     sel = (t >= t_lo) & (t <= t_hi)
     if sel.sum() < MIN_FIT_RECORDS:
@@ -202,14 +204,9 @@ def check_gagliardo_nirenberg(
         grid = Grid(-20.0, 20.0, 2048)
     rng = np.random.default_rng(seed)
     taper = np.sin(np.linspace(0.0, math.pi, grid.n_nodes)) ** 2
-    kernel_halfwidth = max(2, int(round(0.5 / grid.dx)))
-    s = np.arange(-kernel_halfwidth, kernel_halfwidth + 1) * grid.dx
-    kernel = np.exp(-(s**2) / (2 * 0.25**2))
-    kernel /= kernel.sum()
-
     ratios = np.empty(n_samples)
     for i in range(n_samples):
-        u = np.convolve(rng.standard_normal(grid.n_nodes), kernel, mode="same") * taper
+        u = smoothed_noise(grid, rng) * taper
         ratios[i] = interpolation_ratio(grid, u, p)
     return InterpolationReport(
         p=p, theta=theta, n_samples=n_samples,
@@ -301,7 +298,7 @@ def _sweep_cell(args) -> tuple[int, int, str]:
 
 def _run_sweep_cell(p: float, i0: float, spec: cfg.RunSpec) -> str:
     spec = replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p))
-    _grid, profile, data = cfg.build_problem(spec)
+    profile, data = cfg.build_problem(spec)
     data = scale_data_to_i0(data, profile, i0)
     result = solver.run(cfg.run_config_from_spec(spec, profile, data),
                         NormRecorder(profile, None, data, None))
@@ -326,7 +323,7 @@ def semilinear_sweep(
     beta = spec.potential.beta
     if beta is None:
         raise ConfigError(f"a sweep needs a potential with beta, got {spec.potential.family!r}")
-    _grid, profile, data = cfg.build_problem(spec)
+    profile, data = cfg.build_problem(spec)
     solver.check_semilinear_support(data, profile)
     cells = [
         (i, j, p, i0, spec)

@@ -3,8 +3,10 @@
 Exit-status contract (stable for harnesses):
     0  success (including completed runs that end in a tagged blowup,
        which is an expected semilinear outcome)
-    1  general error (missing files, empty series)
-    2  validation failure (hypothesis or configuration problems)
+    1  general error (missing or unreadable files, a CSV or manifest
+       that is not a run's, empty series)
+    2  validation failure (hypothesis or configuration problems, a
+       config that is not UTF-8 text)
     3  runtime instability
 
 Every run emits one CSV time series (17 significant digits, columns
@@ -81,8 +83,14 @@ def _json_safe(x):
     return x
 
 
+def _checks_json(report) -> list[dict]:
+    return [{"name": c.name, "passed": c.passed, "detail": c.detail,
+             "margin": _json_safe(c.margin)} for c in report.checks]
+
+
 def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict:
-    profile, estimate = lab.profile, lab.c_star_estimate
+    run, estimate = lab.run_config, lab.c_star_estimate
+    profile = run.profile
     derived = {
         "c_star": lab.c_star,
         "smallness_bound": (1.0 / (4.0 * lab.c_star)) if lab.c_star else None,
@@ -101,7 +109,7 @@ def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict
             gamma0=lab.mc.gamma0, P0=lab.mc.P0, eta0=lab.mc.eta0,
             V_L=lab.mc.V_L, V_L_prime=lab.mc.V_L_prime,
         )
-    grid = lab.grid
+    grid = profile.grid
     return {
         "artifact_version": __version__,
         "config_hash": _config_hash(raw_config),
@@ -111,29 +119,19 @@ def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
                  "n_cells": grid.n_cells, "dx": grid.dx},
         "time": {"dt": lab.result.dt, "n_steps": lab.result.n_steps,
-                 "t_end": lab.run_config.t_end,
-                 "record_every": lab.run_config.record_every,
+                 "t_end": run.t_end,
+                 "record_every": run.record_every,
                  "mirrored": lab.result.mirrored},
         "coefficients": {
             "L": profile.L, "eps1": profile.eps1,
             "beta": _json_safe(profile.beta), "V0": _json_safe(profile.V0),
             "free_wave": bool(profile.a_max == 0.0 and float(np.max(profile.V)) == 0.0),
         },
-        "data": {"support_radius": _json_safe(lab.data.support_radius)},
-        "nonlinearity": {"p": _json_safe(lab.run_config.p)},
-        "hypotheses": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail,
-             "margin": _json_safe(c.margin)}
-            for c in lab.validation.checks
-        ],
+        "data": {"support_radius": _json_safe(run.data.support_radius)},
+        "nonlinearity": {"p": _json_safe(run.p)},
+        "hypotheses": _checks_json(lab.validation),
         "derived_constants": {k: _json_safe(v) for k, v in derived.items()},
     }
-
-
-def _load(config_path: str) -> tuple[cfg.RunSpec, bytes]:
-    if not Path(config_path).exists():
-        raise FileNotFoundError(f"config file not found: {config_path}")
-    return cfg.load_config(config_path)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +140,8 @@ def _load(config_path: str) -> tuple[cfg.RunSpec, bytes]:
 
 def cmd_validate(args) -> int:
     try:
-        spec, _raw = _load(args.config)
-        grid, profile, data = cfg.build_problem(spec)
+        spec, _raw = cfg.load_config(args.config)
+        profile, data = cfg.build_problem(spec)
         report, estimate, _mc, _norms = runner.prepare_constants(profile, data)
     except _VALIDATION_ERRORS as exc:
         print(f"INVALID: {exc}")
@@ -161,11 +159,7 @@ def cmd_validate(args) -> int:
         payload = {
             "passed": report.passed,
             "c_star": _json_safe(c_star),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail,
-                 "margin": _json_safe(c.margin)}
-                for c in report.checks
-            ],
+            "checks": _checks_json(report),
         }
         print(json.dumps(payload, sort_keys=True))
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -173,8 +167,9 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        spec, raw = _load(args.config)
-        lab = runner.execute(spec)
+        spec, raw = cfg.load_config(args.config)
+        profile, data = cfg.build_problem(spec)
+        lab = runner.execute(cfg.run_config_from_spec(spec, profile, data))
     except _VALIDATION_ERRORS as exc:
         print(f"invalid run configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -224,30 +219,28 @@ def _read_csv(path: Path) -> dict[str, np.ndarray]:
     return {name: rows[:, i] for i, name in enumerate(header)}
 
 
-def _records_path(path_arg: str) -> Path:
-    path = Path(path_arg)
-    if path.suffix == ".json" or path.name.endswith(".manifest.json"):
-        manifest = json.loads(path.read_text())
-        return path.parent / manifest["files"]["csv"]
-    return path
+def _read_manifest(path: Path) -> tuple[dict, Path]:
+    """A run manifest and the path of the CSV it names; ValueError if the
+    file is not JSON or names no files.csv."""
+    manifest = json.loads(path.read_text())
+    try:
+        return manifest, path.parent / manifest["files"]["csv"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a run manifest: no files.csv") from exc
 
 
 def cmd_fit(args) -> int:
+    path = Path(args.series)
     try:
-        columns = _read_csv(_records_path(args.series))
-    except (OSError, ValueError, KeyError) as exc:
+        if path.suffix == ".json":
+            path = _read_manifest(path)[1]
+        columns = _read_csv(path)
+    except (OSError, ValueError) as exc:
         print(f"cannot read series: {exc}", file=sys.stderr)
         return EXIT_ERROR
     name = args.quantity
-    if name == "l2_u_sq":
-        q = columns["l2_u"] ** 2
-    elif name in columns:
-        q = columns[name]
-    else:
-        print(f"unknown quantity {name!r}; columns: {', '.join(columns)}", file=sys.stderr)
-        return EXIT_ERROR
     try:
-        fit = analysis.fit_series(columns["t"], q, name, tuple(args.window), args.claimed_rate)
+        fit = analysis.fit_columns(columns, name, tuple(args.window), args.claimed_rate)
     except FitError as exc:
         print(f"cannot fit: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -372,8 +365,11 @@ def cmd_plot(args) -> int:
     if not manifest_path.exists():
         print(f"manifest not found: {manifest_path}", file=sys.stderr)
         return EXIT_ERROR
-    manifest = json.loads(manifest_path.read_text())
-    csv_path = manifest_path.parent / manifest["files"]["csv"]
+    try:
+        manifest, csv_path = _read_manifest(manifest_path)
+    except ValueError as exc:
+        print(f"cannot read manifest: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     if not csv_path.exists():
         print(f"series not found: {csv_path}", file=sys.stderr)
         return EXIT_ERROR
@@ -459,8 +455,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot access {exc.filename or 'a file'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -100,8 +100,16 @@ def inner_cell_weights(grid: Grid, L: float) -> np.ndarray:
     the core) hold exactly.
     """
     w_in, _w_out = partition_cell_weights(grid, L)
+    return np.where(core_sets(grid, L)[0], w_in, 0.0)
+
+
+def core_sets(grid: Grid, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Node masks of the closed core |x| <= L and the closed exterior
+    |x| >= L, each widened by MONOTONICITY_SLACK max(1, L) so a node at
+    +-L up to rounding belongs to both."""
+    r = np.abs(grid.x)
     tol = MONOTONICITY_SLACK * max(1.0, L)
-    return np.where(np.abs(grid.x) <= L + tol, w_in, 0.0)
+    return r <= L + tol, r >= L - tol
 
 
 def partition_cell_weights(grid: Grid, L: float) -> tuple[np.ndarray, np.ndarray]:
@@ -245,19 +253,14 @@ def make_profile(
 def free_space_profile(grid: Grid, L: float = 1.0) -> CoefficientProfile:
     """V = a = 0 everywhere: the free-wave sanity regime. Deliberately
     fails the hypotheses; diagnostics that need them are reported as NaN."""
-    zeros = np.zeros(grid.n_nodes)
-    return CoefficientProfile(grid=grid, V=zeros, a=zeros.copy(),
-                              phi=zeros.copy(), L=L, eps1=0.0)
+    return make_profile(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes), L, 0.0)
 
 
 def potential_bounds_at_core(profile: CoefficientProfile) -> tuple[float, float]:
     """(V_L, V_L_prime): min of V over nodes with |x| <= L and max of V over
     nodes with |x| >= L. By the monotonicity hypothesis both are attained
     within one cell of +-L, matching min/max of {V(L), V(-L)}."""
-    r = np.abs(profile.grid.x)
-    tol = MONOTONICITY_SLACK * max(1.0, profile.L)
-    inner = r <= profile.L + tol
-    outer = r >= profile.L - tol
+    inner, outer = core_sets(profile.grid, profile.L)
     v_l = float(np.min(profile.V[inner]))
     v_l_prime = float(np.max(profile.V[outer]))
     return v_l, v_l_prime
@@ -314,7 +317,7 @@ def validate_hypotheses(
         f"min a = {np.min(a):.3g}, max a = {np.max(a):.3g}",
         margin=float(np.min(a))))
 
-    outer = np.abs(x) >= profile.L - tol * max(1.0, profile.L)
+    _inner, outer = core_sets(profile.grid, profile.L)
     floor_margin = float(np.min(a[outer]) - profile.eps1) if outer.any() else -profile.eps1
     checks.append(HypothesisCheck(
         "A2_damping_floor",

@@ -17,9 +17,13 @@ key set outside its variant, a non-finite number, a non-integer count
 and a value out of range. parse_config() checks only the text (parseable,
 known sections and keys, values that convert) and returns check_spec()
 of what it read; emit_config() writes a canonical form that parses back
-to an equal spec. build_problem() is the one route from a spec to grid,
-profile and data (runs and sweep cells); it calls check_spec() first, so
-a hand-built spec is held to the same rules as config text.
+to an equal spec.
+
+A spec reaches a run by one route: build_problem() gives its profile
+and data (the grid is profile.grid), run_config_from_spec() adds the
+time stepping, and runner.execute() marches that RunConfig (sweep cells
+call solver.run on it directly). build_problem() calls check_spec()
+first, so a hand-built spec is held to the same rules as config text.
 """
 
 from __future__ import annotations
@@ -266,9 +270,15 @@ def parse_config(text: str) -> RunSpec:
 
 
 def load_config(path: str) -> tuple[RunSpec, bytes]:
+    """The spec and raw bytes of a config file; ConfigError if the bytes
+    are not UTF-8 text, OSError if the file cannot be read."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return parse_config(raw.decode("utf-8")), raw
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_config(text), raw
 
 
 def emit_config(spec: RunSpec) -> str:
@@ -348,13 +358,14 @@ def build_profile_from_spec(spec: RunSpec, grid: Grid) -> CoefficientProfile:
                         V0=pot.V0 if pot.family == "example1" else None)
 
 
-def build_problem(spec: RunSpec) -> tuple[Grid, CoefficientProfile, InitialData]:
-    """Grid, coefficient profile and initial data of a spec; check_spec first."""
+def build_problem(spec: RunSpec) -> tuple[CoefficientProfile, InitialData]:
+    """Coefficient profile and initial data of a spec (the grid is
+    profile.grid); check_spec first."""
     check_spec(spec)
     grid = build_grid(spec)
     profile = build_profile_from_spec(spec, grid)
     u0, u1 = (_sample_field(grid, f) for f in (spec.data.u0, spec.data.u1))
-    return grid, profile, make_initial_data(grid, u0, u1, spec.data.support_radius)
+    return profile, make_initial_data(grid, u0, u1, spec.data.support_radius)
 
 
 def run_config_from_spec(

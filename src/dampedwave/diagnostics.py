@@ -43,6 +43,7 @@ from .coefficients import (
     CoefficientProfile,
     DataNorms,
     InitialData,
+    compute_data_norms,
     inner_cell_weights,
     potential_bounds_at_core,
     validate_hypotheses,
@@ -143,11 +144,20 @@ class _Sums:
         return (self.cross + mc.alpha * self.pairing + 0.5 * mc.alpha * self.damped_mass
                 + mc.k * self.energy)
 
-    def lemma25(self, u0_sq: float, au2_cum: float) -> tuple[float, float, float]:
-        """(lhs, rhs, relative residual) of the accumulated-field identity."""
+    def lemma25(self, u0_sq: float, au2_cum: float,
+                bound_denom: float | None) -> tuple[float, float, float, float]:
+        """(lhs, rhs, relative residual) of the accumulated-field identity
+        and the L2-bound ratio (||u||^2 + au2_cum) / bound_denom, where
+        bound_denom = ||u0||^2 + ||(u1 + a u0)/sqrt(V)||^2; without a
+        positive bound_denom the ratio is 0 for a zero numerator, else NaN."""
         lhs = 0.5 * self.mass + 0.5 * self.vx_sq + 0.5 * self.vv_sq + au2_cum
         rhs = 0.5 * u0_sq + self.forcing_v
-        return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+        if bound_denom and bound_denom > 0:
+            ratio = (self.mass + au2_cum) / bound_denom
+        else:
+            ratio = 0.0 if self.mass == 0.0 and au2_cum == 0.0 else float("nan")
+        return lhs, rhs, residual, ratio
 
 
 class _Quadrature:
@@ -205,8 +215,8 @@ class _Quadrature:
         out.potential = float(self.w_V[s] @ u_sq)
         out.mass = float(w @ u_sq)
         out.local_mass = float(self.w_inner[s] @ u_sq)
-        out.damped_mass = float(self.w_a[s] @ u_sq)
         if multiplier:
+            out.damped_mass = float(self.w_a[s] @ u_sq)
             out.cross = float(self.w_phi_x[s] @ np.multiply(u_t, ux, out=prod))
             out.pairing = float(w @ np.multiply(u, u_t, out=prod))
         if lemma25:
@@ -238,11 +248,8 @@ class EnergyRecord:
     dissipation_cum: float
     G_k: float
     identity_residual: float
-    lemma25_lhs: float
-    lemma25_rhs: float
     lemma25_residual: float
     lemma25_ratio: float
-    au2: float
     au2_cum: float
 
     def csv_values(self) -> tuple[float, ...]:
@@ -263,24 +270,17 @@ def check_lemma25(
     data: InitialData,
     dissipation_v_cum: float,
 ) -> Lemma25Report:
-    """Residual of the accumulated-field identity and the L2-bound ratio.
+    """Residual of the accumulated-field identity and the L2-bound ratio,
+    by the evaluation a Recorder with the data norms makes (NaN
+    throughout where V is not positive everywhere).
 
     dissipation_v_cum is int_0^t int a |v_s|^2 = int_0^t int a |u|^2
     (v_t = u), accumulated by the solver.
     """
-    grid = profile.grid
-    sums = _Quadrature(profile, data).sums(state, lemma25=True)
-    u0_sq = grid.integrate(data.u0**2)
-    lhs, rhs, residual = sums.lemma25(u0_sq, dissipation_v_cum)
-
-    forcing = data.u1 + profile.a * data.u0
-    numer = sums.mass + dissipation_v_cum
-    if np.all(profile.V > 0.0):
-        denom = u0_sq + grid.integrate(forcing**2 / profile.V)
-        bound_ratio = numer / denom if denom > 0 else (0.0 if numer == 0.0 else float("nan"))
-    else:
-        bound_ratio = float("nan")
-    return Lemma25Report(lhs=lhs, rhs=rhs, residual=residual, bound_ratio=bound_ratio)
+    norms = compute_data_norms(data, profile) if np.all(profile.V > 0.0) else None
+    recorder = Recorder(profile, None, data, norms)
+    sums = recorder._quad.sums(state, lemma25=recorder._v_positive)
+    return Lemma25Report(*recorder._lemma25(sums, dissipation_v_cum))
 
 
 def check_lemma21(record: EnergyRecord, mc: MultiplierConfig,
@@ -317,21 +317,19 @@ class Recorder:
             self._bound_denom = None
         self._e0: float | None = None
 
+    def _lemma25(self, sums: _Sums, au2_cum: float) -> tuple[float, float, float, float]:
+        """_Sums.lemma25 where V > 0 everywhere, else NaN throughout."""
+        if not self._v_positive:
+            return (float("nan"),) * 4
+        return sums.lemma25(self._u0_sq, au2_cum, self._bound_denom)
+
     def __call__(self, state: WaveState, dissipation_cum: float, au2_cum: float) -> EnergyRecord:
         mc = self.mc
         sums = self._quad.sums(state, multiplier=mc is not None, lemma25=self._v_positive)
         e_u = sums.energy
         if self._e0 is None:
             self._e0 = e_u
-        if self._v_positive:
-            lhs, rhs, residual = sums.lemma25(self._u0_sq, au2_cum)
-            if self._bound_denom and self._bound_denom > 0:
-                ratio = (sums.mass + au2_cum) / self._bound_denom
-            else:
-                ratio = 0.0 if sums.mass == 0.0 and au2_cum == 0.0 else float("nan")
-        else:
-            lhs = rhs = residual = ratio = float("nan")
-
+        _lhs, _rhs, residual, ratio = self._lemma25(sums, au2_cum)
         return EnergyRecord(
             t=state.t,
             E_u=e_u,
@@ -341,11 +339,8 @@ class Recorder:
             dissipation_cum=dissipation_cum,
             G_k=sums.g_k(mc) if mc is not None else float("nan"),
             identity_residual=e_u + dissipation_cum - self._e0,
-            lemma25_lhs=lhs,
-            lemma25_rhs=rhs,
             lemma25_residual=residual,
             lemma25_ratio=ratio,
-            au2=sums.damped_mass,
             au2_cum=au2_cum,
         )
 
@@ -380,18 +375,15 @@ class EnergyIdentityReport:
 
 
 def check_energy_identity(records: list[EnergyRecord]) -> EnergyIdentityReport:
-    """Largest |E_u(t) + dissipation_cum(t) - E_u(0)| / E_u(0) over a run."""
+    """Largest |E_u(t) + dissipation_cum(t) - E_u(0)| / E_u(0) over a run
+    (absolute where E_u(0) = 0)."""
     if not records:
         raise ConfigError("no records to check")
     e0 = records[0].E_u
-    if e0 == 0.0:
-        worst = max(abs(r.identity_residual) for r in records)
-        t_at = max(records, key=lambda r: abs(r.identity_residual)).t
-        return EnergyIdentityReport(worst, t_at, 0.0)
-    worst_rec = max(records, key=lambda r: abs(r.identity_residual))
+    worst = max(records, key=lambda r: abs(r.identity_residual))
     return EnergyIdentityReport(
-        max_relative_residual=abs(worst_rec.identity_residual) / e0,
-        t_at_max=worst_rec.t,
+        max_relative_residual=abs(worst.identity_residual) / (e0 if e0 != 0.0 else 1.0),
+        t_at_max=worst.t,
         e0=e0,
     )
 

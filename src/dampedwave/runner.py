@@ -1,4 +1,9 @@
-"""End-to-end orchestration: spec -> profile/data -> constants -> run.
+"""End-to-end orchestration: constants and diagnostics around one march.
+
+A spec reaches a run by one route: config.build_problem() gives its
+profile and data, config.run_config_from_spec() the RunConfig, and
+execute() runs that RunConfig. Code that builds coefficients by hand
+builds a solver.RunConfig and calls execute() the same way.
 
 The flow mirrors how the theory is assembled: validate the coefficient
 hypotheses, estimate the Poincare-type constant C* on the run grid,
@@ -15,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config as cfg
 from . import solver
 from .coefficients import (
     CoefficientProfile,
     DataNorms,
-    Grid,
     InitialData,
     ValidationReport,
     compute_data_norms,
@@ -32,11 +35,9 @@ from .spectral import PoincareEstimate, estimate_c_star, poincare_problem
 
 @dataclass
 class LabRun:
-    """Everything one simulation produced, constants included."""
+    """Everything one simulation produced, constants included; the
+    profile and data are run_config's."""
 
-    grid: Grid
-    profile: CoefficientProfile
-    data: InitialData
     validation: ValidationReport
     c_star_estimate: PoincareEstimate | None
     mc: MultiplierConfig | None
@@ -64,15 +65,9 @@ def prepare_constants(
     """Estimate C* and derive the multiplier constants where the
     hypotheses allow it; never raises on a hypothesis failure."""
     report = validate_hypotheses(profile)
-    coeff_names = (
-        "A1_damping_bounded_nonnegative", "A2_damping_floor",
-        "V1_potential_positive", "V2_potential_monotone",
-    )
-    coeffs_ok = all(report.check(n).passed for n in coeff_names)
-
     estimate = None
     mc = None
-    if coeffs_ok:
+    if not report.failures:  # without C* only the coefficient checks can fail
         estimate = estimate_c_star(poincare_problem(profile.grid, profile.L))
         report = validate_hypotheses(profile, estimate.c_star)
         if report.passed:
@@ -84,29 +79,10 @@ def prepare_constants(
     return report, estimate, mc, norms
 
 
-def execute(
-    spec: cfg.RunSpec | None = None,
-    *,
-    profile: CoefficientProfile | None = None,
-    data: InitialData | None = None,
-    run_config: solver.RunConfig | None = None,
-) -> LabRun:
-    """Run a simulation from a parsed spec, or from prebuilt components
-    (profile + data [+ run_config]) when driving the lab from code."""
-    if spec is not None:
-        grid, profile, data = cfg.build_problem(spec)
-        run_config = cfg.run_config_from_spec(spec, profile, data)
-    else:
-        if profile is None or data is None:
-            raise ValueError("execute needs either a spec or profile + data")
-        grid = profile.grid
-        if run_config is None:
-            run_config = solver.RunConfig(profile=profile, data=data, t_end=50.0)
-
+def execute(run_config: solver.RunConfig) -> LabRun:
+    """March run_config with the constants and the full Recorder."""
+    profile, data = run_config.profile, run_config.data
     validation, estimate, mc, norms = prepare_constants(profile, data)
-    recorder = Recorder(profile, mc, data, norms)
-    result = solver.run(run_config, recorder)
-    return LabRun(
-        grid=grid, profile=profile, data=data, validation=validation,
-        c_star_estimate=estimate, mc=mc, norms=norms, result=result, run_config=run_config,
-    )
+    result = solver.run(run_config, Recorder(profile, mc, data, norms))
+    return LabRun(validation=validation, c_star_estimate=estimate, mc=mc, norms=norms,
+                  result=result, run_config=run_config)

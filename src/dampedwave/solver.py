@@ -300,29 +300,26 @@ class _StepKernel:
         np.add(out, acc, out=out)
 
 
-def _whole_grid(update, u, w, bc: str) -> np.ndarray:
-    """One kernel update over every interior node (and, for bc="periodic",
-    the wrapped end node; any other bc holds the ends at zero)."""
+def _whole_grid(update, u, w) -> np.ndarray:
+    """One kernel update over every interior node; the Dirichlet ends
+    stay zero."""
     u, w = np.asarray(u, float), np.asarray(w, float)
     n = u.shape[0]
     out = np.zeros_like(u)
     with np.errstate(**_QUIET):
         update(out[1:n - 1], *_stencil(u, 1, n - 1), w[1:n - 1], slice(1, n - 1))
-        if bc == "periodic":
-            update(out[:1], u[-2:-1], u[:1], u[1:2], w[:1], slice(0, 1))
-            out[-1] = out[0]
     return out
 
 
-def leapfrog_step(u, u_prev, profile, dt, p=None, bc="dirichlet"):
+def leapfrog_step(u, u_prev, profile, dt, p=None):
     """One update u^(n+1) from (u^n, u^(n-1)) through the kernel run()
     uses, on the whole grid; handy for oracle and reversibility tests."""
-    return _whole_grid(_StepKernel(profile, dt, p).step, u, u_prev, bc)
+    return _whole_grid(_StepKernel(profile, dt, p).step, u, u_prev)
 
 
-def first_step(u0, u1, profile, dt, p=None, bc="dirichlet"):
+def first_step(u0, u1, profile, dt, p=None):
     """Second-order Taylor start u^1 from (u^0, u_t^0)."""
-    return _whole_grid(_StepKernel(profile, dt, p).first, u0, u1, bc)
+    return _whole_grid(_StepKernel(profile, dt, p).first, u0, u1)
 
 
 def _validate(config: RunConfig) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Grid, partition_cell_weights
+from .coefficients import Grid, core_sets, partition_cell_weights
 from .errors import ConvergenceError, GridDomainError
 
 DENSE_ORACLE_MAX_NODES = 4097
@@ -38,28 +38,24 @@ DENSE_ORACLE_MAX_NODES = 4097
 
 @dataclass(frozen=True)
 class PoincareProblem:
-    """Grid, core radius, and node masks/weights for the two regions.
-    Both masks are closed (nodes at |x| = L belong to both); the weight
-    vectors split each trapezoid cell between the regions exactly."""
+    """Grid, core radius, and the mass weights of the two regions; the
+    weight vectors split each trapezoid cell between them exactly."""
 
     grid: Grid
     L: float
-    indicator_in: np.ndarray
-    indicator_out: np.ndarray
     w_in: np.ndarray
     w_out: np.ndarray
 
 
 def poincare_problem(grid: Grid, L: float) -> PoincareProblem:
+    """The pencil's regions; GridDomainError unless the grid covers the
+    core and has a node in it (coefficients.core_sets)."""
     if grid.x_min > -L or grid.x_max < L:
         raise GridDomainError("grid must cover the core |x| <= L")
     w_in, w_out = partition_cell_weights(grid, L)
-    tol = 1e-12 * max(1.0, L)
-    indicator_in = np.abs(grid.x) <= L + tol
-    indicator_out = np.abs(grid.x) >= L - tol
-    if not indicator_in.any() or w_in.sum() == 0.0:
+    if not core_sets(grid, L)[0].any() or w_in.sum() == 0.0:
         raise GridDomainError("inner region contains no grid mass; refine the grid")
-    return PoincareProblem(grid, L, indicator_in, indicator_out, w_in, w_out)
+    return PoincareProblem(grid, L, w_in, w_out)
 
 
 @dataclass(frozen=True)
@@ -224,17 +220,21 @@ class ViolationReport:
         return self.violations == 0
 
 
-def _smoothed_noise(problem: PoincareProblem, rng: np.random.Generator) -> np.ndarray:
-    """Random H1-like sample: white nodal noise smoothed by a Gaussian
-    kernel of O(1) physical width, localized around the core (where the
-    extremizers live) and pinned to zero at the domain ends."""
-    grid = problem.grid
-    w = rng.standard_normal(grid.n_nodes)
+def smoothed_noise(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+    """Random H1-like sample: one draw of white nodal noise smoothed by a
+    Gaussian kernel of standard deviation 0.25, cut at +-0.5."""
     half_width = max(2, int(round(0.5 / grid.dx)))
     s = np.arange(-half_width, half_width + 1) * grid.dx
     kernel = np.exp(-(s**2) / (2 * 0.25**2))
     kernel /= kernel.sum()
-    w = np.convolve(w, kernel, mode="same")
+    return np.convolve(rng.standard_normal(grid.n_nodes), kernel, mode="same")
+
+
+def _smoothed_noise(problem: PoincareProblem, rng: np.random.Generator) -> np.ndarray:
+    """smoothed_noise localized around the core (where the extremizers
+    live) and pinned to zero at the domain ends."""
+    grid = problem.grid
+    w = smoothed_noise(grid, rng)
     envelope_width = max(2.0 * problem.L, 2.0)
     w *= np.exp(-(grid.x**2) / (2.0 * envelope_width**2))
     w[0] = w[-1] = 0.0

@@ -32,8 +32,7 @@ def _announce(n, text):
 def reference_lab(n_cells, t_end):
     profile = example1_profile(dw.Grid(-60.0, 60.0, n_cells))
     data = reference_data(profile.grid)
-    return runner.execute(profile=profile, data=data,
-                          run_config=reference_run_config(profile, data, t_end))
+    return runner.execute(reference_run_config(profile, data, t_end))
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +66,7 @@ def semilinear_lab(t_end):
     data = analysis.scale_data_to_i0(data, profile, 9e-4)
     config = solver.RunConfig(profile=profile, data=data, t_end=t_end,
                               cfl=0.9, p=11.0, record_every=10)
-    return runner.execute(profile=profile, data=data, run_config=config)
+    return runner.execute(config)
 
 
 @pytest.fixture(scope="session")
@@ -134,8 +133,7 @@ def test_criterion_04_free_wave_growth():
     profile = dw.free_space_profile(grid)
     data = dw.make_initial_data(grid, np.zeros(grid.n_nodes),
                                 dw.gaussian_bump(grid, 1e-3, 1.0))
-    lab = runner.execute(profile=profile, data=data,
-                         run_config=reference_run_config(profile, data, 100.0))
+    lab = runner.execute(reference_run_config(profile, data, 100.0))
     fit = dw.fit_decay(lab.records, "l2_u_sq", (10.0, 100.0))
     assert 0.9 <= fit.exponent <= 1.1, f"free-wave ||u||^2 exponent {fit.exponent:.3f}"
     _announce(4, f"free-wave ||u||^2 exponent {fit.exponent:.3f}")

@@ -26,9 +26,8 @@ def synthetic_records(func, t_values):
         q = func(t)
         out.append(EnergyRecord(
             t=t, E_u=q, energy_norm=math.sqrt(q), l2_u=math.sqrt(q), l2_local=0.0,
-            dissipation_cum=0.0, G_k=0.0, identity_residual=0.0, lemma25_lhs=0.0,
-            lemma25_rhs=0.0, lemma25_residual=0.0, lemma25_ratio=0.0, au2=0.0,
-            au2_cum=0.0))
+            dissipation_cum=0.0, G_k=0.0, identity_residual=0.0, lemma25_residual=0.0,
+            lemma25_ratio=0.0, au2_cum=0.0))
     return out
 
 

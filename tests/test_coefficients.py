@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import dampedwave as dw
 from dampedwave.coefficients import (
+    core_sets,
     inner_cell_weights,
     partition_cell_weights,
     potential_bounds_at_core,
@@ -251,6 +252,42 @@ class TestValidation:
         inner = np.abs(g.x) <= 1.0
         i_min = np.argmin(np.where(inner, profile.V, np.inf))
         assert abs(abs(g.x[i_min]) - 1.0) <= g.dx + 1e-12
+
+
+class TestCoreSets:
+    """inner_cell_weights, potential_bounds_at_core, the A2 check and
+    poincare_problem read one node set for |x| <= L and one for |x| >= L."""
+
+    @pytest.mark.parametrize("L", [1.0, 1.005], ids=["on_node", "off_node"])
+    def test_core_readers_share_the_nodes(self, L):
+        grid = dw.Grid(-5.0, 5.0, 1000)  # dx = 0.01: +-1 are nodes, +-1.005 mid-cell
+        inner, outer = core_sets(grid, L)
+        on_edge = inner & outer
+        assert on_edge.sum() == (2 if L == 1.0 else 0)
+        assert np.all(inner | outer)
+        assert np.array_equal(inner_cell_weights(grid, L) > 0.0, inner)
+        # V decreasing outward: the core minimum sits on the outermost
+        # inner node and the exterior maximum on the innermost outer node
+        V = 2.0 - np.abs(grid.x) / 10.0
+        profile = dw.make_profile(grid, V, np.where(outer, 1.0, 0.0), L, 1.0)
+        assert potential_bounds_at_core(profile) == (V[inner].min(), V[outer].max())
+        # the damping floor is checked on exactly the outer nodes
+        a = np.where(outer, 1.0, 0.0)
+        a[np.flatnonzero(outer)[np.argmin(np.abs(grid.x[outer]))]] = 0.5
+        report = dw.validate_hypotheses(dw.make_profile(grid, V, a, L, 1.0))
+        assert report.check("A2_damping_floor").margin == -0.5
+        dw.poincare_problem(grid, L)
+
+    @pytest.mark.parametrize("L, has_node", [(0.005, True), (0.005 - 2e-12, False),
+                                             (1e-4, False)])
+    def test_poincare_problem_needs_a_core_node(self, L, has_node):
+        grid = dw.Grid(-40.005, 39.995, 8000)  # nodes at +-0.005, none at 0
+        assert core_sets(grid, L)[0].any() == has_node
+        if has_node:
+            assert dw.poincare_problem(grid, L).w_in.sum() > 0.0
+        else:
+            with pytest.raises(GridDomainError, match="no grid mass"):
+                dw.poincare_problem(grid, L)
 
 
 class TestInitialData:

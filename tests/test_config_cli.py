@@ -105,9 +105,8 @@ class TestConfigParsing:
             return replace(node, **{names[0]: value})
         spec = replace(reference_spec(), grid=cfg.GridSpec(mode="auto", dx=0.05))
         spec = with_nan(spec, path.split("."))
-        for build in (cfg.build_problem, runner.execute):
-            with pytest.raises(ConfigError, match=re.escape(f"{key} must be finite, got nan")):
-                build(spec)
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be finite, got nan")):
+            cfg.build_problem(spec)
 
     @pytest.mark.parametrize("key, change", [
         ("[data] u0_kind", lambda s: replace(s, data=replace(s.data, u0=cfg.FieldSpec("foo")))),
@@ -129,7 +128,7 @@ class TestConfigParsing:
             "record_every", "width", "key_outside_variant"])
     def test_bad_hand_built_spec_named(self, key, change):
         spec = change(reference_spec(n_cells=600, t_end=1.0))
-        for build in (cfg.build_problem, runner.execute, cfg.emit_config):
+        for build in (cfg.build_problem, cfg.emit_config):
             with pytest.raises(ConfigError, match=re.escape(key)):
                 build(spec)
 
@@ -137,7 +136,8 @@ class TestConfigParsing:
         spec = cfg.parse_config(LINEAR_DEMO_CFG.replace(
             "mode = explicit\nx_min = -60.0\nx_max = 60.0\nn_cells = 3000",
             "mode = auto\ndx = 0.05\npadding = 2.0"))
-        grid, profile, data = cfg.build_problem(spec)
+        profile, data = cfg.build_problem(spec)
+        grid = profile.grid
         # domain sized from the analytic truncation radius; the grid-inferred
         # support can sit up to one cell inside it
         gap = grid.x_max - (data.support_radius + 30.0 + 2.0)
@@ -342,6 +342,20 @@ class TestCli:
         assert "invalid sweep configuration: " in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_fit_l2_u_sq_matches_fit_decay(self, demo_config, tmp_path, capsys):
+        # the CLI reads ||u||^2 from the CSV through the lookup fit_decay uses
+        out = tmp_path / "out"
+        assert cli.main(["run", str(demo_config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["fit", str(out / "demo.csv"), "--quantity", "l2_u_sq",
+                         "--window", "5", "30"]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        spec, _raw = cfg.load_config(str(demo_config))
+        profile, data = cfg.build_problem(spec)
+        lab = runner.execute(cfg.run_config_from_spec(spec, profile, data))
+        fit = dw.fit_decay(lab.records, "l2_u_sq", (5.0, 30.0))
+        assert float(printed[3]) == fit.exponent
+
     def test_fit_all_nan_column_exits_1(self, tmp_path, capsys):
         rows = [",".join(cli.CSV_COLUMNS)]
         for t in np.linspace(0.0, 40.0, 41):
@@ -398,3 +412,37 @@ class TestCli:
 
     def test_missing_config_file(self):
         assert cli.main(["run", "/nonexistent/path.cfg"]) == 1
+
+
+class TestUnreadableInput:
+    """Bad files end in a named message and a documented exit code."""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_directory_as_config_exits_1(self, command, tmp_path, capsys):
+        assert cli.main([command, str(tmp_path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"cannot access {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_config_not_utf8_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(LINEAR_DEMO_CFG.encode() + b"# caf\xe9\n")
+        assert cli.main([command, str(path)]) == cli.EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert f"{path} is not UTF-8 text" in out.out + out.err
+
+    def test_fit_csv_without_t_column_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "no_t.csv"
+        path.write_text("s,E_u\n" + "".join(f"{s},{1.0 / (1.0 + s)}\n" for s in range(40)))
+        assert cli.main(["fit", str(path), "--window", "5", "30"]) == cli.EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == "" and "no column 't'" in out.err
+
+    @pytest.mark.parametrize("command, message", [
+        ("plot", "cannot read manifest: "), ("fit", "cannot read series: ")])
+    @pytest.mark.parametrize("text", ['{"coefficients": {}}', "[1, 2]", "not json"],
+                             ids=["no_files", "not_an_object", "not_json"])
+    def test_not_a_run_manifest_exits_1(self, command, message, text, tmp_path, capsys):
+        path = tmp_path / "bad.manifest.json"
+        path.write_text(text)
+        assert cli.main([command, str(path)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(message)

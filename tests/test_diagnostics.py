@@ -15,8 +15,7 @@ def medium_lab():
     """Reference coefficients at reference resolution, short horizon."""
     profile = example1_profile(dw.Grid(-60.0, 60.0, 6000))
     data = reference_data(profile.grid)
-    return runner.execute(profile=profile, data=data,
-                          run_config=reference_run_config(profile, data, 30.0))
+    return runner.execute(reference_run_config(profile, data, 30.0))
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +123,7 @@ class TestEnergyIdentity:
     def test_zero_data_residual_zero(self, coarse_profile):
         grid = coarse_profile.grid
         data = dw.make_initial_data(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes))
-        lab = runner.execute(profile=coarse_profile, data=data,
-                             run_config=reference_run_config(coarse_profile, data, 2.0))
+        lab = runner.execute(reference_run_config(coarse_profile, data, 2.0))
         report = dw.check_energy_identity(lab.records)
         assert report.max_relative_residual == 0.0
 
@@ -137,8 +135,7 @@ class TestEnergyIdentity:
                 grid, dw.build_potential_example1(0.01, 2.0, 1.0, grid),
                 np.zeros(grid.n_nodes), 1.0, 0.0, beta=2.0, V0=0.01)
             data = reference_data(grid)
-            lab = runner.execute(profile=profile, data=data,
-                                 run_config=reference_run_config(profile, data, 20.0))
+            lab = runner.execute(reference_run_config(profile, data, 20.0))
             residuals[n] = dw.check_energy_identity(lab.records).max_relative_residual
         assert residuals[1500] < 5e-3
         assert residuals[1500] / residuals[3000] == pytest.approx(4.0, rel=0.3)
@@ -148,8 +145,7 @@ class TestEnergyIdentity:
         for n in (1500, 3000):
             profile = example1_profile(dw.Grid(-60.0, 60.0, n))
             data = reference_data(profile.grid)
-            lab = runner.execute(profile=profile, data=data,
-                                 run_config=reference_run_config(profile, data, 20.0))
+            lab = runner.execute(reference_run_config(profile, data, 20.0))
             residuals[n] = dw.check_energy_identity(lab.records).max_relative_residual
         assert residuals[1500] / residuals[3000] == pytest.approx(4.0, rel=0.3)
 
@@ -187,10 +183,25 @@ class TestLemma25:
     def test_standalone_matches_recorder(self, medium_lab):
         rec = medium_lab.records[-1]
         state = medium_lab.result.final_state
-        report = dw.check_lemma25(state, medium_lab.profile, medium_lab.data,
-                                  rec.au2_cum)
-        assert report.residual == pytest.approx(rec.lemma25_residual, rel=1e-9, abs=1e-15)
-        assert report.bound_ratio == pytest.approx(rec.lemma25_ratio, rel=1e-12)
+        run = medium_lab.run_config
+        report = dw.check_lemma25(state, run.profile, run.data, rec.au2_cum)
+        assert report.residual == rec.lemma25_residual
+        assert report.bound_ratio == rec.lemma25_ratio
+
+
+    @pytest.mark.parametrize("amplitude", [1e-3, 0.07, 0.3, 7.0])
+    def test_standalone_is_the_recorder_evaluation(self, coarse_profile, amplitude):
+        # exact for any data, not only where sqrt(x)^2 happens to round to x
+        grid = coarse_profile.grid
+        u0 = dw.gaussian_bump(grid, amplitude, 1.0)
+        data = dw.make_initial_data(grid, u0, dw.gaussian_bump(grid, amplitude / 3, 2.0))
+        recorder = dw.Recorder(coarse_profile, None, data,
+                               dw.compute_data_norms(data, coarse_profile))
+        state = make_state(grid, 0.5 * u0, data.u1.copy(), v=0.1 * u0)
+        rec = recorder(state, 0.0, 0.02 * amplitude**2)
+        report = dw.check_lemma25(state, coarse_profile, data, 0.02 * amplitude**2)
+        assert (report.residual, report.bound_ratio) == (rec.lemma25_residual,
+                                                         rec.lemma25_ratio)
 
 
 class TestLemma21:
@@ -230,8 +241,7 @@ class TestRunLevelBounds:
         for t_end in (15.0, 30.0):
             profile = example1_profile(dw.Grid(-60.0, 60.0, 2000))
             data = reference_data(profile.grid)
-            lab = runner.execute(profile=profile, data=data,
-                                 run_config=reference_run_config(profile, data, t_end))
+            lab = runner.execute(reference_run_config(profile, data, t_end))
             cum = cumulative_energy(lab.records)
             stats[t_end] = cum[-1] / lab.norms.I0**2
         assert stats[30.0] <= stats[15.0] * 1.10
@@ -241,8 +251,7 @@ class TestRunLevelBounds:
         for t_end in (15.0, 30.0):
             profile = example1_profile(dw.Grid(-60.0, 60.0, 2000))
             data = reference_data(profile.grid)
-            lab = runner.execute(profile=profile, data=data,
-                                 run_config=reference_run_config(profile, data, t_end))
+            lab = runner.execute(reference_run_config(profile, data, t_end))
             cum = cumulative_energy(lab.records)
             gk = np.array([r.G_k for r in lab.records])
             lhs = gk + lab.mc.eta0 * cum
@@ -259,8 +268,7 @@ class TestRecorder:
         profile = dw.free_space_profile(grid)
         data = dw.make_initial_data(grid, np.zeros(grid.n_nodes),
                                     dw.gaussian_bump(grid, 1e-3, 1.0))
-        lab = runner.execute(profile=profile, data=data,
-                             run_config=reference_run_config(profile, data, 5.0))
+        lab = runner.execute(reference_run_config(profile, data, 5.0))
         assert lab.mc is None and lab.norms is None
         rec = lab.records[-1]
         assert np.isnan(rec.G_k)
@@ -313,10 +321,9 @@ def full_grid_record(profile, mc, data, norms, state, dissipation_cum, au2_cum, 
         l2_u=np.sqrt(mass), l2_local=inner_cell_weights(grid, profile.L) @ u**2,
         dissipation_cum=dissipation_cum, G_k=gk,
         identity_residual=e_u + dissipation_cum - (e_u if e0 is None else e0),
-        lemma25_lhs=lhs, lemma25_rhs=rhs,
         lemma25_residual=abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300),
         lemma25_ratio=(mass + au2_cum) / (u0_sq + norms.weighted_norm**2),
-        au2=integrate(a * u**2), au2_cum=au2_cum,
+        au2_cum=au2_cum,
     )
 
 

@@ -31,11 +31,11 @@ def assert_even_problem(grid, profile, data):
 def march(spec, t_end):
     """solver.run of a spec with t_end cut short, states kept by the hook."""
     spec = dataclasses.replace(spec, time=dataclasses.replace(spec.time, t_end=t_end))
-    grid, profile, data = cfg.build_problem(spec)
+    profile, data = cfg.build_problem(spec)
     states = []
     result = solver.run(cfg.run_config_from_spec(spec, profile, data),
                         lambda state, d, a2: states.append(state))
-    return (grid, profile, data), result, states + [result.final_state]
+    return (profile.grid, profile, data), result, states + [result.final_state]
 
 
 class TestWhichRunsMirror:
@@ -50,7 +50,7 @@ class TestWhichRunsMirror:
         # the grid and data of `dampedwave sweep --dx 0.02 --t-end 40`,
         # marched for a short while
         base = sweep_spec(dx=0.02, t_end=40.0)
-        _grid, profile, data = cfg.build_problem(base)
+        profile, data = cfg.build_problem(base)
         data = analysis.scale_data_to_i0(data, profile, 1.0)
         assert_even_problem(profile.grid, profile, data)
         config = solver.RunConfig(profile=profile, data=data, t_end=0.5, p=11.0,

@@ -1,0 +1,77 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+_spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+RUN_CSV = "t,E_u,l2_u\n0,1.5,0.25\n1,0.75,0.125\n"
+SWEEP_CSV = "p\\I0,0.1,1\n3,decayed_at_rate,blowup(t=2.5)\n"
+MANIFEST = '{\n  "c_star": 1.25,\n  "files": {"csv": "run.csv"}\n}\n'
+
+
+def write_dir(path: Path, files: dict[str, str]) -> Path:
+    path.mkdir()
+    for name, text in files.items():
+        (path / name).write_text(text)
+    return path
+
+
+@pytest.fixture()
+def parent(tmp_path):
+    return write_dir(tmp_path / "parent", {
+        "run.csv": RUN_CSV, "run.manifest.json": MANIFEST, "sweep.csv": SWEEP_CSV})
+
+
+def compare(parent, tmp_path, **changed):
+    files = {"run.csv": RUN_CSV, "run.manifest.json": MANIFEST, "sweep.csv": SWEEP_CSV}
+    files.update(changed)
+    files = {name: text for name, text in files.items() if text is not None}
+    return dict(same_outputs.compare_dirs(parent, write_dir(tmp_path / "change", files)))
+
+
+class TestCompareDirs:
+    def test_identical_trees(self, parent, tmp_path):
+        assert compare(parent, tmp_path) == {
+            "run.csv": None, "run.manifest.json": None, "sweep.csv": None}
+
+    def test_csv_reports_largest_relative_column_difference(self, parent, tmp_path):
+        got = compare(parent, tmp_path, **{"run.csv": RUN_CSV.replace("0.75", "0.7500003")
+                                           .replace("0.125", "0.12500000001")})
+        assert got["run.csv"] == ("largest relative difference 4e-07 in column E_u "
+                                  "(2 cells differ)")
+        assert got["run.manifest.json"] is None
+
+    def test_sweep_token_change_is_a_difference(self, parent, tmp_path):
+        got = compare(parent, tmp_path, **{"sweep.csv": SWEEP_CSV.replace("t=2.5", "t=2.6")})
+        assert got["sweep.csv"] == "largest relative difference inf in column 1 (1 cells differ)"
+
+    def test_csv_shape_and_header_changes(self, parent, tmp_path):
+        got = compare(parent, tmp_path, **{"run.csv": RUN_CSV + "2,0.5,0.1\n",
+                                           "sweep.csv": SWEEP_CSV.replace("p\\I0", "p")})
+        assert got["run.csv"] == "shapes differ (2 vs 3 rows)"
+        assert got["sweep.csv"] == "headers differ"
+
+    def test_manifest_reports_first_differing_line(self, parent, tmp_path):
+        got = compare(parent, tmp_path, **{"run.manifest.json": MANIFEST.replace("1.25", "1.5")})
+        assert got["run.manifest.json"] == (
+            "line 2 differs: '\"c_star\": 1.25,' vs '\"c_star\": 1.5,'")
+
+    def test_file_on_one_side_only(self, parent, tmp_path):
+        got = compare(parent, tmp_path, **{"sweep.csv": None, "extra.csv": RUN_CSV})
+        assert got["sweep.csv"] == "written by the parent only"
+        assert got["extra.csv"] == "written by the change only"
+
+
+def test_sweep_command_comes_from_the_benchmark():
+    root = Path(__file__).resolve().parents[1]
+    sweep = same_outputs.sweep_args(root)
+    argv = same_outputs.commands(root, Path("/out"), sweep)
+    assert [a[0] for a in argv] == ["run"] * len(list((root / "configs").glob("*.cfg"))) + [
+        "sweep"]
+    assert argv[-1] == ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
+                        "--dx", "0.02", "--t-end", "40", "--workers", "2", "--out", "/out",
+                        "--name", "sweep_pxI0"]

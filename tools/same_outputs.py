@@ -1,0 +1,155 @@
+"""Check that two checkouts write the same run and sweep outputs.
+
+    python3 tools/same_outputs.py --parent DIR --change DIR
+
+From each checkout, with its own src/ on PYTHONPATH and
+OPENBLAS_NUM_THREADS=1, runs `dampedwave run` on every configs/*.cfg of
+that checkout and the sweep_pxI0 command line of the change's
+bench/common.py with --workers 2. Then it prints one line per output
+file: "identical" when the bytes agree; for a CSV that differs, the
+column with the largest relative difference and the number of cells
+that differ; for any other file, the first line that differs. A file
+written on one side only, or a command whose exit status differs,
+counts as a difference. Exits 1 on any difference, else 0. Outputs go
+to a temporary directory. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIDES = ("parent", "change")
+SWEEP_WORKLOAD = "sweep_pxI0"
+SWEEP_WORKERS = "2"
+
+
+def sweep_args(checkout: Path) -> list[str]:
+    """The benchmark sweep's dampedwave options, from bench/common.py."""
+    spec = importlib.util.spec_from_file_location("bench_common", checkout / "bench" / "common.py")
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    return list(common.WORKLOADS[SWEEP_WORKLOAD]["sweep"])
+
+
+def commands(checkout: Path, out_dir: Path, sweep: list[str]) -> list[list[str]]:
+    """dampedwave argument lists: one run per config, then the sweep."""
+    out = ["--out", str(out_dir)]
+    runs = [["run", str(path), *out] for path in sorted((checkout / "configs").glob("*.cfg"))]
+    return runs + [["sweep", *sweep, "--workers", SWEEP_WORKERS, *out, "--name", SWEEP_WORKLOAD]]
+
+
+def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, int]:
+    """Run every command from checkout into out_dir; exit status by command."""
+    env = {k: v for k, v in os.environ.items() if k != "DAMPEDWAVE_OUT"}
+    env.update(PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    codes = {}
+    for argv in commands(checkout, out_dir, sweep):
+        proc = subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv], cwd=checkout,
+                              env=env, capture_output=True, text=True)
+        label = f"run {Path(argv[1]).name}" if argv[0] == "run" else argv[0]
+        codes[label] = proc.returncode
+        if proc.returncode not in (0, 3):
+            sys.stderr.write(f"{checkout}: dampedwave {label} exited {proc.returncode}\n"
+                             f"{proc.stderr}")
+    return codes
+
+
+def _cell(text: str) -> float | str:
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def csv_difference(a: str, b: str) -> str:
+    """Where two CSV texts differ: header, row count, or the column with
+    the largest relative difference |x - y| / max(|x|, |y|) and the count
+    of differing cells (a text cell such as a sweep outcome differs
+    whole, relative difference inf)."""
+    rows_a = [line.split(",") for line in a.splitlines()]
+    rows_b = [line.split(",") for line in b.splitlines()]
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return "headers differ"
+    if len(rows_a) != len(rows_b) or any(len(x) != len(y) for x, y in zip(rows_a, rows_b)):
+        return f"shapes differ ({len(rows_a) - 1} vs {len(rows_b) - 1} rows)"
+    header = rows_a[0]
+    worst = {name: 0.0 for name in header}
+    cells = 0
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, x, y in zip(header, row_a, row_b):
+            if x == y:
+                continue
+            cells += 1
+            x, y = _cell(x), _cell(y)
+            if isinstance(x, float) and isinstance(y, float) and math.isfinite(x) \
+                    and math.isfinite(y):
+                rel = abs(x - y) / max(abs(x), abs(y))
+            else:
+                rel = math.inf
+            worst[name] = max(worst[name], rel)
+    name = max(header, key=lambda n: worst[n])
+    return f"largest relative difference {worst[name]:.3g} in column {name} ({cells} cells differ)"
+
+
+def text_difference(a: str, b: str) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if x != y:
+            return f"line {i} differs: {x.strip()!r} vs {y.strip()!r}"
+    return f"lengths differ ({len(lines_a)} vs {len(lines_b)} lines)"
+
+
+def compare_dirs(parent: Path, change: Path) -> list[tuple[str, str | None]]:
+    """(file name, None if byte-identical else what differs) for every
+    file either directory holds, sorted by name."""
+    names = sorted({p.name for d in (parent, change) for p in d.iterdir() if p.is_file()})
+    out = []
+    for name in names:
+        a, b = parent / name, change / name
+        if not (a.exists() and b.exists()):
+            out.append((name, f"written by the {'change' if b.exists() else 'parent'} only"))
+            continue
+        raw_a, raw_b = a.read_bytes(), b.read_bytes()
+        if raw_a == raw_b:
+            out.append((name, None))
+            continue
+        text_a, text_b = raw_a.decode(errors="replace"), raw_b.decode(errors="replace")
+        diff = csv_difference if name.endswith(".csv") else text_difference
+        out.append((name, diff(text_a, text_b)))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sweep = sweep_args(checkouts["change"])
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        codes = {side: write_outputs(checkouts[side], root / side, sweep) for side in SIDES}
+        results = compare_dirs(root / "parent", root / "change")
+    failed = False
+    for command in sorted(set(codes["parent"]) | set(codes["change"])):
+        a, b = codes["parent"].get(command), codes["change"].get(command)
+        if a != b:
+            failed = True
+            print(f"{command}: exit status {a} vs {b}")
+    for name, diff in results:
+        failed |= diff is not None
+        print(f"{name}: {'identical' if diff is None else diff}")
+    print("outputs differ" if failed else "all outputs byte-identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
