@@ -63,7 +63,6 @@ from .solver import (
 from .spectral import (
     PoincareEstimate,
     PoincareProblem,
-    dense_c_star,
     estimate_c_star,
     poincare_problem,
     verify_poincare_on_samples,

@@ -74,7 +74,10 @@ def fit_columns(
     claimed_rate: float = 1.0,
 ) -> FitResult:
     """fit_decay on a run's named columns (a CSV's, or record_columns).
-    'l2_u_sq' derives ||u||^2 from l2_u; a missing column raises FitError."""
+    'l2_u_sq' derives ||u||^2 from l2_u; a missing column or a claimed rate
+    that is not finite raises FitError."""
+    if not math.isfinite(claimed_rate):
+        raise FitError(f"claimed rate must be finite, got {claimed_rate}")
     source = "l2_u" if quantity == "l2_u_sq" else quantity
     for column in ("t", source):
         if column not in columns:
@@ -141,11 +144,18 @@ def _convolution_nodes(t: float, n: int) -> np.ndarray:
     return np.concatenate((left, right[1:]))
 
 
-def _scaled_convolution_sup(theta: float, t_max: float, n_quadrature: int) -> float:
-    # deferred: scipy.integrate costs every process ~0.45 s and 270 modules,
-    # and no CLI command reaches this check
-    from scipy.integrate import simpson
+def _simpson(f: np.ndarray, s: np.ndarray) -> float:
+    """Composite Simpson rule over consecutive node pairs of a non-uniform
+    mesh s with an odd point count: exact for quadratics on each pair."""
+    h = np.diff(s)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    return float(np.sum(hsum / 6.0 * (f[:-2:2] * (2.0 - 1.0 / ratio)
+                                      + f[1::2] * (hsum * (hsum / (h0 * h1)))
+                                      + f[2::2] * (2.0 - ratio))))
 
+
+def _scaled_convolution_sup(theta: float, t_max: float, n_quadrature: int) -> float:
     t_values = np.concatenate(([0.0], np.geomspace(1e-2, t_max, 160)))
     t_values[-1] = t_max
     sup = 0.0
@@ -154,7 +164,7 @@ def _scaled_convolution_sup(theta: float, t_max: float, n_quadrature: int) -> fl
             continue
         s = _convolution_nodes(t, n_quadrature)
         integrand = (1.0 + t - s) ** -0.5 * (1.0 + s) ** -theta
-        val = float(simpson(integrand, x=s)) * math.sqrt(1.0 + t)
+        val = _simpson(integrand, s) * math.sqrt(1.0 + t)
         sup = max(sup, val)
     return sup
 
@@ -166,7 +176,7 @@ def check_lemma31(theta: float, t_max: float = 1000.0, n_quadrature: int = 2001)
     rel_change exposes."""
     if theta <= 0:
         raise HypothesisError(f"theta must be positive, got {theta}")
-    n = n_quadrature | 1  # simpson wants an odd point count
+    n = n_quadrature | 1  # Simpson pairs need an odd point count
     sup1 = _scaled_convolution_sup(theta, t_max, n)
     sup2 = _scaled_convolution_sup(theta, 2.0 * t_max, n)
     return Lemma31Report(

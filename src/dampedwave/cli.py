@@ -1,4 +1,4 @@
-"""Command-line interface: validate, run, sweep, fit, poincare, plot.
+"""Command-line interface: validate, run, sweep, fit, poincare.
 
 Exit-status contract (stable for harnesses):
     0  success (including completed runs that end in a tagged blowup,
@@ -219,12 +219,12 @@ def _read_csv(path: Path) -> dict[str, np.ndarray]:
     return {name: rows[:, i] for i, name in enumerate(header)}
 
 
-def _read_manifest(path: Path) -> tuple[dict, Path]:
-    """A run manifest and the path of the CSV it names; ValueError if the
-    file is not JSON or names no files.csv."""
+def _manifest_csv(path: Path) -> Path:
+    """The path of the CSV a run manifest names; ValueError if the file is
+    not JSON or names no files.csv."""
     manifest = json.loads(path.read_text())
     try:
-        return manifest, path.parent / manifest["files"]["csv"]
+        return path.parent / manifest["files"]["csv"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path} is not a run manifest: no files.csv") from exc
 
@@ -233,7 +233,7 @@ def cmd_fit(args) -> int:
     path = Path(args.series)
     try:
         if path.suffix == ".json":
-            path = _read_manifest(path)[1]
+            path = _manifest_csv(path)
         columns = _read_csv(path)
     except (OSError, ValueError) as exc:
         print(f"cannot read series: {exc}", file=sys.stderr)
@@ -297,99 +297,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Auto-generated plotting script for a damped-wave run ({name})."""
-import csv
-import math
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-CSV_PATH = {csv_path!r}
-FREE_WAVE = {free_wave}
-
-rows = []
-with open(CSV_PATH) as fh:
-    for row in csv.DictReader(fh):
-        rows.append({{k: float(v) for k, v in row.items()}})
-
-t = [r["t"] for r in rows]
-tp1 = [1.0 + v for v in t]
-E = [r["E_u"] for r in rows]
-scaledE = [e * s for e, s in zip(E, tp1)]
-l2 = [r["l2_u"] for r in rows]
-gk = [r["G_k"] for r in rows]
-ident = [abs(r["identity_residual"]) for r in rows]
-lem25 = [abs(r["lemma25_residual"]) for r in rows]
-
-fig, axes = plt.subplots(2, 2, figsize=(11, 8))
-
-ax = axes[0][0]  # panel 1: energy decay
-ax.loglog(tp1, E, label="E_u")
-ax.loglog(tp1, scaledE, label="E_u (1+t)")
-ax.set_title("energy decay")
-ax.set_xlabel("1 + t")
-ax.legend()
-
-ax = axes[0][1]  # panel 2: solution norm
-ax.loglog(tp1, l2, label="||u||")
-if FREE_WAVE:
-    c = max(l2[len(l2) // 2], 1e-300) / math.sqrt(tp1[len(l2) // 2])
-    ax.loglog(tp1, [c * math.sqrt(v) for v in tp1], "--",
-              label="slope-1 guide for ||u||^2")
-ax.set_title("solution norm")
-ax.set_xlabel("1 + t")
-ax.legend()
-
-ax = axes[1][0]  # panel 3: multiplier functional
-ax.semilogx(tp1, gk)
-ax.set_title("multiplier functional G_k")
-ax.set_xlabel("1 + t")
-
-ax = axes[1][1]  # panel 4: identity residuals
-ax.loglog(tp1, ident, label="energy identity")
-ax.loglog(tp1, lem25, label="accumulated-field identity")
-ax.set_title("identity residuals")
-ax.set_xlabel("1 + t")
-ax.legend()
-
-fig.tight_layout()
-fig.savefig({png_path!r}, dpi=150)
-print("wrote", {png_path!r})
-'''
-
-
-def cmd_plot(args) -> int:
-    manifest_path = Path(args.manifest)
-    if not manifest_path.exists():
-        print(f"manifest not found: {manifest_path}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        manifest, csv_path = _read_manifest(manifest_path)
-    except ValueError as exc:
-        print(f"cannot read manifest: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    if not csv_path.exists():
-        print(f"series not found: {csv_path}", file=sys.stderr)
-        return EXIT_ERROR
-    n_rows = sum(1 for _ in open(csv_path)) - 1
-    if n_rows < 2:
-        print("refusing to plot: series has fewer than 2 records", file=sys.stderr)
-        return EXIT_ERROR
-    name = csv_path.stem
-    script = _PLOT_TEMPLATE.format(
-        name=name,
-        csv_path=str(csv_path.resolve()),
-        png_path=str(csv_path.resolve().with_suffix(".png")),
-        free_wave=bool(manifest.get("coefficients", {}).get("free_wave", False)),
-    )
-    out_path = Path(args.script) if args.script else manifest_path.parent / f"{name}.plot.py"
-    out_path.write_text(script)
-    print(f"wrote {out_path}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -442,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("--name", default="sweep")
     s.set_defaults(func=cmd_sweep)
-
-    pl = sub.add_parser("plot", help="generate a plotting script for a run")
-    pl.add_argument("manifest")
-    pl.add_argument("--script", default=None, help="where to write the script")
-    pl.set_defaults(func=cmd_plot)
 
     return parser
 

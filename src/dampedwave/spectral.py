@@ -19,9 +19,9 @@ the pencil A w = lambda B w with A = stiffness + outer mass, B = inner
 mass). A is symmetric positive definite and tridiagonal (weakly
 diagonally dominant), so it is factored once as L D L^T without pivoting,
 which is backward stable for such a matrix, and each iteration solves
-with one forward and one back substitution; no SciPy is loaded. A dense
-symmetric eigensolver on the reversed pencil (scipy.linalg.eigh) serves
-as a brute-force oracle on coarse grids.
+with one forward and one back substitution. The tests check it against
+a dense oracle on coarse grids (tests/helpers.py): a Cholesky reduction
+of the reversed pencil and a full symmetric eigensolve.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import numpy as np
 
 from .coefficients import Grid, core_sets, partition_cell_weights
 from .errors import ConvergenceError, GridDomainError
-
-DENSE_ORACLE_MAX_NODES = 4097
 
 
 @dataclass(frozen=True)
@@ -178,33 +176,6 @@ def estimate_c_star(
         iterations=iterations,
         edge_tail=edge_tail,
     )
-
-
-def dense_c_star(problem: PoincareProblem) -> tuple[float, np.ndarray]:
-    """Dense-eigensolver oracle: full symmetric decomposition of the
-    reversed pencil B v = mu A v (A is positive definite); the largest mu
-    is 1/lambda_min. Only for coarse grids."""
-    # deferred: scipy.linalg costs a process ~0.25 s, 22 MiB and 85
-    # modules to import, and only tests call the oracle
-    from scipy.linalg import eigh
-
-    n = problem.grid.n_nodes - 2
-    if n + 2 > DENSE_ORACLE_MAX_NODES:
-        raise GridDomainError(
-            f"dense oracle limited to {DENSE_ORACLE_MAX_NODES} nodes, got {n + 2}"
-        )
-    dx = problem.grid.dx
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    A[idx, idx] = 2.0 / dx + problem.w_out[1:-1]
-    A[idx[:-1], idx[:-1] + 1] = -1.0 / dx
-    A[idx[:-1] + 1, idx[:-1]] = -1.0 / dx
-    B = np.diag(problem.w_in[1:-1])
-    mu, vecs = eigh(B, A)
-    c_star = float(mu[-1])  # mu = 1/lambda, so the largest mu is C* itself
-    minimizer = np.zeros(problem.grid.n_nodes)
-    minimizer[1:-1] = vecs[:, -1] / np.max(np.abs(vecs[:, -1]))
-    return c_star, minimizer
 
 
 @dataclass(frozen=True)

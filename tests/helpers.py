@@ -8,14 +8,34 @@ from hypothesis import strategies as st
 import dampedwave as dw
 from dampedwave import config as cfg
 from dampedwave import solver
+from dampedwave.errors import GridDomainError
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+DENSE_ORACLE_MAX_NODES = 4097
 
 
 def example1_profile(grid, V0=0.01, beta=2.0, L=1.0, eps1=1.0, ramp="sharp"):
     V = dw.build_potential_example1(V0, beta, L, grid)
     a = dw.build_damping_plateau(eps1, L, ramp, grid)
     return dw.make_profile(grid, V, a, L, eps1, beta=beta, V0=V0)
+
+
+def dense_c_star(problem):
+    """Dense oracle for spectral.estimate_c_star, independent of its L D L^T
+    inverse iteration: C* is the largest mu of the reversed pencil
+    B v = mu A v (mu = 1/lambda), reduced by the Cholesky factor A = L L^T
+    to the symmetric L^-1 B L^-T = X X^T with X = L^-1 B^1/2, then solved
+    in full. Only for coarse grids."""
+    n = problem.grid.n_nodes - 2
+    if n + 2 > DENSE_ORACLE_MAX_NODES:
+        raise GridDomainError(
+            f"dense oracle limited to {DENSE_ORACLE_MAX_NODES} nodes, got {n + 2}"
+        )
+    dx = problem.grid.dx
+    off = np.full(n - 1, -1.0 / dx)
+    A = np.diag(2.0 / dx + problem.w_out[1:-1]) + np.diag(off, 1) + np.diag(off, -1)
+    X = np.linalg.solve(np.linalg.cholesky(A), np.diag(np.sqrt(problem.w_in[1:-1])))
+    return float(np.linalg.eigvalsh(X @ X.T)[-1])
 
 
 def reference_profile(n_cells):

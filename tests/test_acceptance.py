@@ -19,6 +19,7 @@ from dampedwave.diagnostics import CSV_COLUMNS
 
 from helpers import (
     LINEAR_DEMO_CFG,
+    dense_c_star,
     example1_profile,
     reference_data,
     reference_run_config,
@@ -160,7 +161,7 @@ def test_criterion_06_localized_norm_bound_all_runs(hypothesis_passing_labs):
 def test_criterion_07_poincare_constant_oracle_and_samples():
     problem = dw.poincare_problem(dw.Grid(-40.0, 40.0, 512), 1.0)
     estimate = dw.estimate_c_star(problem)
-    dense, _ = dw.dense_c_star(problem)
+    dense = dense_c_star(problem)
     rel = abs(estimate.c_star - dense) / dense
     assert rel < 1e-6, f"iterative vs dense C* differ by {rel:.2e}"
     report = dw.verify_poincare_on_samples(estimate, 1000, seed=42,

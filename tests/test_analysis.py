@@ -71,6 +71,13 @@ class TestFitDecay:
         with pytest.raises(FitError, match="E_u"):
             dw.fit_decay(records, "E_u", (10.0, 100.0))
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_claimed_rate_rejected(self, rate):
+        # a NaN rate would make sup_scaled NaN, not a named error
+        records = synthetic_records(lambda t: 1.0 / (1.0 + t), np.linspace(0, 100, 50))
+        with pytest.raises(FitError, match="claimed rate must be finite"):
+            dw.fit_decay(records, "E_u", (10.0, 100.0), claimed_rate=rate)
+
     def test_exact_zero_keeps_floor(self):
         records = synthetic_records(lambda t: 1.0 / (1.0 + t), np.linspace(0, 100, 50))
         records[30] = dataclasses.replace(records[30], E_u=0.0)
@@ -97,6 +104,23 @@ class TestLemma31:
         report = dw.check_lemma31(1.5, t_max=1000.0)
         assert report.sup_value == pytest.approx(2.0 * 1000.0 / 1002.0, rel=1e-6)
         assert report.sup_doubled == pytest.approx(2.0 * 2000.0 / 2002.0, rel=1e-6)
+
+    @pytest.mark.parametrize("theta, sup_value, sup_doubled", [
+        (1.0, 8.2282360362685534, 8.9410062050894030),
+        (1.5, 1.9960079828914732, 1.9980019962363977),
+    ])
+    def test_pinned_to_round_off(self, theta, sup_value, sup_doubled):
+        # the values scipy.integrate.simpson gave on the same meshes
+        report = dw.check_lemma31(theta, t_max=1000.0)
+        assert report.sup_value == pytest.approx(sup_value, rel=1e-15, abs=0.0)
+        assert report.sup_doubled == pytest.approx(sup_doubled, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("t", [0.01, 1.0, 37.0, 2000.0])
+    def test_simpson_exact_on_quadratics(self, t):
+        s = analysis._convolution_nodes(t, 2001)
+        assert len(s) % 2 == 1
+        for f, exact in ((np.ones_like(s), t), (s, t**2 / 2.0), (s**2, t**3 / 3.0)):
+            assert analysis._simpson(f, s) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_supercritical_theta_is_stable(self):
         report = dw.check_lemma31(1.5, t_max=1000.0)

@@ -367,6 +367,16 @@ class TestCli:
         assert cli.main(["fit", str(path), "--quantity", "G_k", "--window", "10", "30"]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_fit_non_finite_claimed_rate_exits_1(self, rate, tmp_path, capsys):
+        (tmp_path / "run.csv").write_text(
+            "t,E_u\n" + "".join(f"{t},{1.0 / (1.0 + t)}\n" for t in range(40)))
+        manifest = tmp_path / "run.manifest.json"
+        manifest.write_text(json.dumps({"files": {"csv": "run.csv"}}))
+        assert cli.main(["fit", str(manifest), "--claimed-rate", rate]) == cli.EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("cannot fit: claimed rate must be finite")
+
     def test_fit_negative_value_exits_1(self, tmp_path, capsys):
         rows = [",".join(cli.CSV_COLUMNS)]
         for t in np.linspace(0.0, 40.0, 41):
@@ -379,36 +389,6 @@ class TestCli:
         path.write_text("\n".join(rows) + "\n")
         assert cli.main(["fit", str(path), "--quantity", "E_u", "--window", "10", "30"]) == 1
         assert capsys.readouterr().out == ""
-
-    def test_plot_generates_four_panels(self, demo_config, tmp_path, capsys):
-        out = tmp_path / "out"
-        cli.main(["run", str(demo_config), "--out", str(out)])
-        assert cli.main(["plot", str(out / "demo.manifest.json")]) == 0
-        script = (out / "demo.plot.py").read_text()
-        for marker in ("energy decay", "solution norm", "multiplier functional",
-                       "identity residuals"):
-            assert marker in script
-
-    def test_plot_free_wave_has_slope_guide(self, tmp_path):
-        text = LINEAR_DEMO_CFG.replace(
-            "family = example1\nV0 = 0.01\nbeta = 2.0\nL = 1.0", "family = none").replace(
-            "family = plateau\neps1 = 1.0\nL = 1.0\nramp = sharp", "family = none").replace(
-            "u0_kind = gaussian", "u0_kind = zero").replace(
-            "u1_kind = zero", "u1_kind = gaussian\nu1_amplitude = 0.001\nu1_width = 1.0")
-        path = tmp_path / "free.cfg"
-        path.write_text(text)
-        out = tmp_path / "out"
-        assert cli.main(["run", str(path), "--out", str(out)]) == 0
-        assert cli.main(["plot", str(out / "free.manifest.json")]) == 0
-        script = (out / "free.plot.py").read_text()
-        assert "slope-1 guide" in script and "FREE_WAVE = True" in script
-
-    def test_plot_refuses_empty_series(self, tmp_path):
-        (tmp_path / "empty.csv").write_text(",".join(cli.CSV_COLUMNS) + "\n")
-        manifest = {"files": {"csv": "empty.csv"}, "coefficients": {}}
-        mpath = tmp_path / "empty.manifest.json"
-        mpath.write_text(json.dumps(manifest))
-        assert cli.main(["plot", str(mpath)]) == 1
 
     def test_missing_config_file(self):
         assert cli.main(["run", "/nonexistent/path.cfg"]) == 1
@@ -437,8 +417,7 @@ class TestUnreadableInput:
         out = capsys.readouterr()
         assert out.out == "" and "no column 't'" in out.err
 
-    @pytest.mark.parametrize("command, message", [
-        ("plot", "cannot read manifest: "), ("fit", "cannot read series: ")])
+    @pytest.mark.parametrize("command, message", [("fit", "cannot read series: ")])
     @pytest.mark.parametrize("text", ['{"coefficients": {}}', "[1, 2]", "not json"],
                              ids=["no_files", "not_an_object", "not_json"])
     def test_not_a_run_manifest_exits_1(self, command, message, text, tmp_path, capsys):

@@ -1,7 +1,7 @@
-"""Import footprint of `dampedwave` processes: a fresh `import dampedwave.cli`
-loads no SciPy and no multiprocessing, and the `validate`, `run` and
-`poincare` commands load no SciPy either; only the dense C* oracle and
-check_lemma31 import SciPy subpackages, when called."""
+"""Import footprint of `dampedwave` processes: no part of the package loads
+SciPy, not even check_lemma31's quadrature; a fresh `import dampedwave.cli`
+loads no multiprocessing either, and the `validate`, `run` and `poincare`
+commands load no SciPy."""
 
 import os
 import subprocess
@@ -27,6 +27,17 @@ def loaded_modules(code: str) -> set[str]:
 
 def scipy_modules(loaded: set[str]) -> list[str]:
     return sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
+
+
+def test_package_loads_no_scipy():
+    loaded = loaded_modules(
+        "import importlib, pkgutil, sys, dampedwave\n"
+        "for module in pkgutil.iter_modules(dampedwave.__path__):\n"
+        "    importlib.import_module(f'dampedwave.{module.name}')\n"
+        "dampedwave.check_lemma31(1.5, t_max=10.0)"
+    )
+    assert {"dampedwave.analysis", "dampedwave.cli", "dampedwave.spectral"} <= loaded
+    assert not scipy_modules(loaded), scipy_modules(loaded)
 
 
 def test_cli_import_leaves_unused_scipy_unloaded():
