@@ -169,14 +169,14 @@ def _scaled_convolution_sup(theta: float, t_max: float, n_quadrature: int) -> fl
     return sup
 
 
-def check_lemma31(theta: float, t_max: float = 1000.0, n_quadrature: int = 2001) -> Lemma31Report:
+def check_lemma31(theta: float, t_max: float = 1000.0) -> Lemma31Report:
     """Numeric sup over [0, t_max] of (1+t)^1/2 int_0^t (1+t-s)^-1/2 (1+s)^-theta ds,
     and the same sup on the doubled horizon. For theta > 1 the sup is finite
     and barely moves under doubling; for theta <= 1 it keeps growing, which
     rel_change exposes."""
     if theta <= 0:
         raise HypothesisError(f"theta must be positive, got {theta}")
-    n = n_quadrature | 1  # Simpson pairs need an odd point count
+    n = 2001  # quadrature points per integral; Simpson pairs need an odd count
     sup1 = _scaled_convolution_sup(theta, t_max, n)
     sup2 = _scaled_convolution_sup(theta, 2.0 * t_max, n)
     return Lemma31Report(

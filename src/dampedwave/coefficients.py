@@ -202,14 +202,13 @@ def build_damping_plateau(
     L: float,
     ramp: str,
     grid: Grid,
-    core_radius: float | None = None,
 ) -> np.ndarray:
     """Localized damping: zero on an inner core, exactly eps1 outside L.
 
     ramp="sharp" jumps from 0 to eps1 at |x| = L (core is all of |x| < L,
     the hardest case the theory allows). ramp="smooth" blends with a cubic
-    smoothstep between core_radius (default L/2) and L, staying monotone
-    and C1. Either way a is bounded by eps1 and meets the floor on |x| >= L.
+    smoothstep between L/2 and L, staying monotone and C1. Either way a is
+    bounded by eps1 and meets the floor on |x| >= L.
     """
     if eps1 <= 0 or L <= 0:
         raise HypothesisError("damping requires eps1 > 0 and L > 0")
@@ -217,10 +216,7 @@ def build_damping_plateau(
     if ramp == "sharp":
         return np.where(r >= L, eps1, 0.0)
     if ramp == "smooth":
-        r0 = L / 2 if core_radius is None else core_radius
-        if not 0 <= r0 < L:
-            raise HypothesisError(f"smooth ramp needs 0 <= core_radius < L, got {r0}")
-        s = np.clip((r - r0) / (L - r0), 0.0, 1.0)
+        s = np.clip((r - L / 2) / (L / 2), 0.0, 1.0)  # L - L/2 == L/2 exactly
         return eps1 * s * s * (3.0 - 2.0 * s)
     raise HypothesisError(f"unknown damping ramp {ramp!r} (use 'sharp' or 'smooth')")
 
@@ -383,13 +379,13 @@ def gaussian_bump(grid: Grid, amplitude: float, width: float, center: float = 0.
 
 
 def polynomial_bump(
-    grid: Grid, amplitude: float, radius: float, center: float = 0.0, power: int = 4
+    grid: Grid, amplitude: float, radius: float, center: float = 0.0
 ) -> np.ndarray:
-    """Compact C^(power-1) bump: amplitude * (1 - ((x-c)/R)^2)^power inside."""
+    """Compact C^3 bump: amplitude * (1 - ((x-c)/R)^2)^4 inside."""
     if radius <= 0:
         raise HypothesisError("polynomial bump needs radius > 0")
     s = (grid.x - center) / radius
-    return amplitude * np.where(np.abs(s) < 1.0, (1.0 - s**2) ** power, 0.0)
+    return amplitude * np.where(np.abs(s) < 1.0, (1.0 - s**2) ** 4, 0.0)
 
 
 def make_initial_data(
@@ -397,12 +393,11 @@ def make_initial_data(
     u0: np.ndarray,
     u1: np.ndarray,
     support_radius: float | None = None,
-    truncation_floor: float = TRUNCATION_FLOOR,
 ) -> InitialData:
     """Bundle data arrays, inferring and enforcing a compact support.
 
     With support_radius=None the radius is inferred as the largest |x_i|
-    where either field exceeds truncation_floor in magnitude; both fields
+    where either field reaches TRUNCATION_FLOOR in magnitude; both fields
     are then zeroed outside it. An explicit radius is enforced the same
     way. Pass support_radius=np.inf to declare genuinely unbounded data.
     """
@@ -413,7 +408,7 @@ def make_initial_data(
     if support_radius is not None and np.isinf(support_radius):
         return InitialData(u0, u1, None)
     if support_radius is None:
-        live = (np.abs(u0) >= truncation_floor) | (np.abs(u1) >= truncation_floor)
+        live = (np.abs(u0) >= TRUNCATION_FLOOR) | (np.abs(u1) >= TRUNCATION_FLOOR)
         support_radius = float(np.max(np.abs(grid.x[live]))) if live.any() else 0.0
     outside = np.abs(grid.x) > support_radius
     u0[outside] = 0.0

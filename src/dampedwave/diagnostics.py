@@ -220,6 +220,8 @@ class _Quadrature:
             out.cross = float(self.w_phi_x[s] @ np.multiply(u_t, ux, out=prod))
             out.pairing = float(w @ np.multiply(u, u_t, out=prod))
         if lemma25:
+            if state.v is None:
+                raise ConfigError("the Lemma 2.5 sums need a state with history (v)")
             v = state.v[s]
             vx = self._gradient(state.v, s)
             out.vx_sq = float(w @ np.multiply(vx, vx, out=prod))
@@ -264,23 +266,17 @@ class Lemma25Report:
     bound_ratio: float
 
 
-def check_lemma25(
-    state: WaveState,
-    profile: CoefficientProfile,
-    data: InitialData,
-    dissipation_v_cum: float,
-) -> Lemma25Report:
-    """Residual of the accumulated-field identity and the L2-bound ratio,
-    by the evaluation a Recorder with the data norms makes (NaN
-    throughout where V is not positive everywhere).
-
-    dissipation_v_cum is int_0^t int a |v_s|^2 = int_0^t int a |u|^2
-    (v_t = u), accumulated by the solver.
-    """
+def check_lemma25(state: WaveState, profile: CoefficientProfile,
+                  data: InitialData) -> Lemma25Report:
+    """Residual of the accumulated-field identity and the L2-bound ratio
+    of a state with history, by the evaluation a Recorder with the data
+    norms makes (NaN throughout where V is not positive everywhere). It
+    reads state.au2_cum = int_0^t int a |v_s|^2 = int_0^t int a |u|^2
+    (v_t = u); a state without history (v None) raises ConfigError."""
     norms = compute_data_norms(data, profile) if np.all(profile.V > 0.0) else None
     recorder = Recorder(profile, None, data, norms)
     sums = recorder._quad.sums(state, lemma25=recorder._v_positive)
-    return Lemma25Report(*recorder._lemma25(sums, dissipation_v_cum))
+    return Lemma25Report(*recorder._lemma25(sums, state.au2_cum))
 
 
 def check_lemma21(record: EnergyRecord, mc: MultiplierConfig,
@@ -291,8 +287,9 @@ def check_lemma21(record: EnergyRecord, mc: MultiplierConfig,
 
 class Recorder:
     """Stateful diagnostics hook for solver.run: builds one EnergyRecord
-    per record level. mc and norms may be None (hypothesis-failing runs);
-    the dependent columns then carry NaN."""
+    per record level from the state and the history it carries. mc and
+    norms may be None (hypothesis-failing runs); the dependent columns
+    then carry NaN."""
 
     #: solver.run keeps v and the cumulative integrals for this hook
     reads_history = True
@@ -323,8 +320,8 @@ class Recorder:
             return (float("nan"),) * 4
         return sums.lemma25(self._u0_sq, au2_cum, self._bound_denom)
 
-    def __call__(self, state: WaveState, dissipation_cum: float, au2_cum: float) -> EnergyRecord:
-        mc = self.mc
+    def __call__(self, state: WaveState) -> EnergyRecord:
+        mc, dissipation_cum, au2_cum = self.mc, state.dissipation_cum, state.au2_cum
         sums = self._quad.sums(state, multiplier=mc is not None, lemma25=self._v_positive)
         e_u = sums.energy
         if self._e0 is None:
@@ -357,11 +354,12 @@ class NormRecorder(Recorder):
     NormRecord), by the same formulas; for callers that read nothing else,
     such as a sweep's outcome classification. It reads no history, so
     solver.run marches it without v or the cumulative integrals: its
-    states carry v = None, and dissipation_cum and au2_cum are NaN."""
+    states, final_state included, carry v = None and NaN for
+    dissipation_cum and au2_cum."""
 
     reads_history = False
 
-    def __call__(self, state: WaveState, dissipation_cum: float, au2_cum: float) -> NormRecord:
+    def __call__(self, state: WaveState) -> NormRecord:
         sums = self._quad.sums(state)
         return NormRecord(t=state.t, energy_norm=sums.energy_norm,
                           l2_u=float(np.sqrt(sums.mass)))

@@ -30,22 +30,16 @@ Domains are sized so no signal reaches the boundary before t_end
 (unit propagation speed), making homogeneous Dirichlet truncation exact
 to machine precision for compactly supported data.
 
-The cumulative time integrals needed by the energy bookkeeping (the
-dissipation int a u_t^2, the damped mass int a u^2, and the accumulated
-field v = int_0^t u ds) are updated with a per-step trapezoid so their
-accuracy matches the scheme's order regardless of the record cadence.
-
-u_t at a level is reconstructed from the neighboring levels: exact u1 at
-t = 0, centered in the interior, one-sided second order at the end.
-
-History. v and the two cumulative integrals are the march's history. It
-is kept unless the hook says it reads none (reads_history = False, as
-NormRecorder does). Without it run() allocates no v, skips the v update
-and the two per-level integrals, and forms d = u^(k+1) - u^(k-1) only at
-record levels; the hook's states carry v = None and it gets NaN for both
-integrals. u, u_prev and u_t, and so every record a hook builds from
-them, are bit-identical either way. No hook, or a plain callable, keeps
-the history.
+History. The accumulated field v = int_0^t u ds and the cumulative
+integrals int_0^t int a u_t^2 (dissipation_cum) and int_0^t int a u^2
+(au2_cum) are the march's history. A per-step trapezoid updates them,
+so their accuracy matches the scheme's order whatever the record
+cadence, and every state run() hands out carries them. It is kept
+unless the hook says it reads none (reads_history = False, as
+NormRecorder does); then run() allocates no v, skips the v update and
+the two per-level integrals, and its states carry v = None and NaN for
+both integrals. u and u_t, and so every record a hook builds from them,
+are bit-identical either way.
 
 Light-cone window. The 3-point stencil moves information one node per
 step, the discrete form of unit propagation speed. The coefficients are
@@ -75,9 +69,9 @@ the mirror of its right half, so hooks still see whole even fields;
 RunResult.mirrored tells which march ran. A whole-grid march is not
 bitwise even (the stencil adds (u[i-1] - 2u[i]) + u[i+1] left to
 right, so a mirrored node sums in the other order); an even run's u,
-u_prev, u_t and v are bit-identical to the whole-grid march that
-overwrites the left half by the mirrored right half after every level,
-and any other run's to the plain whole-grid march.
+u_t and v are bit-identical to the whole-grid march that overwrites
+the left half by the mirrored right half after every level, and any
+other run's to the plain whole-grid march.
 
 Blowup screen. A level is bad when the window holds a non-finite value
 or one beyond BLOWUP_THRESHOLD in magnitude. The check first computes
@@ -85,28 +79,30 @@ dot(u, u) over the window: at most 1e16 (1 - 1e-6) proves max|u| <= 1e8
 (the margin covers the dot product's rounding), and nan or inf fail it.
 Only a window that fails the screen gets the exact max/min test.
 
-u_t. Each step with history forms d = u^(k+1) - u^(k-1) for level k in
-the u_t buffer; the dissipation panel uses (sum a w d^2) / (2 dt)^2. d
-is divided by 2 dt only where a reader sees u_t: at record levels with a
-hook, for the blowup state (rebuilt from the u ring) and at the end.
+u_t. One rule gives the u_t of every state run() hands out, from the u
+ring: u1 at level 0, (u^(k+1) - u^(k-1)) / (2 dt) in between, and at
+the last level n the one-sided (3u^n - 4u^(n-1) + u^(n-2)) / (2 dt), or
+(u^1 - u^0) / dt for a one-step run. The dissipation panel of a level
+between uses (sum a w d^2) / (2 dt)^2, d = u^(k+1) - u^(k-1) formed in
+a scratch array each step.
 
 Buffers. run() allocates its full-length arrays once: a ring of four u
-levels (a blowup at level k returns level k-2 with its predecessor k-3),
-two v levels (with history), one u_t, and the kernel's coefficients and
-scratch. Steps write into them in place and allocate no full-length
-array. Integer p evaluates |u|^p by repeated squaring (abs_power); other
-p use np.power.
+levels (the blowup state at level k-2 reads levels k-1 and k-3), and
+with history two v levels and one scratch, plus the kernel's
+coefficients and scratch. Steps write into them in place and allocate
+no full-length array. Integer p evaluates |u|^p by repeated squaring
+(abs_power); other p use np.power.
 
 Array contract. The WaveState a diagnostics hook receives, and
 RunResult.final_state, hold copies that no later step writes to; a hook
-may keep them. Full states are built only at record levels, at blowup
-and at the end; an even run builds them whole by mirroring its marched
-half. Their support field is a window [lo, hi) outside which u, u_prev,
-u_t and v vanish, and the diagnostics integrate only over it: the
-window of the next level for a record level (its u_t reads that level),
-of level k-1 for the blowup state, and the last window for the final
-state. An even run's window is symmetric, (n - hi, hi). A hand-built
-WaveState leaves support as None, the whole grid.
+may keep them. One builder in run() makes them, only at record levels,
+at blowup and at the end; an even run builds them whole by mirroring
+its marched half. Their support field is a window [lo, hi) outside
+which u, u_t and v vanish, and the diagnostics integrate only over it:
+the window of the next level for a record level (its u_t reads that
+level), of level k-1 for the blowup state, and the last window for the
+final state. An even run's window is symmetric, (n - hi, hi). A
+hand-built WaveState leaves support as None, the whole grid.
 """
 
 from __future__ import annotations
@@ -129,16 +125,16 @@ INSTABILITY = "instability"
 
 @dataclass
 class WaveState:
-    """Fields at one time level; v(0, x) = 0 by construction."""
+    """One time level and the march's history up to it (v(0, x) = 0);
+    without history v is None and the two integrals are NaN."""
 
     t: float
     u: np.ndarray
-    u_prev: np.ndarray | None
     u_t: np.ndarray
-    # None when the march kept no history (a hook with reads_history False)
-    v: np.ndarray | None
-    dt: float
-    # [lo, hi) outside which u, u_prev, u_t and v vanish; None: the whole grid
+    v: np.ndarray | None = None  # int_0^t u ds
+    dissipation_cum: float = math.nan  # int_0^t int a u_t^2
+    au2_cum: float = math.nan  # int_0^t int a u^2
+    # [lo, hi) outside which u, u_t and v vanish; None: the whole grid
     support: tuple[int, int] | None = None
 
 
@@ -375,12 +371,13 @@ def _is_even(config: RunConfig) -> bool:
 def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResult:
     """March the Cauchy problem to t_end.
 
-    diagnostics_hook(state, dissipation_cum, au2_cum) is called at every
-    record level (level 0 included); whatever it returns is appended to
-    RunResult.records. Blowup (the expected outcome for subcritical
-    semilinear data) and instability terminate the march with a tagged
-    time instead of raising; final_state is then level k-2 for a bad
-    level k.
+    diagnostics_hook(state) is called at every record level (level 0
+    included) with that level's WaveState; whatever it returns is
+    appended to RunResult.records. Blowup (the expected outcome for
+    subcritical semilinear data) and instability terminate the march with
+    a tagged time instead of raising; final_state is then level k-2 for a
+    bad level k. Every state, final_state included, carries the history
+    up to its level.
 
     A hook with reads_history = False gets states with v = None and NaN
     for dissipation_cum and au2_cum, and the march keeps no history (see
@@ -400,7 +397,6 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
         n_steps += record_every - rem  # uniform record cadence
     dt = config.t_end / n_steps
     half_dt, two_dt = 0.5 * dt, 2.0 * dt
-    two_dt_sq = two_dt * two_dt
 
     kernel = _StepKernel(profile, dt, config.p)
     mirrored = _is_even(config)
@@ -418,61 +414,65 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             f[:half] = f[:half:-1]
         return f
 
-    # level k lives in us[k % 4] and vs[k % 2]; u_t holds the newest
-    # finalized level's u_t, or in the march d = u^(k+1) - u^(k-1)
+    # level k lives in us[k % 4] and vs[k % 2]. Four u levels, because the
+    # blowup state at level k-2 takes its u_t from levels k-1 and k-3.
     us = [data.u0.copy()] + [np.zeros(n) for _ in range(3)]
-    u_t = data.u1.copy()
     if history:
         vs = [np.zeros(n), np.zeros(n)]
         a_weights = profile.a * profile.grid.weights
         if mirrored:  # a node at x > 0 stands for both halves
             a_weights[half + 1:] *= 2.0
-        squares = np.empty(n)
+        scratch = np.empty(n)  # d = u^(k+1) - u^(k-1), then squares
 
     dissipation_cum = au2_cum = 0.0 if history else math.nan
-    i_prev = 0.0
-    j_prev = 0.0
+    i_prev = j_prev = 0.0
     caller_errstate = np.geterr()
 
     def a_norm2(x: np.ndarray, w: slice) -> float:
-        return float(np.dot(a_weights[w], np.square(x[w], out=squares[w])))
+        return float(np.dot(a_weights[w], np.square(x[w], out=scratch[w])))
 
-    def snapshot(level: int, lo: int, hi: int) -> WaveState:
-        u_prev = mirror(us[(level - 1) % 4].copy()) if level > 0 else None
-        v = mirror(vs[level % 2].copy()) if history else None
-        return WaveState(t=level * dt, u=mirror(us[level % 4].copy()), u_prev=u_prev,
-                         u_t=mirror(u_t.copy()), v=v, dt=dt, support=(lo, hi))
-
-    def finalize(level: int, lo: int, hi: int, raw: bool) -> WaveState | None:
-        # a level is finalized once its u_t reconstruction exists; with
-        # history the cumulative integrals advance one trapezoid panel per
-        # level. With raw, u_t[w] holds d and becomes d / (2 dt) only at a
-        # record level.
+    def advance(level: int, w: slice, i_now: float) -> None:
+        # one trapezoid panel per level; i_now = sum a w u_t^2 at the level
         nonlocal dissipation_cum, au2_cum, i_prev, j_prev
-        w = part(lo, hi)
-        if history:
-            i_now = a_norm2(u_t, w)
-            if raw:
-                i_now /= two_dt_sq
-            j_now = a_norm2(us[level % 4], w)
-            if level > 0:
-                dissipation_cum += 0.5 * dt * (i_prev + i_now)
-                au2_cum += 0.5 * dt * (j_prev + j_now)
-            i_prev, j_prev = i_now, j_now
-        if diagnostics_hook is None or level % record_every:
-            return None
-        if raw:
-            np.divide(u_t[w], two_dt, out=u_t[w])
-        state = snapshot(level, lo, hi)
+        j_now = a_norm2(us[level % 4], w)
+        if level > 0:
+            dissipation_cum += 0.5 * dt * (i_prev + i_now)
+            au2_cum += 0.5 * dt * (j_prev + j_now)
+        i_prev, j_prev = i_now, j_now
+
+    def u_t_at(level: int, w: slice) -> np.ndarray:
+        """A handed-out level's u_t by the one rule (module docstring, u_t)."""
+        if level == 0:
+            return data.u1.copy()
+        u_t, back = np.zeros(n), us[(level - 1) % 4][w]
+        if level < n_steps:
+            u_t[w] = (us[(level + 1) % 4][w] - back) / two_dt
+        elif n_steps >= 2:
+            u_t[w] = (3.0 * us[level % 4][w] - 4.0 * back + us[(level - 2) % 4][w]) / two_dt
+        else:  # a single-step run cannot do one-sided second order
+            u_t[w] = (us[1][w] - back) / dt
+        return u_t
+
+    def state_at(level: int, lo: int, hi: int) -> WaveState:
+        """The one builder of the states run() hands out: level's fields,
+        copied and whole, and the history up to it."""
+        v = mirror(vs[level % 2].copy()) if history else None
+        return WaveState(t=level * dt, u=mirror(us[level % 4].copy()),
+                         u_t=mirror(u_t_at(level, part(lo, hi))), v=v,
+                         dissipation_cum=dissipation_cum, au2_cum=au2_cum, support=(lo, hi))
+
+    def record(state: WaveState) -> None:
         with np.errstate(**caller_errstate):
-            rec = diagnostics_hook(state, dissipation_cum, au2_cum)
+            rec = diagnostics_hook(state)
         if rec is not None:
             result.records.append(rec)
-        return state
 
     live = np.flatnonzero((data.u0 != 0.0) | (data.u1 != 0.0))
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-    finalize(0, lo, hi, raw=False)
+    if history:
+        advance(0, part(lo, hi), a_norm2(data.u1, part(lo, hi)))
+    if diagnostics_hook is not None:
+        record(state_at(0, lo, hi))
 
     # one error state for the whole march; hooks run under the caller's
     with np.errstate(**_QUIET):
@@ -496,27 +496,24 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             if _window_bad(u_new[w]):
                 kind = BLOWUP if config.p is not None else INSTABILITY
                 result.termination = Termination(kind, time=k * dt)
-                if k >= 3:  # level k-2's u_t, again from the ring
-                    prev = part(prev_lo, prev_hi)
-                    np.subtract(u_c[prev], us[(k - 3) % 4][prev], out=u_t[prev])
-                    np.divide(u_t[prev], two_dt, out=u_t[prev])
-                result.final_state = snapshot(max(k - 2, 0), prev_lo, prev_hi)
+                result.final_state = state_at(max(k - 2, 0), prev_lo, prev_hi)
                 return result
             if history:
                 v_new = vs[k % 2][w]
                 np.add(u_c[w], u_new[w], out=v_new)
                 np.multiply(v_new, half_dt, out=v_new)
                 np.add(vs[(k - 1) % 2][w], v_new, out=v_new)
-            if k >= 2 and (history or (k - 1) % record_every == 0):
-                np.subtract(u_new[w], u_p[w], out=u_t[w])
-                finalize(k - 1, lo, hi, raw=True)
+                if k >= 2:
+                    np.subtract(u_new[w], u_p[w], out=scratch[w])
+                    advance(k - 1, w, a_norm2(scratch, w) / (two_dt * two_dt))
+            if k >= 2 and diagnostics_hook is not None and (k - 1) % record_every == 0:
+                record(state_at(k - 1, lo, hi))
 
     w = part(lo, hi)
-    u_c, u_p = us[n_steps % 4][w], us[(n_steps - 1) % 4][w]
-    if n_steps >= 2:
-        u_t[w] = (3.0 * u_c - 4.0 * u_p + us[(n_steps - 2) % 4][w]) / (2.0 * dt)
-    else:  # a single-step run cannot do one-sided second order
-        u_t[w] = (u_c - data.u0[w]) / dt
-    result.final_state = finalize(n_steps, lo, hi, raw=False) or snapshot(n_steps, lo, hi)
+    if history:
+        advance(n_steps, w, a_norm2(u_t_at(n_steps, w), w))
+    result.final_state = state_at(n_steps, lo, hi)
+    if diagnostics_hook is not None:
+        record(result.final_state)
     result.termination = Termination(COMPLETED)
     return result

@@ -83,8 +83,12 @@ def sweep_spec(beta=2.0, V0=0.01, L=1.0, eps1=1.0, data_width=0.75, dx=0.05,
 
 @st.composite
 def centred_specs(draw):
-    """Valid specs of even problems: centred data on an explicit mirror grid
-    or an auto grid, every potential and damping family, with and without p."""
+    """Specs of even problems that check_spec and solver.run accept: centred
+    data on an explicit mirror grid or an auto grid, every potential and
+    damping family, with and without p. A p run gets an explicit support
+    radius R > L, as the semilinear theory needs: an inferred R can fall
+    to L or below on a coarse grid, or when u1 is drawn as zero. (The
+    profile's L is the drawn L, or 1.0 when neither coefficient names one.)"""
     L = draw(st.floats(0.5, 2.0))
     if draw(st.booleans()):
         X = draw(st.floats(3.0, 20.0))
@@ -110,7 +114,8 @@ def centred_specs(draw):
             u0=cfg.FieldSpec("gaussian", amplitude, draw(st.floats(0.3, 2.0))),
             u1=cfg.FieldSpec("bump", amplitude * draw(st.floats(-1.0, 1.0)),
                              draw(st.floats(L + 0.1, L + 3.0))),
-            support_radius=draw(st.none() | st.floats(1.0, 8.0))),
+            support_radius=draw(st.none() | st.floats(1.0, 8.0) if p is None
+                                else st.floats(max(L, 1.0) + 0.1, L + 6.0))),
         time=cfg.TimeSpec(t_end=draw(st.floats(0.2, 1.0)), cfl=draw(st.floats(0.5, 0.95)),
                           record_every=draw(st.integers(1, 4))),
         nonlinearity=(cfg.NonlinearitySpec() if p is None

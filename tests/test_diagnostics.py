@@ -30,9 +30,9 @@ def coarse_mc(coarse_profile):
     return dw.derive_multiplier_config(coarse_profile, c_star)
 
 
-def make_state(grid, u, u_t, v=None, t=0.0):
-    return solver.WaveState(t=t, u=u, u_prev=None, u_t=u_t,
-                            v=v if v is not None else np.zeros_like(u), dt=0.01)
+def make_state(grid, u, u_t, v=None, t=0.0, dissipation_cum=0.0, au2_cum=0.0):
+    return solver.WaveState(t=t, u=u, u_t=u_t, v=v if v is not None else np.zeros_like(u),
+                            dissipation_cum=dissipation_cum, au2_cum=au2_cum)
 
 
 class TestMultiplierConfig:
@@ -166,7 +166,7 @@ class TestLemma25:
         u0 = dw.gaussian_bump(grid, 1e-3, 1.0)
         data = dw.make_initial_data(grid, u0, np.zeros(grid.n_nodes))
         state = make_state(grid, u0.copy(), np.zeros(grid.n_nodes))
-        report = dw.check_lemma25(state, coarse_profile, data, 0.0)
+        report = dw.check_lemma25(state, coarse_profile, data)
         half = 0.5 * grid.integrate(u0**2)
         assert report.lhs == pytest.approx(half, rel=1e-12)
         assert report.rhs == pytest.approx(half, rel=1e-12)
@@ -184,7 +184,8 @@ class TestLemma25:
         rec = medium_lab.records[-1]
         state = medium_lab.result.final_state
         run = medium_lab.run_config
-        report = dw.check_lemma25(state, run.profile, run.data, rec.au2_cum)
+        assert state.au2_cum == rec.au2_cum
+        report = dw.check_lemma25(state, run.profile, run.data)
         assert report.residual == rec.lemma25_residual
         assert report.bound_ratio == rec.lemma25_ratio
 
@@ -197,11 +198,41 @@ class TestLemma25:
         data = dw.make_initial_data(grid, u0, dw.gaussian_bump(grid, amplitude / 3, 2.0))
         recorder = dw.Recorder(coarse_profile, None, data,
                                dw.compute_data_norms(data, coarse_profile))
-        state = make_state(grid, 0.5 * u0, data.u1.copy(), v=0.1 * u0)
-        rec = recorder(state, 0.0, 0.02 * amplitude**2)
-        report = dw.check_lemma25(state, coarse_profile, data, 0.02 * amplitude**2)
+        state = make_state(grid, 0.5 * u0, data.u1.copy(), v=0.1 * u0,
+                           au2_cum=0.02 * amplitude**2)
+        rec = recorder(state)
+        report = dw.check_lemma25(state, coarse_profile, data)
         assert (report.residual, report.bound_ratio) == (rec.lemma25_residual,
                                                          rec.lemma25_ratio)
+
+
+class TestHistory:
+    """The totals a state carries are the ones the records report."""
+
+    def test_final_state_carries_the_last_records_totals(self, medium_lab):
+        final, last = medium_lab.result.final_state, medium_lab.records[-1]
+        assert final.t == last.t
+        assert (final.dissipation_cum, final.au2_cum) == (last.dissipation_cum, last.au2_cum)
+
+    def test_march_without_a_hook_gives_the_same_totals(self, medium_lab):
+        final, last = solver.run(medium_lab.run_config).final_state, medium_lab.records[-1]
+        assert (final.dissipation_cum, final.au2_cum) == (last.dissipation_cum, last.au2_cum)
+
+    def test_state_without_history_is_a_named_error(self):
+        # a NormRecorder march keeps no v, so the Lemma 2.5 sums cannot be taken
+        grid = solver.domain_for_radius(2.0, 1.0, 0.05, 1.0)
+        profile = example1_profile(grid)
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0),
+                                    np.zeros(grid.n_nodes))
+        result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=3.0),
+                            NormRecorder(profile, None, data, None))
+        final = result.final_state
+        assert final.v is None
+        with pytest.raises(ConfigError, match="history"):
+            dw.check_lemma25(final, profile, data)
+        recorder = dw.Recorder(profile, None, data, dw.compute_data_norms(data, profile))
+        with pytest.raises(ConfigError, match="history"):
+            recorder(final)
 
 
 class TestLemma21:
@@ -210,7 +241,7 @@ class TestLemma21:
         z = np.zeros(grid.n_nodes)
         recorder = dw.Recorder(coarse_profile, coarse_mc,
                                dw.make_initial_data(grid, z, z), None)
-        rec = recorder(make_state(grid, z, z), 0.0, 0.0)
+        rec = recorder(make_state(grid, z, z))
         assert dw.check_lemma21(rec, coarse_mc)
 
     def test_concentrated_bump_strictly_below_bound(self, coarse_profile, coarse_mc):
@@ -221,7 +252,7 @@ class TestLemma21:
         u = dw.gaussian_bump(grid, 1.0, 0.15)
         recorder = dw.Recorder(coarse_profile, coarse_mc,
                                dw.make_initial_data(grid, u.copy(), np.zeros_like(u)), None)
-        rec = recorder(make_state(grid, u, np.zeros_like(u)), 0.0, 0.0)
+        rec = recorder(make_state(grid, u, np.zeros_like(u)))
         assert dw.check_lemma21(rec, coarse_mc)
         ratio = rec.l2_local / ((2.0 / coarse_mc.V_L) * rec.E_u)
         assert 0.0 < ratio < coarse_mc.V_L / coarse_profile.v_at_origin
@@ -299,12 +330,13 @@ class TestRecorder:
             assert (norm.t, norm.energy_norm, norm.l2_u) == (rec.t, rec.energy_norm, rec.l2_u)
 
 
-def full_grid_record(profile, mc, data, norms, state, dissipation_cum, au2_cum, e0):
+def full_grid_record(profile, mc, data, norms, state, e0):
     """The Recorder's fields by whole-grid formulas: np.gradient for u_x
     and v_x, Grid.integrate for every integral."""
     grid, V, a = profile.grid, profile.V, profile.a
     integrate = grid.integrate
     u, u_t, v = state.u, state.u_t, state.v
+    dissipation_cum, au2_cum = state.dissipation_cum, state.au2_cum
     ux = np.gradient(u, grid.dx, edge_order=2)
     vx = np.gradient(v, grid.dx, edge_order=2)
     kinetic, gradient, potential = integrate(u_t**2), integrate(ux**2), integrate(V * u**2)
@@ -327,18 +359,17 @@ def full_grid_record(profile, mc, data, norms, state, dissipation_cum, au2_cum, 
     )
 
 
-def assert_recorder_matches_full_grid(profile, data, calls):
-    """A fresh Recorder over calls = [(state, dissipation_cum, au2_cum)]
-    agrees with full_grid_record: 1e-13 relative, the two residuals 1e-13
+def assert_recorder_matches_full_grid(profile, data, states):
+    """A fresh Recorder over the states agrees with full_grid_record: 1e-13 relative, the two residuals 1e-13
     absolute (identity_residual in units of E_u(0))."""
     c_star = dw.estimate_c_star(dw.poincare_problem(profile.grid, profile.L)).c_star
     mc = dw.derive_multiplier_config(profile, c_star)
     norms = dw.compute_data_norms(data, profile)
     recorder = dw.Recorder(profile, mc, data, norms)
     e0 = None
-    for state, dissipation_cum, au2_cum in calls:
-        got = recorder(state, dissipation_cum, au2_cum)
-        want = full_grid_record(profile, mc, data, norms, state, dissipation_cum, au2_cum, e0)
+    for state in states:
+        got = recorder(state)
+        want = full_grid_record(profile, mc, data, norms, state, e0)
         e0 = want["E_u"] if e0 is None else e0
         for name, value in want.items():
             if name == "identity_residual":
@@ -357,24 +388,23 @@ class TestRecorderOracle:
         profile = example1_profile(grid)
         data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0),
                                     dw.polynomial_bump(grid, 0.25, 1.5))
-        calls = []
+        states = []
         solver.run(solver.RunConfig(profile=profile, data=data, t_end=3.0, p=3.0,
-                                    record_every=3),
-                   lambda state, d, a2: calls.append((state, d, a2)))
-        lo, hi = calls[-1][0].support
+                                    record_every=3), states.append)
+        lo, hi = states[-1].support
         assert 0 < lo and hi < grid.n_nodes
-        assert_recorder_matches_full_grid(profile, data, calls)
+        assert_recorder_matches_full_grid(profile, data, states)
 
     def test_states_of_a_run_with_support_on_both_ends(self):
         grid = dw.Grid(-5.0, 5.0, 200)
         profile = example1_profile(grid)
         data = dw.InitialData(np.exp(-((grid.x + 4.0) ** 2)),
                               np.exp(-((grid.x - 4.0) ** 2)), 10.0)
-        calls = []
+        states = []
         solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, record_every=2),
-                   lambda state, d, a2: calls.append((state, d, a2)))
-        assert calls[0][0].support == (0, grid.n_nodes)
-        assert_recorder_matches_full_grid(profile, data, calls)
+                   states.append)
+        assert states[0].support == (0, grid.n_nodes)
+        assert_recorder_matches_full_grid(profile, data, states)
 
     @pytest.mark.parametrize("support", [None, (0, 0), (0, 101), (1, 100), (2, 99),
                                          (3, 98), (40, 41), (40, 60), (97, 101)])
@@ -391,8 +421,7 @@ class TestRecorderOracle:
         fields[:, :lo] = fields[:, hi:] = 0.0
         u, u_t, v = fields
         data = dw.InitialData(rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n), None)
-        state = solver.WaveState(t=0.5, u=u, u_prev=None, u_t=u_t, v=v, dt=0.01,
+        state = solver.WaveState(t=0.5, u=u, u_t=u_t, v=v, dissipation_cum=0.3, au2_cum=0.2,
                                  support=support)
         first = make_state(grid, data.u0.copy(), data.u1.copy())
-        assert_recorder_matches_full_grid(profile, data, [(first, 0.0, 0.0),
-                                                          (state, 0.3, 0.2)])
+        assert_recorder_matches_full_grid(profile, data, [first, state])

@@ -34,7 +34,7 @@ def march(spec, t_end):
     profile, data = cfg.build_problem(spec)
     states = []
     result = solver.run(cfg.run_config_from_spec(spec, profile, data),
-                        lambda state, d, a2: states.append(state))
+                        lambda state: states.append(state))
     return (profile.grid, profile, data), result, states + [result.final_state]
 
 
@@ -115,6 +115,6 @@ class TestMirrorProperty:
         for state in states:
             lo, hi = state.support
             assert lo == n - hi or lo == hi == 0
-            for name in ("u", "u_prev", "u_t", "v"):
+            for name in ("u", "u_t", "v"):
                 f = getattr(state, name)
                 assert f is None or is_palindrome(f), name

@@ -66,12 +66,31 @@ class TestCompareDirs:
         assert got["extra.csv"] == "written by the change only"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_PATHS = sorted((ROOT / "configs").glob("*.cfg"))
+
+
 def test_sweep_command_comes_from_the_benchmark():
-    root = Path(__file__).resolve().parents[1]
-    sweep = same_outputs.sweep_args(root)
-    argv = same_outputs.commands(root, Path("/out"), sweep)
-    assert [a[0] for a in argv] == ["run"] * len(list((root / "configs").glob("*.cfg"))) + [
-        "sweep"]
+    sweep = same_outputs.sweep_args(ROOT)
+    argv = same_outputs.commands(ROOT, Path("/out"), sweep)
+    assert [a[0] for a in argv] == ["run"] * len(CONFIG_PATHS) + [
+        "validate"] * len(CONFIG_PATHS) + ["sweep"]
+    assert [a for a in argv if a[0] == "validate"] == [
+        ["validate", str(path), "--json"] for path in CONFIG_PATHS]
     assert argv[-1] == ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
                         "--dx", "0.02", "--t-end", "40", "--workers", "2", "--out", "/out",
                         "--name", "sweep_pxI0"]
+
+
+def test_validate_stdout_and_exit_status_are_kept(tmp_path, monkeypatch):
+    # only the validate commands, from this checkout: freewave_demo fails
+    # its hypotheses by design and exits 2
+    commands = same_outputs.commands
+    monkeypatch.setattr(same_outputs, "commands", lambda *args: [
+        argv for argv in commands(*args) if argv[0] == "validate"])
+    codes = same_outputs.write_outputs(ROOT, tmp_path, [])
+    assert codes == {f"validate {path.name}": 2 if path.stem == "freewave_demo" else 0
+                     for path in CONFIG_PATHS}
+    for path in CONFIG_PATHS:
+        text = (tmp_path / f"{path.stem}.validate.txt").read_text()
+        assert text.splitlines()[-1].startswith('{"c_star": ')

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import dampedwave as dw
+from dampedwave import config as cfg
 from dampedwave import solver
 from dampedwave.diagnostics import NormRecord, NormRecorder
 from dampedwave.errors import ConfigError
 
-from helpers import example1_profile, reference_data, reference_run_config
+from helpers import centred_specs, example1_profile, reference_data, reference_run_config
 
 
 def dalembert_error(n_cells, t_end=5.0, sigma=0.5):
@@ -127,7 +129,7 @@ class TestRunControl:
         data = reference_data(grid, width=0.5)
         result = solver.run(
             solver.RunConfig(profile=profile, data=data, t_end=3.0, record_every=7),
-            diagnostics_hook=lambda state, d, a2: state.t,
+            diagnostics_hook=lambda state: state.t,
         )
         times = np.array(result.records)
         assert result.n_steps % 7 == 0
@@ -185,7 +187,7 @@ class TestRunControl:
                                   t_end=5.0, p=1000.0)
         seen = []
         with np.errstate(all="raise"):
-            result = solver.run(config, lambda state, d, a2: seen.append(np.geterr()))
+            result = solver.run(config, lambda state: seen.append(np.geterr()))
             assert np.geterr()["over"] == "raise"
         assert result.termination.kind == solver.BLOWUP
         assert result.termination.time == result.dt
@@ -219,18 +221,33 @@ def oracle_levels(config, dt, n_levels, mirrored=False):
     return levels
 
 
+def oracle_u_t(levels, level, dt, u1, final=False):
+    """u_t at a level, reconstructed the way run() documents."""
+    if level == 0:
+        return u1
+    if final:
+        return (3.0 * levels[level] - 4.0 * levels[level - 1] + levels[level - 2]) / (2.0 * dt)
+    return (levels[level + 1] - levels[level - 1]) / (2.0 * dt)
+
+
 def oracle_fields(levels, level, dt, u1, final=False):
     """(u, u_t, v) at a level, reconstructed the way run() documents."""
     v = np.zeros_like(levels[0])
     for k in range(1, level + 1):
         v = v + 0.5 * dt * (levels[k - 1] + levels[k])
-    if level == 0:
-        u_t = u1
-    elif final:
-        u_t = (3.0 * levels[level] - 4.0 * levels[level - 1] + levels[level - 2]) / (2.0 * dt)
-    else:
-        u_t = (levels[level + 1] - levels[level - 1]) / (2.0 * dt)
-    return levels[level], u_t, v
+    return levels[level], oracle_u_t(levels, level, dt, u1, final), v
+
+
+def oracle_totals(config, levels, dt, level, final=False):
+    """(dissipation_cum, au2_cum) at a level: the trapezoid in time of the
+    whole-grid sums of a w u_t^2 and a w u^2 over levels 0 .. level."""
+    a_w = config.profile.a * config.profile.grid.weights
+    u1 = config.data.u1
+    kinetic = [a_w @ oracle_u_t(levels, j, dt, u1, final and j == level) ** 2
+               for j in range(level + 1)]
+    mass = [a_w @ levels[j] ** 2 for j in range(level + 1)]
+    return tuple(sum(0.5 * dt * (f[j - 1] + f[j]) for j in range(1, level + 1))
+                 for f in (kinetic, mass))
 
 
 def light_cone(data, level):
@@ -242,12 +259,14 @@ def light_cone(data, level):
     return max(int(live[0]) - level, 0), min(int(live[-1]) + 1 + level, data.u0.size)
 
 
-def assert_state_matches(state, levels, dt, data, final=False, window_level=None,
+def assert_state_matches(state, levels, dt, config, final=False, window_level=None,
                          mirrored=False):
-    """The state's fields equal the oracle's, and its support is the
-    documented window: window_level's, by default the next level's for a
-    record state (level 0 reads only u1: its own) and the last one's for
-    the final state; symmetric, (n - hi, hi), in an even run."""
+    """The state's fields equal the oracle's and its history totals the
+    oracle's to round-off, and its support is the documented window:
+    window_level's, by default the next level's for a record state
+    (level 0 reads only u1: its own) and the last one's for the final
+    state; symmetric, (n - hi, hi), in an even run."""
+    data = config.data
     level = round(state.t / dt)
     if window_level is None:
         window_level = level if final or level == 0 else level + 1
@@ -255,17 +274,16 @@ def assert_state_matches(state, levels, dt, data, final=False, window_level=None
     assert (lo, hi) == light_cone(data, window_level), f"window at level {level}"
     if mirrored:
         assert lo == data.u0.size - hi
-    for name in ("u", "u_prev", "u_t", "v"):
+    for name in ("u", "u_t", "v"):
         f = getattr(state, name)
         assert f is None or not (f[:lo].any() or f[hi:].any()), f"{name} outside support"
     u, u_t, v = oracle_fields(levels, level, dt, data.u1, final)
     assert np.array_equal(state.u, u), f"u differs at level {level}"
     assert np.array_equal(state.u_t, u_t), f"u_t differs at level {level}"
     assert np.array_equal(state.v, v), f"v differs at level {level}"
-    if level > 0:
-        assert np.array_equal(state.u_prev, levels[level - 1])
-    else:
-        assert state.u_prev is None
+    totals = oracle_totals(config, levels, dt, level, final)
+    assert (state.dissipation_cum, state.au2_cum) == pytest.approx(totals, rel=1e-12), \
+        f"history differs at level {level}"
 
 
 # an off-centre bump makes a run that is not even: it marches the whole line
@@ -296,7 +314,7 @@ def check_final_state(config, mirrored):
     assert result.termination.kind == solver.COMPLETED
     assert result.mirrored is mirrored
     levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
-    assert_state_matches(result.final_state, levels, result.dt, config.data, final=True,
+    assert_state_matches(result.final_state, levels, result.dt, config, final=True,
                          mirrored=mirrored)
     # the window never reached the ends, so the skipped nodes were live zeros
     assert np.all(result.final_state.u[:5] == 0.0) and np.all(result.final_state.u[-5:] == 0.0)
@@ -310,7 +328,7 @@ def check_blowup_state(config, mirrored):
     state = result.final_state
     assert round(state.t / result.dt) == k - 2
     levels = oracle_levels(config, result.dt, k - 1, mirrored)
-    assert_state_matches(state, levels, result.dt, config.data, window_level=k - 1,
+    assert_state_matches(state, levels, result.dt, config, window_level=k - 1,
                          mirrored=mirrored)
 
 
@@ -318,26 +336,26 @@ def check_blowup_record_levels(config, mirrored):
     # with a hook at every level, level k-2's u_t was already divided
     # by 2 dt for its record before the blowup state rebuilds it
     kept = []
-    result = solver.run(config, lambda state, d, a2: kept.append(state))
+    result = solver.run(config, lambda state: kept.append(state))
     assert result.mirrored is mirrored
     k = round(result.termination.time / result.dt)
     assert round(kept[-1].t / result.dt) == round(result.final_state.t / result.dt) == k - 2
     levels = oracle_levels(config, result.dt, k - 1, mirrored)
     for state in kept:
-        assert_state_matches(state, levels, result.dt, config.data, mirrored=mirrored)
-    assert_state_matches(result.final_state, levels, result.dt, config.data,
+        assert_state_matches(state, levels, result.dt, config, mirrored=mirrored)
+    assert_state_matches(result.final_state, levels, result.dt, config,
                          window_level=k - 1, mirrored=mirrored)
 
 
 def check_kept_states(config, mirrored):
     kept = []
-    result = solver.run(config, lambda state, d, a2: kept.append(state))
+    result = solver.run(config, lambda state: kept.append(state))
     assert len(kept) == result.n_steps + 1
     assert result.mirrored is mirrored
     levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
     for state in kept[:-1]:
-        assert_state_matches(state, levels, result.dt, config.data, mirrored=mirrored)
-    assert_state_matches(kept[-1], levels, result.dt, config.data, final=True,
+        assert_state_matches(state, levels, result.dt, config, mirrored=mirrored)
+    assert_state_matches(kept[-1], levels, result.dt, config, final=True,
                          mirrored=mirrored)
 
 
@@ -398,7 +416,8 @@ class TestWindowedMarch:
         kept = []
         result = solver.run(solver.RunConfig(profile=example1_profile(grid), data=data,
                                              t_end=2.0, p=3.0, record_every=4),
-                            lambda state, d, a2: kept.append((state.u.any(), d, a2)))
+                            lambda state: kept.append((state.u.any(), state.dissipation_cum,
+                                                       state.au2_cum)))
         assert len(kept) == result.n_steps // 4 + 1
         assert all(record == (False, 0.0, 0.0) for record in kept)
         final = result.final_state
@@ -414,12 +433,12 @@ class TestWindowedMarch:
         data = dw.InitialData(u0, u1, 10.0)
         config = solver.RunConfig(profile=profile, data=data, t_end=1.0, record_every=1)
         kept = []
-        result = solver.run(config, lambda state, d, a2: kept.append(state))
+        result = solver.run(config, lambda state: kept.append(state))
         levels = oracle_levels(config, result.dt, result.n_steps)
         assert u0[0] != 0.0 and kept[1].v[0] != 0.0
         for state in kept[:-1]:
-            assert_state_matches(state, levels, result.dt, data)
-        assert_state_matches(result.final_state, levels, result.dt, data, final=True)
+            assert_state_matches(state, levels, result.dt, config)
+        assert_state_matches(result.final_state, levels, result.dt, config, final=True)
 
 
 def unfused_step(u, u_prev, profile, dt, p):
@@ -468,9 +487,9 @@ class RecordingNormRecorder(NormRecorder):
         super().__init__(config.profile, None, config.data, None)
         self.calls = []
 
-    def __call__(self, state, dissipation_cum, au2_cum):
-        self.calls.append((state, dissipation_cum, au2_cum))
-        return super().__call__(state, dissipation_cum, au2_cum)
+    def __call__(self, state):
+        self.calls.append(state)
+        return super().__call__(state)
 
 
 class TestNoHistory:
@@ -491,9 +510,9 @@ class TestNoHistory:
         plain = NormRecorder(config.profile, None, config.data, None)
         full_states = []
 
-        def full_hook(state, d, a2):  # a plain callable keeps the history
+        def full_hook(state):  # a plain callable keeps the history
             full_states.append(state)
-            return plain(state, d, a2)
+            return plain(state)
         full = solver.run(config, full_hook)
 
         assert result.termination == full.termination
@@ -501,14 +520,53 @@ class TestNoHistory:
         assert result.records == full.records
         assert all(isinstance(r, NormRecord) for r in result.records)
         assert len(lean.calls) == len(full_states)
-        for (state, d, a2), ref in zip(lean.calls + [(result.final_state, math.nan, math.nan)],
-                                       full_states + [full.final_state]):
+        for state, ref in zip(lean.calls + [result.final_state],
+                              full_states + [full.final_state]):
             assert state.v is None and ref.v is not None
-            assert math.isnan(d) and math.isnan(a2)
+            assert math.isnan(state.dissipation_cum) and math.isnan(state.au2_cum)
+            assert math.isfinite(ref.dissipation_cum) and math.isfinite(ref.au2_cum)
             assert state.t == ref.t and state.support == ref.support
-            for name in ("u", "u_prev", "u_t"):
-                a, b = getattr(state, name), getattr(ref, name)
-                assert (a is None and b is None) or np.array_equal(a, b), name
+            for name in ("u", "u_t"):
+                assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+
+
+class TestHistory:
+    """Every state run() hands out carries the march's history up to its
+    level (v and the two cumulative integrals), or NaN without one."""
+
+    @pytest.mark.parametrize("center", [0.0, OFF_CENTRE], ids=["even", "off-centre"])
+    def test_blowup_final_state_carries_the_totals_of_its_record(self, center):
+        kept = []
+        result = solver.run(blowup_config(record_every=1, center=center), kept.append)
+        assert result.termination.kind == solver.BLOWUP
+        final, seen = result.final_state, kept[-1]
+        assert final.t == seen.t
+        assert (final.dissipation_cum, final.au2_cum) == (seen.dissipation_cum, seen.au2_cum)
+        assert seen.dissipation_cum > 0.0 and seen.au2_cum > 0.0
+
+    @pytest.mark.parametrize("config", [bump_config(3.0, 0.5, record_every=7),
+                                        blowup_config(record_every=10)],
+                             ids=["completed", "blowup"])
+    def test_norm_recorder_states_carry_nan(self, config):
+        lean = RecordingNormRecorder(config)
+        result = solver.run(config, lean)
+        assert len(lean.calls) > 1
+        for state in lean.calls + [result.final_state]:
+            assert state.v is None
+            assert math.isnan(state.dissipation_cum) and math.isnan(state.au2_cum)
+
+
+class TestDrawnSpecs:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(spec=centred_specs())
+    def test_every_centred_spec_builds_and_marches(self, spec):
+        # the test strategy draws only specs the march accepts; the
+        # rejection of R <= L itself is test_semilinear_needs_support_beyond_core
+        profile, data = cfg.build_problem(spec)
+        result = solver.run(cfg.run_config_from_spec(spec, profile, data))
+        assert result.termination.kind in (solver.COMPLETED, solver.BLOWUP)
+        final = result.final_state
+        assert math.isfinite(final.dissipation_cum) and math.isfinite(final.au2_cum)
 
 
 class TestWindowBad:

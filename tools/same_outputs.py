@@ -3,10 +3,11 @@
     python3 tools/same_outputs.py --parent DIR --change DIR
 
 From each checkout, with its own src/ on PYTHONPATH and
-OPENBLAS_NUM_THREADS=1, runs `dampedwave run` on every configs/*.cfg of
-that checkout and the sweep_pxI0 command line of the change's
-bench/common.py with --workers 2. Then it prints one line per output
-file: "identical" when the bytes agree; for a CSV that differs, the
+OPENBLAS_NUM_THREADS=1, runs `dampedwave run` and `dampedwave validate
+--json` on every configs/*.cfg of that checkout (validate's stdout is
+saved as <config stem>.validate.txt) and the sweep_pxI0 command line of
+the change's bench/common.py with --workers 2. Then it prints one line
+per output file: "identical" when the bytes agree; for a CSV that differs, the
 column with the largest relative difference and the number of cells
 that differ; for any other file, the first line that differs. A file
 written on one side only, or a command whose exit status differs,
@@ -39,10 +40,14 @@ def sweep_args(checkout: Path) -> list[str]:
 
 
 def commands(checkout: Path, out_dir: Path, sweep: list[str]) -> list[list[str]]:
-    """dampedwave argument lists: one run per config, then the sweep."""
+    """dampedwave argument lists: one run per config, one validate --json
+    per config, then the sweep."""
     out = ["--out", str(out_dir)]
-    runs = [["run", str(path), *out] for path in sorted((checkout / "configs").glob("*.cfg"))]
-    return runs + [["sweep", *sweep, "--workers", SWEEP_WORKERS, *out, "--name", SWEEP_WORKLOAD]]
+    configs = sorted((checkout / "configs").glob("*.cfg"))
+    runs = [["run", str(path), *out] for path in configs]
+    validates = [["validate", str(path), "--json"] for path in configs]
+    return runs + validates + [
+        ["sweep", *sweep, "--workers", SWEEP_WORKERS, *out, "--name", SWEEP_WORKLOAD]]
 
 
 def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, int]:
@@ -54,9 +59,11 @@ def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, 
     for argv in commands(checkout, out_dir, sweep):
         proc = subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv], cwd=checkout,
                               env=env, capture_output=True, text=True)
-        label = f"run {Path(argv[1]).name}" if argv[0] == "run" else argv[0]
+        label = "sweep" if argv[0] == "sweep" else f"{argv[0]} {Path(argv[1]).name}"
         codes[label] = proc.returncode
-        if proc.returncode not in (0, 3):
+        if argv[0] == "validate":  # exits 2 where a hypothesis fails
+            (out_dir / f"{Path(argv[1]).stem}.validate.txt").write_text(proc.stdout)
+        elif proc.returncode not in (0, 3):
             sys.stderr.write(f"{checkout}: dampedwave {label} exited {proc.returncode}\n"
                              f"{proc.stderr}")
     return codes
