@@ -18,7 +18,10 @@ theta = (p-1)/(2p), probed on random smoothed samples.
 
 A semilinear sweep is a base RunSpec: each (p, I0) cell is the base with
 |u|^p, built by config.build_problem as for `dampedwave run`, its data
-rescaled to I0.
+rescaled to I0. A cell's outcome reads only ||u|| and the energy norm,
+so it marches without history (solver.RunConfig.history = False) under
+the Recorder `dampedwave run` uses; the columns that need history are
+NaN.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from . import config as cfg
 from . import solver
 from .coefficients import CoefficientProfile, Grid, InitialData, compute_data_norms
-from .diagnostics import EnergyRecord, NormRecord, NormRecorder
+from .diagnostics import EnergyRecord, Recorder
 from .errors import ConfigError, FitError, HypothesisError
 from .spectral import smoothed_noise
 
@@ -50,14 +53,14 @@ class FitResult:
     claimed_rate: float
 
 
-def record_columns(records: list[EnergyRecord | NormRecord]) -> dict[str, np.ndarray]:
+def record_columns(records: list[EnergyRecord]) -> dict[str, np.ndarray]:
     """The fields of a run's records as named columns."""
     names = [f.name for f in fields(records[0])] if records else []
     return {name: np.array([getattr(r, name) for r in records]) for name in names}
 
 
 def fit_decay(
-    records: list[EnergyRecord | NormRecord],
+    records: list[EnergyRecord],
     quantity: str,
     window: tuple[float, float],
     claimed_rate: float = 1.0,
@@ -268,7 +271,7 @@ def scale_data_to_i0(
     return InitialData(data.u0 * s, data.u1 * s, data.support_radius)
 
 
-def _bounded(records: list[EnergyRecord | NormRecord]) -> bool:
+def _bounded(records: list[EnergyRecord]) -> bool:
     """Sweep notion of boundedness: the last-quartile max of ||u|| does not
     exceed the first-quartile max by more than 10% (plus an absolute floor
     so the zero solution passes)."""
@@ -310,8 +313,8 @@ def _run_sweep_cell(p: float, i0: float, spec: cfg.RunSpec) -> str:
     spec = replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p))
     profile, data = cfg.build_problem(spec)
     data = scale_data_to_i0(data, profile, i0)
-    result = solver.run(cfg.run_config_from_spec(spec, profile, data),
-                        NormRecorder(profile, None, data, None))
+    run_config = replace(cfg.run_config_from_spec(spec, profile, data), history=False)
+    result = solver.run(run_config, Recorder(profile, None, data, None))
     return classify_outcome(result, spec.time.t_end)
 
 

@@ -4,7 +4,7 @@ Exit-status contract (stable for harnesses):
     0  success (including completed runs that end in a tagged blowup,
        which is an expected semilinear outcome)
     1  general error (missing or unreadable files, a CSV or manifest
-       that is not a run's, empty series)
+       that is not a run's, empty series, stdout closed by the reader)
     2  validation failure (hypothesis or configuration problems, a
        config that is not UTF-8 text)
     3  runtime instability
@@ -357,6 +357,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader left (`| head`): nothing to say, and no flush of the
+        # dead pipe at interpreter shutdown
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except OSError as exc:
         print(f"cannot access {exc.filename or 'a file'}: {exc.strerror or exc}",
               file=sys.stderr)

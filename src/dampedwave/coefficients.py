@@ -246,10 +246,11 @@ def make_profile(
                               L=L, eps1=eps1, beta=beta, V0=V0)
 
 
-def free_space_profile(grid: Grid, L: float = 1.0) -> CoefficientProfile:
-    """V = a = 0 everywhere: the free-wave sanity regime. Deliberately
-    fails the hypotheses; diagnostics that need them are reported as NaN."""
-    return make_profile(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes), L, 0.0)
+def free_space_profile(grid: Grid) -> CoefficientProfile:
+    """V = a = 0 everywhere, core radius L = 1: the free-wave sanity
+    regime. Deliberately fails the hypotheses; diagnostics that need them
+    are reported as NaN."""
+    return make_profile(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes), 1.0, 0.0)
 
 
 def potential_bounds_at_core(profile: CoefficientProfile) -> tuple[float, float]:

@@ -13,11 +13,11 @@ auto grid sizes its domain from the data support.
 
 check_spec() is the one validator of a spec's values. It names the
 section and key of an unknown variant or ramp, a missing required key, a
-key set outside its variant, a non-finite number, a non-integer count
-and a value out of range. parse_config() checks only the text (parseable,
-known sections and keys, values that convert) and returns check_spec()
-of what it read; emit_config() writes a canonical form that parses back
-to an equal spec.
+key set outside its variant, a non-finite number, a non-integer count,
+a value out of range and core radii that disagree. parse_config() checks
+only the text (parseable, known sections and keys, values that convert)
+and returns check_spec() of what it read; emit_config() writes a
+canonical form that parses back to an equal spec.
 
 A spec reaches a run by one route: build_problem() gives its profile
 and data (the grid is profile.grid), run_config_from_spec() adds the
@@ -174,8 +174,9 @@ def check_spec(spec: RunSpec) -> RunSpec:
     ConfigError names [section] key for an unknown variant or ramp, a
     carried key that is None, a key outside its variant set away from its
     default, a non-finite number, a non-integer n_cells or record_every,
-    a width <= 0 of non-zero data, support_radius < 0, t_end <= 0, cfl
-    outside (0, 1) and record_every < 1.
+    a width <= 0 of non-zero data, support_radius < 0, an example1
+    potential and a plateau damping whose core radii L differ, t_end <= 0,
+    cfl outside (0, 1) and record_every < 1.
     """
     for section in _SECTIONS:
         for prefix, node in _nodes(spec, section):
@@ -206,6 +207,9 @@ def check_spec(spec: RunSpec) -> RunSpec:
         _number("data", "support_radius", radius)
         if radius < 0:
             raise ConfigError("[data] support_radius must be >= 0")
+    pot, dmp = spec.potential, spec.damping
+    if pot.family == "example1" and dmp.family == "plateau" and pot.L != dmp.L:
+        raise ConfigError(f"[potential] L = {pot.L} and [damping] L = {dmp.L} must agree")
     if spec.time.t_end <= 0:
         raise ConfigError("[time] t_end must be positive")
     if not 0.0 < spec.time.cfl < 1.0:
@@ -346,10 +350,6 @@ def build_profile_from_spec(spec: RunSpec, grid: Grid) -> CoefficientProfile:
     if dmp.family == "plateau":
         a = build_damping_plateau(dmp.eps1, dmp.L, dmp.ramp, grid)
         L, eps1 = dmp.L, dmp.eps1
-        if pot.family == "example1" and pot.L is not None and pot.L != dmp.L:
-            raise ConfigError(
-                f"[potential] L = {pot.L} and [damping] L = {dmp.L} must agree"
-            )
     else:
         a = np.zeros(grid.n_nodes)
         L, eps1 = (pot.L if pot.L is not None else 1.0), 0.0

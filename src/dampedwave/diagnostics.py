@@ -30,7 +30,8 @@ stencil, by one formula per functional (_Quadrature) that the Recorder,
 energy, g_k and check_lemma25 share. Diagnostics are pure over immutable
 snapshots. Runs whose coefficients fail the hypotheses (e.g. free waves)
 still get records, with the functionals that need the multiplier
-constants or a positive potential set to NaN.
+constants or a positive potential set to NaN; so do marches without
+history (solver.RunConfig.history) for the columns that read it.
 """
 
 from __future__ import annotations
@@ -203,7 +204,8 @@ class _Quadrature:
     def sums(self, state: WaveState, multiplier: bool = False,
              lemma25: bool = False) -> _Sums:
         """The energy integrals, plus G_k's (multiplier) and the
-        accumulated-field identity's (lemma25, needs data) when asked."""
+        accumulated-field identity's (lemma25, needs data and state.v)
+        when asked."""
         s = _stencil_window(state.support, self.n)
         w, prod = self.w[s], self._prod[s]
         u, u_t = state.u[s], state.u_t[s]
@@ -220,8 +222,6 @@ class _Quadrature:
             out.cross = float(self.w_phi_x[s] @ np.multiply(u_t, ux, out=prod))
             out.pairing = float(w @ np.multiply(u, u_t, out=prod))
         if lemma25:
-            if state.v is None:
-                raise ConfigError("the Lemma 2.5 sums need a state with history (v)")
             v = state.v[s]
             vx = self._gradient(state.v, s)
             out.vx_sq = float(w @ np.multiply(vx, vx, out=prod))
@@ -272,11 +272,14 @@ def check_lemma25(state: WaveState, profile: CoefficientProfile,
     of a state with history, by the evaluation a Recorder with the data
     norms makes (NaN throughout where V is not positive everywhere). It
     reads state.au2_cum = int_0^t int a |v_s|^2 = int_0^t int a |u|^2
-    (v_t = u); a state without history (v None) raises ConfigError."""
+    (v_t = u); a state without history (v None) raises ConfigError,
+    where a Recorder reports NaN."""
+    if state.v is None:
+        raise ConfigError("the Lemma 2.5 sums need a state with history (v)")
     norms = compute_data_norms(data, profile) if np.all(profile.V > 0.0) else None
     recorder = Recorder(profile, None, data, norms)
     sums = recorder._quad.sums(state, lemma25=recorder._v_positive)
-    return Lemma25Report(*recorder._lemma25(sums, state.au2_cum))
+    return Lemma25Report(*recorder._lemma25(sums, state))
 
 
 def check_lemma21(record: EnergyRecord, mc: MultiplierConfig,
@@ -288,11 +291,11 @@ def check_lemma21(record: EnergyRecord, mc: MultiplierConfig,
 class Recorder:
     """Stateful diagnostics hook for solver.run: builds one EnergyRecord
     per record level from the state and the history it carries. mc and
-    norms may be None (hypothesis-failing runs); the dependent columns
-    then carry NaN."""
-
-    #: solver.run keeps v and the cumulative integrals for this hook
-    reads_history = True
+    norms may be None (hypothesis-failing runs). A column the state or
+    the constants cannot give is NaN: G_k without mc, the Lemma 2.5 pair
+    without a positive V or without history (v None, as in a
+    RunConfig.history = False march, whose dissipation_cum, au2_cum and
+    identity_residual are NaN too)."""
 
     def __init__(
         self,
@@ -314,19 +317,21 @@ class Recorder:
             self._bound_denom = None
         self._e0: float | None = None
 
-    def _lemma25(self, sums: _Sums, au2_cum: float) -> tuple[float, float, float, float]:
-        """_Sums.lemma25 where V > 0 everywhere, else NaN throughout."""
-        if not self._v_positive:
+    def _lemma25(self, sums: _Sums, state: WaveState) -> tuple[float, float, float, float]:
+        """_Sums.lemma25 where V > 0 everywhere and the state has history,
+        else NaN throughout."""
+        if not self._v_positive or state.v is None:
             return (float("nan"),) * 4
-        return sums.lemma25(self._u0_sq, au2_cum, self._bound_denom)
+        return sums.lemma25(self._u0_sq, state.au2_cum, self._bound_denom)
 
     def __call__(self, state: WaveState) -> EnergyRecord:
         mc, dissipation_cum, au2_cum = self.mc, state.dissipation_cum, state.au2_cum
-        sums = self._quad.sums(state, multiplier=mc is not None, lemma25=self._v_positive)
+        sums = self._quad.sums(state, multiplier=mc is not None,
+                               lemma25=self._v_positive and state.v is not None)
         e_u = sums.energy
         if self._e0 is None:
             self._e0 = e_u
-        _lhs, _rhs, residual, ratio = self._lemma25(sums, au2_cum)
+        _lhs, _rhs, residual, ratio = self._lemma25(sums, state)
         return EnergyRecord(
             t=state.t,
             E_u=e_u,
@@ -340,29 +345,6 @@ class Recorder:
             lemma25_ratio=ratio,
             au2_cum=au2_cum,
         )
-
-
-@dataclass(frozen=True)
-class NormRecord:
-    t: float
-    energy_norm: float
-    l2_u: float
-
-
-class NormRecorder(Recorder):
-    """A Recorder that builds only t, energy_norm and l2_u per record (a
-    NormRecord), by the same formulas; for callers that read nothing else,
-    such as a sweep's outcome classification. It reads no history, so
-    solver.run marches it without v or the cumulative integrals: its
-    states, final_state included, carry v = None and NaN for
-    dissipation_cum and au2_cum."""
-
-    reads_history = False
-
-    def __call__(self, state: WaveState) -> NormRecord:
-        sums = self._quad.sums(state)
-        return NormRecord(t=state.t, energy_norm=sums.energy_norm,
-                          l2_u=float(np.sqrt(sums.mass)))
 
 
 @dataclass(frozen=True)

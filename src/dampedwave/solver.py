@@ -34,12 +34,12 @@ History. The accumulated field v = int_0^t u ds and the cumulative
 integrals int_0^t int a u_t^2 (dissipation_cum) and int_0^t int a u^2
 (au2_cum) are the march's history. A per-step trapezoid updates them,
 so their accuracy matches the scheme's order whatever the record
-cadence, and every state run() hands out carries them. It is kept
-unless the hook says it reads none (reads_history = False, as
-NormRecorder does); then run() allocates no v, skips the v update and
-the two per-level integrals, and its states carry v = None and NaN for
-both integrals. u and u_t, and so every record a hook builds from them,
-are bit-identical either way.
+cadence, and every state run() hands out carries them. The run decides:
+RunConfig.history (default True) keeps it; with history = False (a
+sweep cell, which classifies only norms) run() allocates no v, skips the
+v update and the two per-level integrals, and its states carry v = None
+and NaN for both integrals. u and u_t, and so every column a hook builds
+from them alone, are bit-identical either way.
 
 Light-cone window. The 3-point stencil moves information one node per
 step, the discrete form of unit propagation speed. The coefficients are
@@ -146,6 +146,7 @@ class RunConfig:
     cfl: float = 0.9
     p: float | None = None  # power nonlinearity |u|^p; None = linear
     record_every: int = 10
+    history: bool = True  # keep v and the cumulative integrals (History)
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ class RunResult:
 
 
 def domain_for_radius(support_radius: float, t_end: float, dx: float,
-                      padding: float = 3.0) -> Grid:
+                      padding: float) -> Grid:
     """Symmetric grid [-X, X] with X = support_radius + t_end + padding, so
     unit-speed signals never reach the boundary before t_end."""
     if dx <= 0 or t_end <= 0 or padding < 0:
@@ -376,14 +377,12 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     appended to RunResult.records. Blowup (the expected outcome for
     subcritical semilinear data) and instability terminate the march with
     a tagged time instead of raising; final_state is then level k-2 for a
-    bad level k. Every state, final_state included, carries the history
-    up to its level.
-
-    A hook with reads_history = False gets states with v = None and NaN
-    for dissipation_cum and au2_cum, and the march keeps no history (see
-    the module docstring); any other hook, or none, keeps it. An even
-    run marches only x >= 0 and hands out mirrored whole states
-    (RunResult.mirrored; module docstring, Mirror symmetry).
+    bad level k. With config.history every state, final_state included,
+    carries the history up to its level; without it the march keeps none
+    and every state has v = None and NaN for dissipation_cum and au2_cum
+    (module docstring, History). An even run marches only x >= 0 and
+    hands out mirrored whole states (RunResult.mirrored; module
+    docstring, Mirror symmetry).
     """
     _validate(config)
     profile, data = config.profile, config.data
@@ -401,7 +400,7 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     kernel = _StepKernel(profile, dt, config.p)
     mirrored = _is_even(config)
     result = RunResult(dt=dt, n_steps=n_steps, mirrored=mirrored)
-    history = getattr(diagnostics_hook, "reads_history", True)
+    history = config.history
     # the march writes nodes >= half; an even run's centre c = half reads
     # the ghost u[c - 1] = u[c + 1], and its states mirror x >= 0 onto x < 0
     half = n // 2 if mirrored else 0

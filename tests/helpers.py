@@ -12,6 +12,10 @@ from dampedwave.errors import GridDomainError
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 DENSE_ORACLE_MAX_NODES = 4097
+# record columns that read only u and u_t, and those that read the history
+NORM_COLUMNS = ("t", "E_u", "energy_norm", "l2_u", "l2_local")
+HISTORY_COLUMNS = ("dissipation_cum", "identity_residual", "lemma25_residual",
+                   "lemma25_ratio", "au2_cum")
 
 
 def example1_profile(grid, V0=0.01, beta=2.0, L=1.0, eps1=1.0, ramp="sharp"):

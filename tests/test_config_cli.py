@@ -1,6 +1,9 @@
+import errno
 import json
 import math
+import os
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -90,7 +93,16 @@ class TestConfigParsing:
                                                      "u0_amplitude = nan"))
 
     def test_mismatched_core_radii_rejected(self):
-        spec = cfg.parse_config(LINEAR_DEMO_CFG.replace("L = 1.0\nramp", "L = 2.0\nramp"))
+        # check_spec names it, so text, emitted text and a hand-built spec
+        # all fail alike
+        text = LINEAR_DEMO_CFG.replace("L = 1.0\nramp", "L = 2.0\nramp")
+        assert text != LINEAR_DEMO_CFG
+        with pytest.raises(ConfigError, match="must agree"):
+            cfg.parse_config(text)
+        spec = cfg.parse_config(LINEAR_DEMO_CFG)
+        spec = replace(spec, damping=replace(spec.damping, L=2.0))
+        with pytest.raises(ConfigError, match="must agree"):
+            cfg.emit_config(spec)
         with pytest.raises(ConfigError, match="must agree"):
             cfg.build_problem(spec)
 
@@ -392,6 +404,30 @@ class TestCli:
 
     def test_missing_config_file(self):
         assert cli.main(["run", "/nonexistent/path.cfg"]) == 1
+
+    def test_closed_stdout_exits_1_quietly(self, demo_config, tmp_path, monkeypatch, capsys):
+        # `dampedwave validate --json cfg | head -c 10`: the reader leaves
+        # early, so writes to stdout raise BrokenPipeError
+        sink = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert cli.main(["validate", str(demo_config), "--json"]) == cli.EXIT_ERROR
+            # stdout now writes to the null device, so exit cannot raise again
+            assert os.path.samestat(os.fstat(sink), os.stat(os.devnull))
+        finally:
+            os.close(sink)
+        assert capsys.readouterr().err == ""
 
 
 class TestUnreadableInput:

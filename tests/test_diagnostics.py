@@ -1,13 +1,17 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import dampedwave as dw
 from dampedwave import diagnostics, runner, solver
 from dampedwave.coefficients import inner_cell_weights
-from dampedwave.diagnostics import CSV_COLUMNS, NormRecorder, cumulative_energy
+from dampedwave.diagnostics import CSV_COLUMNS, cumulative_energy
 from dampedwave.errors import ConfigError
 
-from helpers import example1_profile, reference_data, reference_run_config
+from helpers import (HISTORY_COLUMNS, NORM_COLUMNS, example1_profile, reference_data,
+                     reference_run_config)
 
 
 @pytest.fixture(scope="module")
@@ -218,21 +222,23 @@ class TestHistory:
         final, last = solver.run(medium_lab.run_config).final_state, medium_lab.records[-1]
         assert (final.dissipation_cum, final.au2_cum) == (last.dissipation_cum, last.au2_cum)
 
-    def test_state_without_history_is_a_named_error(self):
-        # a NormRecorder march keeps no v, so the Lemma 2.5 sums cannot be taken
+    def test_state_without_history_records_nan_and_check_lemma25_raises(self):
+        # a history = False march keeps no v: a Recorder reports the Lemma 2.5
+        # pair as NaN, while check_lemma25, which asks for it, names the fault
         grid = solver.domain_for_radius(2.0, 1.0, 0.05, 1.0)
         profile = example1_profile(grid)
         data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0),
                                     np.zeros(grid.n_nodes))
-        result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=3.0),
-                            NormRecorder(profile, None, data, None))
+        recorder = dw.Recorder(profile, None, data, dw.compute_data_norms(data, profile))
+        result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=3.0,
+                                             history=False), recorder)
         final = result.final_state
         assert final.v is None
+        rec = recorder(final)
+        assert math.isnan(rec.lemma25_residual) and math.isnan(rec.lemma25_ratio)
+        assert rec.E_u > 0.0
         with pytest.raises(ConfigError, match="history"):
             dw.check_lemma25(final, profile, data)
-        recorder = dw.Recorder(profile, None, data, dw.compute_data_norms(data, profile))
-        with pytest.raises(ConfigError, match="history"):
-            recorder(final)
 
 
 class TestLemma21:
@@ -316,18 +322,25 @@ class TestRecorder:
         assert len(values) == 10
         assert values[0] == rec.t and values[-1] == rec.au2_cum
 
-    def test_norm_recorder_matches_recorder(self):
-        # a sweep cell's hook: the same t, energy_norm and l2_u, bit for bit
+    def test_records_without_history_match_on_the_norm_columns(self):
+        # a sweep cell's march: the columns that read only u and u_t equal a
+        # history march's bit for bit; the ones that read the history are NaN
         grid = solver.domain_for_radius(2.0, 5.0, 0.05, 2.0)
         profile = example1_profile(grid)
         data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0),
                                     np.zeros(grid.n_nodes))
-        full, lean = dw.Recorder(profile, None, data, None), NormRecorder(profile, None, data, None)
+        norms = dw.compute_data_norms(data, profile)
         config = solver.RunConfig(profile=profile, data=data, t_end=5.0, p=3.0, record_every=5)
-        pairs = solver.run(config, lambda *args: (full(*args), lean(*args))).records
-        assert len(pairs) > 10
-        for rec, norm in pairs:
-            assert (norm.t, norm.energy_norm, norm.l2_u) == (rec.t, rec.energy_norm, rec.l2_u)
+        full = solver.run(config, dw.Recorder(profile, None, data, norms)).records
+        lean = solver.run(replace(config, history=False),
+                          dw.Recorder(profile, None, data, norms)).records
+        assert len(full) == len(lean) > 10
+        for ref, rec in zip(full, lean):
+            for name in NORM_COLUMNS:
+                assert getattr(rec, name) == getattr(ref, name), name
+            for name in HISTORY_COLUMNS:
+                assert math.isnan(getattr(rec, name)), name
+                assert math.isfinite(getattr(ref, name)), name
 
 
 def full_grid_record(profile, mc, data, norms, state, e0):

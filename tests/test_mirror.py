@@ -10,7 +10,6 @@ from hypothesis import given, settings
 import dampedwave as dw
 from dampedwave import analysis, solver
 from dampedwave import config as cfg
-from dampedwave.diagnostics import NormRecorder
 
 from helpers import CONFIGS, centred_specs, example1_profile, reference_spec, sweep_spec
 
@@ -54,8 +53,8 @@ class TestWhichRunsMirror:
         data = analysis.scale_data_to_i0(data, profile, 1.0)
         assert_even_problem(profile.grid, profile, data)
         config = solver.RunConfig(profile=profile, data=data, t_end=0.5, p=11.0,
-                                  record_every=base.time.record_every)
-        result = solver.run(config, NormRecorder(profile, None, data, None))
+                                  record_every=base.time.record_every, history=False)
+        result = solver.run(config, dw.Recorder(profile, None, data, None))
         assert result.mirrored and result.termination.kind == solver.COMPLETED
 
     @pytest.mark.parametrize("center, mirrored", [(0.0, True), (0.5, False)])

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 import dampedwave as dw
 from dampedwave import config as cfg
 from dampedwave import solver
-from dampedwave.diagnostics import NormRecord, NormRecorder
 from dampedwave.errors import ConfigError
 
-from helpers import centred_specs, example1_profile, reference_data, reference_run_config
+from helpers import (HISTORY_COLUMNS, NORM_COLUMNS, centred_specs, example1_profile,
+                     reference_data, reference_run_config)
 
 
 def dalembert_error(n_cells, t_end=5.0, sigma=0.5):
@@ -480,8 +480,8 @@ class TestFusedKernel:
         assert 0.0 < worst  # the forms differ in rounding, so the test bites
 
 
-class RecordingNormRecorder(NormRecorder):
-    """A NormRecorder that also keeps what it was called with."""
+class RecordingRecorder(dw.Recorder):
+    """A Recorder that also keeps what it was called with."""
 
     def __init__(self, config):
         super().__init__(config.profile, None, config.data, None)
@@ -490,6 +490,10 @@ class RecordingNormRecorder(NormRecorder):
     def __call__(self, state):
         self.calls.append(state)
         return super().__call__(state)
+
+
+def without_history(config):
+    return dataclasses.replace(config, history=False)
 
 
 class TestNoHistory:
@@ -502,32 +506,44 @@ class TestNoHistory:
         blowup_config(record_every=1, center=OFF_CENTRE),
     ], ids=["completed-p3", "completed-linear", "blowup", "blowup-every-level",
             "completed-p3-off-centre", "blowup-every-level-off-centre"])
-    def test_norm_recorder_march_matches_full_history(self, config):
-        lean = RecordingNormRecorder(config)
-        assert lean.reads_history is False
-        result = solver.run(config, lean)
+    def test_march_without_history_matches_history_march(self, config):
+        lean = RecordingRecorder(config)
+        result = solver.run(without_history(config), lean)
+        full = RecordingRecorder(config)
+        ref = solver.run(config, full)
 
-        plain = NormRecorder(config.profile, None, config.data, None)
-        full_states = []
-
-        def full_hook(state):  # a plain callable keeps the history
-            full_states.append(state)
-            return plain(state)
-        full = solver.run(config, full_hook)
-
-        assert result.termination == full.termination
-        assert result.mirrored == full.mirrored
-        assert result.records == full.records
-        assert all(isinstance(r, NormRecord) for r in result.records)
-        assert len(lean.calls) == len(full_states)
-        for state, ref in zip(lean.calls + [result.final_state],
-                              full_states + [full.final_state]):
-            assert state.v is None and ref.v is not None
+        assert result.termination == ref.termination
+        assert result.mirrored == ref.mirrored
+        assert len(result.records) == len(ref.records) == len(lean.calls) == len(full.calls)
+        for rec, ref_rec in zip(result.records, ref.records):
+            for name in NORM_COLUMNS:
+                assert getattr(rec, name) == getattr(ref_rec, name), name
+            for name in HISTORY_COLUMNS:
+                assert math.isnan(getattr(rec, name)), name
+            assert math.isfinite(ref_rec.dissipation_cum) and math.isfinite(ref_rec.au2_cum)
+        for state, ref_state in zip(lean.calls + [result.final_state],
+                                    full.calls + [ref.final_state]):
+            assert state.v is None and ref_state.v is not None
             assert math.isnan(state.dissipation_cum) and math.isnan(state.au2_cum)
-            assert math.isfinite(ref.dissipation_cum) and math.isfinite(ref.au2_cum)
-            assert state.t == ref.t and state.support == ref.support
+            assert math.isfinite(ref_state.dissipation_cum) and math.isfinite(ref_state.au2_cum)
+            assert state.t == ref_state.t and state.support == ref_state.support
             for name in ("u", "u_t"):
-                assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+                assert np.array_equal(getattr(state, name), getattr(ref_state, name)), name
+
+    def test_wrapped_recorder_marches_without_history(self):
+        # the switch is the run's, so a plain function around a Recorder
+        # cannot turn the history back on
+        config = bump_config(3.0, 0.5, record_every=7)
+        recorder, seen = RecordingRecorder(config), []
+
+        def wrapper(state):
+            seen.append(state)
+            return recorder(state)
+        result = solver.run(without_history(config), wrapper)
+        assert len(seen) > 1 and result.records
+        for state in seen + [result.final_state]:
+            assert state.v is None
+            assert math.isnan(state.dissipation_cum) and math.isnan(state.au2_cum)
 
 
 class TestHistory:
@@ -547,9 +563,9 @@ class TestHistory:
     @pytest.mark.parametrize("config", [bump_config(3.0, 0.5, record_every=7),
                                         blowup_config(record_every=10)],
                              ids=["completed", "blowup"])
-    def test_norm_recorder_states_carry_nan(self, config):
-        lean = RecordingNormRecorder(config)
-        result = solver.run(config, lean)
+    def test_states_without_history_carry_nan(self, config):
+        lean = RecordingRecorder(config)
+        result = solver.run(without_history(config), lean)
         assert len(lean.calls) > 1
         for state in lean.calls + [result.final_state]:
             assert state.v is None
