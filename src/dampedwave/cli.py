@@ -4,7 +4,8 @@ Exit-status contract (stable for harnesses):
     0  success (including completed runs that end in a tagged blowup,
        which is an expected semilinear outcome)
     1  general error (missing or unreadable files, a CSV or manifest
-       that is not a run's, empty series, stdout closed by the reader)
+       that is not a run's, empty series, stdout closed by the reader,
+       a grid too large to allocate)
     2  validation failure (hypothesis or configuration problems, a
        config that is not UTF-8 text)
     3  runtime instability
@@ -367,6 +368,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot access {exc.filename or 'a file'}: {exc.strerror or exc}",
               file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"cannot allocate: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

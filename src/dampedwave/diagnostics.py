@@ -36,7 +36,9 @@ history (solver.RunConfig.history) for the columns that read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +140,8 @@ class _Sums:
     @property
     def energy_norm(self) -> float:
         """||u_t|| + ||u_x|| + ||sqrt(V) u||, the semilinear bootstrap norm."""
-        return float(np.sqrt(self.kinetic) + np.sqrt(self.gradient) + np.sqrt(self.potential))
+        root_v = math.sqrt(self.potential) if self.potential >= 0.0 else math.nan  # V < 0
+        return math.sqrt(self.kinetic) + math.sqrt(self.gradient) + root_v
 
     def g_k(self, mc: MultiplierConfig) -> float:
         """G_k = int u_t phi x u_x + alpha (u_t, u) + (alpha/2) int a u^2 + k E_u."""
@@ -164,9 +167,11 @@ class _Sums:
 class _Quadrature:
     """Trapezoid integrals of a state's fields over its support.
 
-    The weights are folded with the coefficients once. Per state, each
-    product of fields is formed once in a preallocated buffer and feeds
-    dot products over the support widened to the gradient stencil
+    The weights are folded with the coefficients for the state at hand. A
+    mirrored state (solver.WaveState.mirrored) is even: it is summed over
+    x >= 0 with weights doubled off the centre, where u_x = 0. Per state,
+    each product of fields is formed once in a preallocated buffer and
+    feeds dot products over the support widened to the gradient stencil
     (_stencil_window); everything outside vanishes. u_x and v_x use
     np.gradient's formulas (central differences, second-order one-sided
     at the grid ends), so they are bit-identical to it on the window.
@@ -174,18 +179,28 @@ class _Quadrature:
 
     def __init__(self, profile: CoefficientProfile, data: InitialData | None = None):
         grid = profile.grid
-        w = grid.weights
+        self.profile, self.data = profile, data
         self.n = grid.n_nodes
+        self.centre = self.n // 2
         self.two_dx = 2.0 * grid.dx
         self.left = (-1.5 / grid.dx, 2.0 / grid.dx, -0.5 / grid.dx)
         self.right = (0.5 / grid.dx, -2.0 / grid.dx, 1.5 / grid.dx)
-        self.w = w
-        self.w_V = w * profile.V
-        self.w_a = w * profile.a
-        self.w_inner = inner_cell_weights(grid, profile.L)
-        self.w_phi_x = w * profile.phi * grid.x
-        self.w_forcing = None if data is None else w * (data.u1 + profile.a * data.u0)
+        self._fold: tuple[bool, bool] | None = None  # _refold's arguments
         self._grad, self._u_sq, self._prod = np.empty((3, self.n))
+
+    def _refold(self, mirrored: bool, lemma25: bool) -> None:
+        """Fold the weights for a state: w, w V, w a, w on the core, w phi x
+        and, once lemma25 asks, w (u1 + a u0)."""
+        if self._fold in ((mirrored, True), (mirrored, lemma25)):
+            return
+        p, w, data = self.profile, self.profile.grid.weights, self.data
+        folded = [w.copy() if mirrored else w, w * p.V, w * p.a, inner_cell_weights(p.grid, p.L),
+                  w * p.phi * p.grid.x, w * (data.u1 + p.a * data.u0) if lemma25 else None]
+        if mirrored:  # a node at x > 0 stands for both halves; doubling is exact
+            for f in folded[:5 + lemma25]:
+                f[self.centre + 1:] *= 2.0
+        self.w, self.w_V, self.w_a, self.w_inner, self.w_phi_x, self.w_forcing = folded
+        self._fold = mirrored, lemma25
 
     def _gradient(self, f: np.ndarray, s: slice) -> np.ndarray:
         """np.gradient(f, dx, edge_order=2) on the nodes s."""
@@ -207,6 +222,9 @@ class _Quadrature:
         accumulated-field identity's (lemma25, needs data and state.v)
         when asked."""
         s = _stencil_window(state.support, self.n)
+        if state.mirrored:
+            s = slice(max(s.start, self.centre), s.stop)
+        self._refold(state.mirrored, lemma25)
         w, prod = self.w[s], self._prod[s]
         u, u_t = state.u[s], state.u_t[s]
         ux = self._gradient(state.u, s)
@@ -295,7 +313,8 @@ class Recorder:
     the constants cannot give is NaN: G_k without mc, the Lemma 2.5 pair
     without a positive V or without history (v None, as in a
     RunConfig.history = False march, whose dissipation_cum, au2_cum and
-    identity_residual are NaN too)."""
+    identity_residual are NaN too). The pair's ||u0||^2 and weights are
+    computed on the first state with history."""
 
     def __init__(
         self,
@@ -309,12 +328,7 @@ class Recorder:
         self.data = data
         self.norms = norms
         self._quad = _Quadrature(profile, data)
-        self._u0_sq = profile.grid.integrate(data.u0**2)
         self._v_positive = bool(np.all(profile.V > 0.0))
-        if norms is not None:
-            self._bound_denom = self._u0_sq + norms.weighted_norm**2
-        else:
-            self._bound_denom = None
         self._e0: float | None = None
 
     def _lemma25(self, sums: _Sums, state: WaveState) -> tuple[float, float, float, float]:
@@ -322,7 +336,13 @@ class Recorder:
         else NaN throughout."""
         if not self._v_positive or state.v is None:
             return (float("nan"),) * 4
-        return sums.lemma25(self._u0_sq, state.au2_cum, self._bound_denom)
+        u0_sq = self._u0_sq
+        bound_denom = None if self.norms is None else u0_sq + self.norms.weighted_norm**2
+        return sums.lemma25(u0_sq, state.au2_cum, bound_denom)
+
+    @cached_property
+    def _u0_sq(self) -> float:
+        return self.profile.grid.integrate(self.data.u0**2)
 
     def __call__(self, state: WaveState) -> EnergyRecord:
         mc, dissipation_cum, au2_cum = self.mc, state.dissipation_cum, state.au2_cum
@@ -336,7 +356,7 @@ class Recorder:
             t=state.t,
             E_u=e_u,
             energy_norm=sums.energy_norm,
-            l2_u=float(np.sqrt(sums.mass)),
+            l2_u=math.sqrt(sums.mass),
             l2_local=sums.local_mass,
             dissipation_cum=dissipation_cum,
             G_k=sums.g_k(mc) if mc is not None else float("nan"),

@@ -44,40 +44,40 @@ from them alone, are bit-identical either way.
 Light-cone window. The 3-point stencil moves information one node per
 step, the discrete form of unit propagation speed. The coefficients are
 finite and f(0) = 0 (linear runs, or |u|^p with p > 1), so a node whose
-stencil reads only zeros is updated to exactly 0.0. Hence if u0 and u1
+stencil reads only zeros is updated to exactly +0.0. Hence if u0 and u1
 vanish outside the index range [lo, hi), level k vanishes outside
-[lo - k, hi + k), clipped to the grid. run() works only on that window:
-the kernel, the blowup check, the v update, the u_t reconstruction and
-the two per-level integrals. The skip is exact, not a truncation: every
-node outside the window holds the 0.0 a full-grid update would write,
-and the per-node arithmetic is the one leapfrog_step/first_step use, so
-u, u_t and v are bit-identical to a full-grid march. Only the two
-cumulative integrals sum in a different order (dot products with a
-times the trapezoid weights), which moves them by round-off.
+[lo - k, hi + k), clipped to the grid. run() works only on a block
+holding that window, up to BLOCK nodes wider each side (Buffers). The
+skip is exact, not a truncation: each node outside the window holds the
++0.0 a full-grid update would write, and the per-node arithmetic is the
+one leapfrog_step/first_step use, so u, u_t and v are bit-identical to
+a full-grid march. The two integrals' dot products take the exact
+window (their bits depend on its length), in another order than a
+full-grid sum, which moves them by round-off.
 
-Mirror symmetry. A run is even when the grid has an odd node count
-and V, a, u0 and u1 are bitwise palindromes (f == f[::-1]; NaN fails).
-On a mirror grid (coefficients.Grid) the package's even coefficients
-and centred data are, so every committed config and sweep cell is even.
-The solution of an even run is even, so run() marches only the nodes
-x >= 0, about half the window: the window's left end is clamped at the
-centre c = n // 2, and after each kernel step the ghost u[c-1] is set
-to u[c+1], which the stencil at c reads. The two per-level integrals
-are taken over [c, hi) with a w doubled off the centre (doubling is
-exact). Every state run() hands out has its left half overwritten by
-the mirror of its right half, so hooks still see whole even fields;
-RunResult.mirrored tells which march ran. A whole-grid march is not
-bitwise even (the stencil adds (u[i-1] - 2u[i]) + u[i+1] left to
+Mirror symmetry. A run is even when its grid is a mirror grid
+(coefficients.Grid: x == -x[::-1], odd node count) and V, a, u0 and u1
+are bitwise palindromes (f == f[::-1]; NaN fails), as the package's even
+coefficients and centred data are: every committed config and sweep
+cell is even. The solution of an even run is even, so run() marches
+only the nodes x >= 0, about half the window: the window's left end is
+clamped at the centre c = n // 2, and after each kernel step the ghost
+u[c-1] is set to u[c+1], which the stencil at c reads. The two
+per-level integrals are taken over [c, hi) with a w doubled off the
+centre (doubling is exact). Its states are whole, the left half the
+mirror of the right, and carry WaveState.mirrored, so the diagnostics
+sum them over x >= 0 alone; RunResult.mirrored tells which march ran.
+A whole-grid march is not bitwise even (the stencil adds terms left to
 right, so a mirrored node sums in the other order); an even run's u,
-u_t and v are bit-identical to the whole-grid march that overwrites
-the left half by the mirrored right half after every level, and any
-other run's to the plain whole-grid march.
+u_t and v are bit-identical to the whole-grid march that overwrites the
+left half by the mirrored right half after every level, and any other
+run's to the plain whole-grid march.
 
 Blowup screen. A level is bad when the window holds a non-finite value
 or one beyond BLOWUP_THRESHOLD in magnitude. The check first computes
-dot(u, u) over the window: at most 1e16 (1 - 1e-6) proves max|u| <= 1e8
+dot(u, u) over the block: at most 1e16 (1 - 1e-6) proves max|u| <= 1e8
 (the margin covers the dot product's rounding), and nan or inf fail it.
-Only a window that fails the screen gets the exact max/min test.
+Only a block that fails the screen gets the exact max/min test.
 
 u_t. One rule gives the u_t of every state run() hands out, from the u
 ring: u1 at level 0, (u^(k+1) - u^(k-1)) / (2 dt) in between, and at
@@ -90,7 +90,9 @@ Buffers. run() allocates its full-length arrays once: a ring of four u
 levels (the blowup state at level k-2 reads levels k-1 and k-3), and
 with history two v levels and one scratch, plus the kernel's
 coefficients and scratch. Steps write into them in place and allocate
-no full-length array. Integer p evaluates |u|^p by repeated squaring
+no full-length array. A view costs about a small array operation, so a
+step's ~25 views are built per ring phase k % 4, only when the window
+outgrows its block. Integer p evaluates |u|^p by repeated squaring
 (abs_power); other p use np.power.
 
 Array contract. The WaveState a diagnostics hook receives, and
@@ -117,6 +119,7 @@ from .coefficients import CoefficientProfile, Grid, InitialData
 from .errors import ConfigError
 
 BLOWUP_THRESHOLD = 1e8
+BLOCK = 32  # window growth per side between rebuilds of run()'s views
 
 COMPLETED = "completed"
 BLOWUP = "blowup"
@@ -136,6 +139,7 @@ class WaveState:
     au2_cum: float = math.nan  # int_0^t int a u^2
     # [lo, hi) outside which u, u_t and v vanish; None: the whole grid
     support: tuple[int, int] | None = None
+    mirrored: bool = False  # even fields of an even run (Mirror symmetry)
 
 
 @dataclass(frozen=True)
@@ -202,14 +206,18 @@ def abs_power(u: np.ndarray, p: float, out: np.ndarray | None = None,
     out = np.empty_like(u) if out is None else out
     work = np.empty_like(u) if work is None else work
     with np.errstate(**_QUIET):
-        return _abs_power(u, p, out, work)
+        return _abs_power(u, p, _exponent(p), out, work)
 
 
-def _abs_power(u, p, out, work):
-    """abs_power under the caller's floating-point error state."""
-    if not (float(p).is_integer() and p >= 1):
+def _exponent(p: float) -> int | None:
+    """int(p) where abs_power squares repeatedly (integer p >= 1), else None."""
+    return int(p) if float(p).is_integer() and p >= 1 else None
+
+
+def _abs_power(u, p, e, out, work):
+    """abs_power with e = _exponent(p), under the caller's error state."""
+    if e is None:
         return np.power(np.abs(u, out=work), p, out=out)
-    e = int(p)
     np.abs(u, out=out)
     while not e & 1:  # out becomes the lowest set bit's factor
         np.multiply(out, out, out=out)
@@ -230,15 +238,15 @@ def _stencil(u: np.ndarray, lo: int, hi: int):
 class _StepKernel:
     """Pointwise-implicit leapfrog update, in place on a range of nodes.
 
-    step() and first() take the output view, the stencil's neighbour
-    views of the current level, the other level's view and the slice of
-    the coefficient arrays; they write only the output view. The
+    step() takes what views() gives for a node range: the output view, the
+    stencil's neighbour views of the current level, the other level's,
+    the coefficients' and two scratch views. first() takes the output,
+    stencil and u1 views and the range. Both write only the output. The
     operation order per node is fixed (it is what makes the windowed
-    march bit-identical to a full-grid one): step() is the folded form
-    of the module docstring's Kernel paragraph, and first(), which runs
-    once per march, keeps the unfolded Taylor formula. Callers enter
-    np.errstate(**_QUIET) once around their updates; the kernel does not
-    enter it per step.
+    march bit-identical to a full-grid one): step() is the folded form of
+    the module docstring's Kernel paragraph, and first(), which runs once
+    per march, keeps the unfolded Taylor formula. Callers enter
+    np.errstate(**_QUIET) once around their updates.
     """
 
     def __init__(self, profile: CoefficientProfile, dt: float, p: float | None):
@@ -248,6 +256,7 @@ class _StepKernel:
         self.dt = dt
         self.half_dt2 = 0.5 * dt2
         self.p = p
+        self.exponent = None if p is None else _exponent(p)
         self.V = profile.V
         self.a = profile.a
         half_a_dt = profile.a * (dt / 2.0)
@@ -259,21 +268,26 @@ class _StepKernel:
         n = profile.grid.n_nodes
         self._scratch = (np.empty(n), np.empty(n))
 
-    def step(self, out, um, uc, up, u_prev, s: slice) -> None:
+    def views(self, out, u, u_prev, s: slice) -> tuple:
+        """step()'s arguments for u^(n+1) into out on the nodes s."""
+        t, work = (b[:s.stop - s.start] for b in self._scratch)
+        cf = None if self.cf is None else self.cf[s]
+        return (out[s], *_stencil(u, s.start, s.stop), u_prev[s],
+                self.cn[s], self.cu[s], self.cp[s], cf, t, work)
+
+    def step(self, out, um, uc, up, u_prev, cn, cu, cp, cf, t, work) -> None:
         """u^(n+1) into out from u^n (neighbour views) and u^(n-1)."""
-        m = uc.shape[0]
-        t, work = (b[:m] for b in self._scratch)
         np.multiply(uc, 2.0, out=t)
         np.subtract(um, t, out=t)
         np.add(t, up, out=t)
-        np.multiply(t, self.cn[s], out=t)
-        np.multiply(self.cu[s], uc, out=out)
+        np.multiply(t, cn, out=t)
+        np.multiply(cu, uc, out=out)
         np.add(out, t, out=out)
-        np.multiply(self.cp[s], u_prev, out=work)
+        np.multiply(cp, u_prev, out=work)
         np.subtract(out, work, out=out)
-        if self.p is not None:
-            f = _abs_power(uc, self.p, work, t)
-            np.multiply(f, self.cf[s], out=f)
+        if cf is not None:
+            f = _abs_power(uc, self.p, self.exponent, work, t)
+            np.multiply(f, cf, out=f)
             np.add(out, f, out=out)
 
     def first(self, out, um, uc, up, u1, s: slice) -> None:
@@ -290,33 +304,30 @@ class _StepKernel:
         np.multiply(self.a[s], u1, out=work)
         np.subtract(acc, work, out=acc)
         if self.p is not None:
-            np.add(acc, _abs_power(uc, self.p, out, work), out=acc)
+            np.add(acc, _abs_power(uc, self.p, self.exponent, out, work), out=acc)
         np.multiply(acc, self.half_dt2, out=acc)
         np.multiply(u1, self.dt, out=out)
         np.add(uc, out, out=out)
         np.add(out, acc, out=out)
 
 
-def _whole_grid(update, u, w) -> np.ndarray:
-    """One kernel update over every interior node; the Dirichlet ends
-    stay zero."""
-    u, w = np.asarray(u, float), np.asarray(w, float)
-    n = u.shape[0]
-    out = np.zeros_like(u)
-    with np.errstate(**_QUIET):
-        update(out[1:n - 1], *_stencil(u, 1, n - 1), w[1:n - 1], slice(1, n - 1))
-    return out
-
-
 def leapfrog_step(u, u_prev, profile, dt, p=None):
     """One update u^(n+1) from (u^n, u^(n-1)) through the kernel run()
     uses, on the whole grid; handy for oracle and reversibility tests."""
-    return _whole_grid(_StepKernel(profile, dt, p).step, u, u_prev)
+    u, u_prev = np.asarray(u, float), np.asarray(u_prev, float)
+    kernel, out = _StepKernel(profile, dt, p), np.zeros_like(u)
+    with np.errstate(**_QUIET):
+        kernel.step(*kernel.views(out, u, u_prev, slice(1, u.size - 1)))
+    return out
 
 
 def first_step(u0, u1, profile, dt, p=None):
     """Second-order Taylor start u^1 from (u^0, u_t^0)."""
-    return _whole_grid(_StepKernel(profile, dt, p).first, u0, u1)
+    u0, u1 = np.asarray(u0, float), np.asarray(u1, float)
+    kernel, out, s = _StepKernel(profile, dt, p), np.zeros_like(u0), slice(1, u0.size - 1)
+    with np.errstate(**_QUIET):
+        kernel.first(out[s], *_stencil(u0, 1, s.stop), u1[s], s)
+    return out
 
 
 def _validate(config: RunConfig) -> None:
@@ -363,9 +374,10 @@ def _window_bad(u: np.ndarray) -> bool:
 
 
 def _is_even(config: RunConfig) -> bool:
-    """n odd and V, a, u0, u1 bitwise palindromes (NaN fails the test)."""
+    """A mirror grid (n odd), V, a, u0, u1 bitwise palindromes (NaN fails)."""
+    x = config.profile.grid.x
     fields = (config.profile.V, config.profile.a, config.data.u0, config.data.u1)
-    return config.profile.grid.n_nodes % 2 == 1 and all(
+    return x.size % 2 == 1 and np.array_equal(x, -x[::-1]) and all(
         np.array_equal(f, f[::-1]) for f in fields)
 
 
@@ -377,12 +389,10 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     appended to RunResult.records. Blowup (the expected outcome for
     subcritical semilinear data) and instability terminate the march with
     a tagged time instead of raising; final_state is then level k-2 for a
-    bad level k. With config.history every state, final_state included,
-    carries the history up to its level; without it the march keeps none
-    and every state has v = None and NaN for dissipation_cum and au2_cum
-    (module docstring, History). An even run marches only x >= 0 and
-    hands out mirrored whole states (RunResult.mirrored; module
-    docstring, Mirror symmetry).
+    bad level k. Every state carries the history up to its level, or
+    v = None and NaN integrals without config.history (module docstring,
+    History). An even run marches only x >= 0 and hands out whole states
+    (Mirror symmetry).
     """
     _validate(config)
     profile, data = config.profile, config.data
@@ -424,19 +434,16 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
         scratch = np.empty(n)  # d = u^(k+1) - u^(k-1), then squares
 
     dissipation_cum = au2_cum = 0.0 if history else math.nan
-    i_prev = j_prev = 0.0
     caller_errstate = np.geterr()
 
     def a_norm2(x: np.ndarray, w: slice) -> float:
         return float(np.dot(a_weights[w], np.square(x[w], out=scratch[w])))
 
-    def advance(level: int, w: slice, i_now: float) -> None:
-        # one trapezoid panel per level; i_now = sum a w u_t^2 at the level
+    def advance(i_now: float, j_now: float) -> None:
+        # one trapezoid panel per level; sum a w u_t^2 and sum a w u^2 at it
         nonlocal dissipation_cum, au2_cum, i_prev, j_prev
-        j_now = a_norm2(us[level % 4], w)
-        if level > 0:
-            dissipation_cum += 0.5 * dt * (i_prev + i_now)
-            au2_cum += 0.5 * dt * (j_prev + j_now)
+        dissipation_cum += 0.5 * dt * (i_prev + i_now)
+        au2_cum += 0.5 * dt * (j_prev + j_now)
         i_prev, j_prev = i_now, j_now
 
     def u_t_at(level: int, w: slice) -> np.ndarray:
@@ -458,7 +465,8 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
         v = mirror(vs[level % 2].copy()) if history else None
         return WaveState(t=level * dt, u=mirror(us[level % 4].copy()),
                          u_t=mirror(u_t_at(level, part(lo, hi))), v=v,
-                         dissipation_cum=dissipation_cum, au2_cum=au2_cum, support=(lo, hi))
+                         dissipation_cum=dissipation_cum, au2_cum=au2_cum, support=(lo, hi),
+                         mirrored=mirrored)
 
     def record(state: WaveState) -> None:
         with np.errstate(**caller_errstate):
@@ -469,48 +477,56 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     live = np.flatnonzero((data.u0 != 0.0) | (data.u1 != 0.0))
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
     if history:
-        advance(0, part(lo, hi), a_norm2(data.u1, part(lo, hi)))
+        i_prev, j_prev = a_norm2(data.u1, part(lo, hi)), a_norm2(data.u0, part(lo, hi))
     if diagnostics_hook is not None:
         record(state_at(0, lo, hi))
 
+    blo, bhi = n, 0  # the block of the views; empty, so step 1 builds it
     # one error state for the whole march; hooks run under the caller's
     with np.errstate(**_QUIET):
         for k in range(1, n_steps + 1):
             prev_lo, prev_hi = lo, hi  # level k-1's window
             if hi > lo:
                 lo, hi = max(lo - 1, 0), min(hi + 1, n)
-            u_new, u_c, u_p = us[k % 4], us[(k - 1) % 4], us[(k - 2) % 4]
-            first, last = max(lo, half, 1), min(hi, n - 1)
-            if last > first:
-                nodes = slice(first, last)
-                views = (u_new[nodes], *_stencil(u_c, first, last))
-                if k == 1:
-                    kernel.first(*views, data.u1[nodes], nodes)
-                else:
-                    kernel.step(*views, u_p[nodes], nodes)
-            u_new[0] = u_new[-1] = 0.0  # the buffer may have held u0
+            if lo < blo or hi > bhi:  # a new block: build its views (Buffers)
+                blo, bhi = max(lo - BLOCK, 0), min(hi + BLOCK, n)
+                nodes, e = slice(max(blo, half, 1), min(bhi, n - 1)), slice(max(blo, half), bhi)
+                phases = []  # by k % 4: step()'s, u^k, u^(k-1), u^(k-2), v^k, v^(k-1), d
+                for ph in range(4):
+                    u3 = us[ph], us[(ph - 1) % 4], us[(ph - 2) % 4]
+                    steps = kernel.views(*u3, nodes) if nodes.stop > nodes.start else None
+                    h = (vs[ph % 2][e], vs[(ph - 1) % 2][e], scratch[e]) if history else ()
+                    phases.append((steps, *(u[e] for u in u3), h))
+            steps, u_new, u_c, u_p, h = phases[k % 4]
+            if steps and k > 1:
+                kernel.step(*steps)
+            elif steps:
+                kernel.first(*steps[:4], data.u1[nodes], nodes)
+            if k == 4:  # level 4 overwrites u0, whose end nodes the kernel never writes
+                us[0][0] = us[0][-1] = 0.0
             if mirrored:
-                u_new[half - 1] = u_new[half + 1]
-            w = part(lo, hi)
-            if _window_bad(u_new[w]):
+                us[k % 4][half - 1] = us[k % 4][half + 1]
+            if _window_bad(u_new):
                 kind = BLOWUP if config.p is not None else INSTABILITY
                 result.termination = Termination(kind, time=k * dt)
                 result.final_state = state_at(max(k - 2, 0), prev_lo, prev_hi)
                 return result
             if history:
-                v_new = vs[k % 2][w]
-                np.add(u_c[w], u_new[w], out=v_new)
-                np.multiply(v_new, half_dt, out=v_new)
-                np.add(vs[(k - 1) % 2][w], v_new, out=v_new)
+                v_new, v_prev, d = h
+                np.multiply(np.add(u_c, u_new, out=v_new), half_dt, out=v_new)
+                np.add(v_prev, v_new, out=v_new)
                 if k >= 2:
-                    np.subtract(u_new[w], u_p[w], out=scratch[w])
-                    advance(k - 1, w, a_norm2(scratch, w) / (two_dt * two_dt))
+                    w = part(lo, hi)
+                    np.square(np.subtract(u_new, u_p, out=d), out=d)
+                    i_now = float(np.dot(a_weights[w], scratch[w])) / (two_dt * two_dt)
+                    np.square(u_c, out=d)
+                    advance(i_now, float(np.dot(a_weights[w], scratch[w])))
             if k >= 2 and diagnostics_hook is not None and (k - 1) % record_every == 0:
                 record(state_at(k - 1, lo, hi))
 
     w = part(lo, hi)
     if history:
-        advance(n_steps, w, a_norm2(u_t_at(n_steps, w), w))
+        advance(a_norm2(u_t_at(n_steps, w), w), a_norm2(us[n_steps % 4], w))
     result.final_state = state_at(n_steps, lo, hi)
     if diagnostics_hook is not None:
         record(result.final_state)

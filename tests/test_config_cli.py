@@ -405,6 +405,22 @@ class TestCli:
     def test_missing_config_file(self):
         assert cli.main(["run", "/nonexistent/path.cfg"]) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_grid_too_large_to_allocate_exits_1(self, command, demo_config, tmp_path,
+                                                monkeypatch, capsys):
+        # stands in for a dx = 1e-9 grid, without allocating anything
+        def too_large(spec):
+            raise MemoryError("Unable to allocate 1.57 TiB for an array")
+        monkeypatch.setattr(cfg, "build_problem", too_large)
+        argv = {"validate": ["validate", str(demo_config)],
+                "run": ["run", str(demo_config), "--out", str(tmp_path)],
+                "sweep": ["sweep", "--p", "3", "--i0", "1", "--workers", "1",
+                          "--out", str(tmp_path)]}[command]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.err == "cannot allocate: Unable to allocate 1.57 TiB for an array\n"
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_closed_stdout_exits_1_quietly(self, demo_config, tmp_path, monkeypatch, capsys):
         # `dampedwave validate --json cfg | head -c 10`: the reader leaves
         # early, so writes to stdout raise BrokenPipeError

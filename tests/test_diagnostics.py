@@ -312,6 +312,16 @@ class TestRecorder:
         assert np.isnan(rec.lemma25_ratio)
         assert np.isfinite(rec.E_u)
 
+    def test_negative_potential_gives_nan_energy_norm(self):
+        # a hand-built V < 0 makes int V u^2 negative: no real root, no error
+        grid = dw.Grid(-10.0, 10.0, 200)
+        profile = dw.make_profile(grid, np.full(grid.n_nodes, -0.01),
+                                  np.zeros(grid.n_nodes), 1.0, 0.0)
+        u = dw.gaussian_bump(grid, 1e-3, 1.0)
+        rec = dw.Recorder(profile, None, dw.make_initial_data(grid, u, 0.0 * u), None)(
+            solver.WaveState(t=0.0, u=u, u_t=0.0 * u))
+        assert math.isnan(rec.energy_norm) and rec.l2_u > 0.0
+
     def test_csv_column_contract(self, medium_lab):
         assert CSV_COLUMNS == (
             "t", "E_u", "l2_u", "l2_local", "dissipation_cum", "G_k",
@@ -438,3 +448,38 @@ class TestRecorderOracle:
                                  support=support)
         first = make_state(grid, data.u0.copy(), data.u1.copy())
         assert_recorder_matches_full_grid(profile, data, [first, state])
+
+    def test_half_line_sums_match_whole_grid_sums(self):
+        # an even run's states are summed over x >= 0 with doubled weights
+        grid = solver.domain_for_radius(2.0, 3.0, 0.05, 1.0)
+        profile = example1_profile(grid)
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0),
+                                    dw.polynomial_bump(grid, 0.25, 1.5))
+        states = []
+        result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=3.0, p=3.0,
+                                             record_every=3), states.append)
+        assert result.mirrored and all(state.mirrored for state in states)
+        quad = diagnostics._Quadrature(profile, data)
+        for state in states:
+            half = quad.sums(state, multiplier=True, lemma25=True)
+            whole = quad.sums(replace(state, mirrored=False), multiplier=True, lemma25=True)
+            for name in diagnostics._Sums.__slots__:
+                a, b = getattr(half, name), getattr(whole, name)
+                assert abs(a - b) <= 1e-13 * max(abs(a), abs(b)), (name, state.t)
+
+    def test_hand_built_state_integrates_the_whole_grid(self):
+        grid = dw.Grid(-5.0, 5.0, 100)
+        profile = example1_profile(grid)
+        left, right = (dw.polynomial_bump(grid, 1.0, 1.0, c) for c in (-2.5, 2.5))
+        lopsided = 2.0 * left + right
+        state = solver.WaveState(t=0.0, u=lopsided, u_t=lopsided)
+        assert state.mirrored is False
+
+        def whole_grid_energy(u):
+            ux = np.gradient(u, grid.dx, edge_order=2)
+            return 0.5 * grid.integrate(u**2 + ux**2 + profile.V * u**2)
+        assert dw.energy(state, profile) == pytest.approx(whole_grid_energy(lopsided),
+                                                          rel=1e-13)
+        # flagged even, the same fields count their right half twice
+        assert dw.energy(replace(state, mirrored=True), profile) == pytest.approx(
+            whole_grid_energy(left + right), rel=1e-13)

@@ -59,14 +59,16 @@ class TestWhichRunsMirror:
 
     @pytest.mark.parametrize("center, mirrored", [(0.0, True), (0.5, False)])
     def test_even_runs_step_only_the_right_half(self, center, mirrored, monkeypatch):
-        # the kernel's node ranges; an even run's start at the centre node
+        # the first node each kernel call writes (its output view's offset
+        # in the level buffer); an even run's start at the centre node
         starts = []
         for name in ("step", "first"):
             kernel_update = getattr(solver._StepKernel, name)
 
-            def recorded(self, *args, _update=kernel_update):
-                starts.append(args[-1].start)
-                return _update(self, *args)
+            def recorded(self, out, *args, _update=kernel_update):
+                offset = out.ctypes.data - out.base.ctypes.data
+                starts.append(offset // out.itemsize)
+                return _update(self, out, *args)
             monkeypatch.setattr(solver._StepKernel, name, recorded)
         grid = dw.Grid(-20.0, 20.0, 800)
         data = dw.make_initial_data(grid, dw.gaussian_bump(grid, 1e-3, 1.0, center),
@@ -91,6 +93,17 @@ class TestWhichRunsMirror:
         result = solver.run(solver.RunConfig(profile=example1_profile(grid), data=data,
                                              t_end=1.0))
         assert not result.mirrored
+
+    def test_palindromes_off_a_mirror_grid_march_the_whole_line(self):
+        # V = a = 0 and data symmetric about the middle node x = 5 are
+        # palindromes, but the core |x| <= L the diagnostics weigh is not
+        grid = dw.Grid(-50.0, 60.0, 1100)
+        bump = dw.polynomial_bump(grid, 1e-3, 2.0, 3.0)
+        data = dw.make_initial_data(grid, bump + bump[::-1], np.zeros(grid.n_nodes))
+        assert grid.n_nodes % 2 == 1 and is_palindrome(data.u0) and data.u0.any()
+        result = solver.run(solver.RunConfig(profile=dw.free_space_profile(grid), data=data,
+                                             t_end=1.0))
+        assert not result.mirrored and not result.final_state.mirrored
 
     @pytest.mark.parametrize("x_min, x_max, n_cells", [(-50.0, 60.0, 1100),
                                                        (-60.0, 60.0, 1201)],

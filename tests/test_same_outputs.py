@@ -72,9 +72,10 @@ CONFIG_PATHS = sorted((ROOT / "configs").glob("*.cfg"))
 
 def test_sweep_command_comes_from_the_benchmark():
     sweep = same_outputs.sweep_args(ROOT)
-    argv = same_outputs.commands(ROOT, Path("/out"), sweep)
-    assert [a[0] for a in argv] == ["run"] * len(CONFIG_PATHS) + [
+    argv = same_outputs.commands(ROOT, Path("/out"), sweep, Path("/cfg/off.cfg"))
+    assert [a[0] for a in argv] == ["run"] * (len(CONFIG_PATHS) + 1) + [
         "validate"] * len(CONFIG_PATHS) + ["sweep"]
+    assert argv[len(CONFIG_PATHS)] == ["run", "/cfg/off.cfg", "--out", "/out"]
     assert [a for a in argv if a[0] == "validate"] == [
         ["validate", str(path), "--json"] for path in CONFIG_PATHS]
     assert argv[-1] == ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
@@ -94,3 +95,13 @@ def test_validate_stdout_and_exit_status_are_kept(tmp_path, monkeypatch):
     for path in CONFIG_PATHS:
         text = (tmp_path / f"{path.stem}.validate.txt").read_text()
         assert text.splitlines()[-1].startswith('{"c_star": ')
+
+
+def test_off_centre_copy_moves_only_the_data_centre(tmp_path):
+    path = same_outputs.off_centre_config(ROOT, tmp_path / "configs")
+    assert path == tmp_path / "configs" / same_outputs.OFF_CENTRE
+    original = (ROOT / "configs" / "linear_demo.cfg").read_text().splitlines()
+    copy = path.read_text().splitlines()
+    assert [(a, b) for a, b in zip(original, copy) if a != b] == [
+        ("u0_center = 0.0", "u0_center = 0.5")]
+    assert len(copy) == len(original)

@@ -347,9 +347,9 @@ def check_blowup_record_levels(config, mirrored):
                          window_level=k - 1, mirrored=mirrored)
 
 
-def check_kept_states(config, mirrored):
+def check_kept_states(config, mirrored, march=solver.run):
     kept = []
-    result = solver.run(config, lambda state: kept.append(state))
+    result = march(config, lambda state: kept.append(state))
     assert len(kept) == result.n_steps + 1
     assert result.mirrored is mirrored
     levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
@@ -357,6 +357,7 @@ def check_kept_states(config, mirrored):
         assert_state_matches(state, levels, result.dt, config, mirrored=mirrored)
     assert_state_matches(kept[-1], levels, result.dt, config, final=True,
                          mirrored=mirrored)
+    return result
 
 
 WINDOW_CASES = pytest.mark.parametrize("p, amplitude", [(None, 1e-3), (3.0, 0.5), (2.5, 0.5)])
@@ -408,6 +409,32 @@ class TestWindowedMarch:
     def test_off_centre_states_kept_by_a_hook_are_not_overwritten(self):
         check_kept_states(bump_config(3.0, 0.5, record_every=1, center=OFF_CENTRE),
                           mirrored=False)
+
+    @pytest.mark.parametrize("center, mirrored", [(0.0, True), (OFF_CENTRE, False)])
+    def test_window_crossing_block_edges_to_both_ends(self, center, mirrored, monkeypatch):
+        # run() rebuilds its views each solver.BLOCK nodes of window growth:
+        # here five times, the last with the window on both end nodes
+        blocks = set()
+        views = solver._StepKernel.views
+
+        def recorded(self, out, u, u_prev, nodes):
+            blocks.add((nodes.start, nodes.stop))
+            return views(self, out, u, u_prev, nodes)
+
+        def spied_run(config, hook):  # the oracle's kernel calls stay unrecorded
+            with monkeypatch.context() as patch:
+                patch.setattr(solver._StepKernel, "views", recorded)
+                return solver.run(config, hook)
+        grid = dw.Grid(-7.0, 7.0, 420)
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0, center),
+                                    dw.polynomial_bump(grid, 0.25, 1.5, center))
+        config = solver.RunConfig(profile=example1_profile(grid), data=data, t_end=5.0,
+                                  p=3.0, record_every=1)
+        result = check_kept_states(config, mirrored, spied_run)
+        n = grid.n_nodes
+        assert result.final_state.support == (0, n)
+        assert len(blocks) >= 5 and max(stop for _start, stop in blocks) == n - 1
+        assert min(start for start, _stop in blocks) == (n // 2 if mirrored else 1)
 
     def test_zero_data(self):
         grid = dw.Grid(-10.0, 10.0, 400)

@@ -5,8 +5,11 @@
 From each checkout, with its own src/ on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1, runs `dampedwave run` and `dampedwave validate
 --json` on every configs/*.cfg of that checkout (validate's stdout is
-saved as <config stem>.validate.txt) and the sweep_pxI0 command line of
-the change's bench/common.py with --workers 2. Then it prints one line
+saved as <config stem>.validate.txt), `dampedwave run` on a copy of its
+linear_demo.cfg with u0_center = 0.5 (linear_offcentre.cfg: data off the
+centre, so the run marches the whole line where every committed config
+marches the half line), and the sweep_pxI0 command line of the change's
+bench/common.py with --workers 2. Then it prints one line
 per output file: "identical" when the bytes agree; for a CSV that differs, the
 column with the largest relative difference and the number of cells
 that differ; for any other file, the first line that differs. A file
@@ -21,6 +24,7 @@ import argparse
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,6 +33,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 SWEEP_WORKLOAD = "sweep_pxI0"
 SWEEP_WORKERS = "2"
+OFF_CENTRE = "linear_offcentre.cfg"
 
 
 def sweep_args(checkout: Path) -> list[str]:
@@ -39,12 +44,26 @@ def sweep_args(checkout: Path) -> list[str]:
     return list(common.WORKLOADS[SWEEP_WORKLOAD]["sweep"])
 
 
-def commands(checkout: Path, out_dir: Path, sweep: list[str]) -> list[list[str]]:
-    """dampedwave argument lists: one run per config, one validate --json
-    per config, then the sweep."""
+def off_centre_config(checkout: Path, directory: Path) -> Path:
+    """Write the checkout's configs/linear_demo.cfg with u0_center = 0.5
+    into directory as OFF_CENTRE; returns its path."""
+    text = (checkout / "configs" / "linear_demo.cfg").read_text()
+    text, count = re.subn(r"(?m)^u0_center\s*=.*$", "u0_center = 0.5", text)
+    if count != 1:
+        raise ValueError(f"{checkout}: linear_demo.cfg has {count} u0_center lines, not one")
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / OFF_CENTRE
+    path.write_text(text)
+    return path
+
+
+def commands(checkout: Path, out_dir: Path, sweep: list[str],
+             off_centre: Path) -> list[list[str]]:
+    """dampedwave argument lists: one run per config and the off-centre
+    config, one validate --json per config, then the sweep."""
     out = ["--out", str(out_dir)]
     configs = sorted((checkout / "configs").glob("*.cfg"))
-    runs = [["run", str(path), *out] for path in configs]
+    runs = [["run", str(path), *out] for path in configs + [off_centre]]
     validates = [["validate", str(path), "--json"] for path in configs]
     return runs + validates + [
         ["sweep", *sweep, "--workers", SWEEP_WORKERS, *out, "--name", SWEEP_WORKLOAD]]
@@ -55,8 +74,9 @@ def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, 
     env = {k: v for k, v in os.environ.items() if k != "DAMPEDWAVE_OUT"}
     env.update(PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
     out_dir.mkdir(parents=True, exist_ok=True)
+    off_centre = off_centre_config(checkout, out_dir.with_name(f"{out_dir.name}-configs"))
     codes = {}
-    for argv in commands(checkout, out_dir, sweep):
+    for argv in commands(checkout, out_dir, sweep, off_centre):
         proc = subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv], cwd=checkout,
                               env=env, capture_output=True, text=True)
         label = "sweep" if argv[0] == "sweep" else f"{argv[0]} {Path(argv[1]).name}"
