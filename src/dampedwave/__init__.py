@@ -63,6 +63,7 @@ from .solver import (
 from .spectral import (
     PoincareEstimate,
     PoincareProblem,
+    c_star_continuum,
     estimate_c_star,
     poincare_problem,
     verify_poincare_on_samples,

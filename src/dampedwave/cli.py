@@ -13,11 +13,12 @@ Exit-status contract (stable for harnesses):
 Every run emits one CSV time series (17 significant digits, columns
 t, E_u, l2_u, l2_local, dissipation_cum, G_k, identity_residual,
 lemma25_residual, lemma25_ratio, au2_cum) plus one JSON manifest holding
-the config hash, derived constants (C* with the iterations, residual and
-edge tail of its solve), termination and time.mirrored (whether the
-run marched only x >= 0). Outputs are deterministic functions of the
-config bytes. The default output directory may be set with the
-DAMPEDWAVE_OUT environment variable.
+the config hash, derived constants (C* with the bisection steps,
+eigenresidual and edge tail of its solve, and c_star_continuum, the
+whole-line continuum C* for the same L), termination and time.mirrored
+(whether the run marched only x >= 0). Outputs are deterministic
+functions of the config bytes. The default output directory may be set
+with the DAMPEDWAVE_OUT environment variable.
 
 A sweep is a base RunSpec built from its flags, each (p, I0) cell built as
 `run` builds a config; its manifest holds the base as config text
@@ -40,8 +41,8 @@ from . import __version__
 from . import analysis, config as cfg, runner, solver
 from .coefficients import Grid
 from .diagnostics import CSV_COLUMNS
-from .errors import ConfigError, ConvergenceError, FitError, GridDomainError, HypothesisError
-from .spectral import estimate_c_star, poincare_problem
+from .errors import ConfigError, FitError, GridDomainError, HypothesisError
+from .spectral import c_star_continuum, estimate_c_star, poincare_problem
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -94,6 +95,7 @@ def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict
     profile = run.profile
     derived = {
         "c_star": lab.c_star,
+        "c_star_continuum": c_star_continuum(profile.L) if estimate else None,
         "smallness_bound": (1.0 / (4.0 * lab.c_star)) if lab.c_star else None,
         "c_star_iterations": estimate.iterations if estimate else None,
         "c_star_residual": estimate.residual if estimate else None,
@@ -152,14 +154,17 @@ def cmd_validate(args) -> int:
         status = {True: "pass", False: "FAIL", None: "skipped"}[check.passed]
         margin = "" if check.margin is None else f" (margin {check.margin:.6g})"
         print(f"{check.name:35s} {status:7s} {check.detail}{margin}")
-    c_star = None if estimate is None else estimate.c_star
-    if c_star is not None:
+    c_star = continuum = None
+    if estimate is not None:
+        c_star, continuum = estimate.c_star, c_star_continuum(profile.L)
         print(f"{'C*':35s} {c_star:.12g}")
+        print(f"{'C*_continuum':35s} {continuum:.12g}")
         print(f"{'1/(4C*)':35s} {1.0 / (4.0 * c_star):.12g}")
     if args.json:
         payload = {
             "passed": report.passed,
             "c_star": _json_safe(c_star),
+            "c_star_continuum": _json_safe(continuum),
             "checks": _checks_json(report),
         }
         print(json.dumps(payload, sort_keys=True))
@@ -191,20 +196,15 @@ def cmd_run(args) -> int:
 def cmd_poincare(args) -> int:
     problems = [f"{name} must be finite" for name, value in
                 (("--L", args.L), ("--domain", args.domain)) if not math.isfinite(value)]
-    if not 0.0 < args.tol < math.inf:
-        problems.append("--tol must be finite and positive")
     if problems:
         print(f"invalid poincare input: {'; '.join(problems)}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         grid = Grid(-args.domain, args.domain, args.nodes)
-        estimate = estimate_c_star(poincare_problem(grid, args.L), tol=args.tol)
+        estimate = estimate_c_star(poincare_problem(grid, args.L))
     except _VALIDATION_ERRORS as exc:
         print(f"invalid poincare input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ConvergenceError as exc:
-        print(f"poincare estimate failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     print("L,c_star,lambda_min,residual")
     print(f"{_fmt(args.L)},{_fmt(estimate.c_star)},"
           f"{_fmt(estimate.lambda_min)},{_fmt(estimate.residual)}")
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--domain", type=float, required=True, help="half width X of [-X, X]")
     p.add_argument("--nodes", type=int, required=True, help="cell count")
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_poincare)
 
     f = sub.add_parser("fit", help="fit a decay exponent from a run CSV or manifest")

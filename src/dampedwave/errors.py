@@ -16,13 +16,5 @@ class ConfigError(ValueError):
     violation, unbounded data without a truncation radius, ...)."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver did not converge within its iteration cap."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class FitError(ValueError):
     """A decay fit was requested on an unusable window."""

@@ -14,24 +14,32 @@ construction. The minimizer decays exponentially away from the core, so
 a domain a few tens of units wider than L makes truncation irrelevant;
 the estimate records the relative tail size at the edge for checking.
 
-The iterative path is power iteration on A^-1 B (inverse iteration for
-the pencil A w = lambda B w with A = stiffness + outer mass, B = inner
-mass). A is symmetric positive definite and tridiagonal (weakly
-diagonally dominant), so it is factored once as L D L^T without pivoting,
-which is backward stable for such a matrix, and each iteration solves
-with one forward and one back substitution. The tests check it against
-a dense oracle on coarse grids (tests/helpers.py): a Cholesky reduction
-of the reversed pencil and a full symmetric eigensolve.
+The pencil A w = lambda B w (A = stiffness + outer mass, B = inner mass,
+interior nodes) is the recurrence w_{i+1} = c_i w_i - w_{i-1} with
+c_i = 2 + dx (w_out_i - lambda w_in_i): 2 cosh mu = 2 + dx^2 on exterior
+nodes (no inner mass), 2 cos theta = 2 - lambda dx^2 on core nodes (cell
+in [-L, L]) and its own value on the at most two split nodes a side. The
+solution shot from w_0 = 0, w_1 = 1 gives the leading minors of
+dx (A - lambda B), so by Sturm lambda >= lambda_min exactly when it is
+<= 0 at some node. estimate_c_star bisects on that down to adjacent
+floats, crossing each exterior as the sinh from its Dirichlet end, the
+core as a cos(j theta - alpha) phase and the split nodes one step each,
+and builds the minimizer the same way. Its residual |A w - lambda B w| /
+|A w|, from the nodal values, checks the closed form; the second
+difference's rounding puts its floor near eps / (lambda dx^2). A dense
+oracle (tests/helpers.py) checks C* on coarse grids. c_star_continuum is
+the paper's whole-line constant, bisected the same way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import Grid, core_sets, partition_cell_weights
-from .errors import ConvergenceError, GridDomainError
+from .errors import GridDomainError
 
 
 @dataclass(frozen=True)
@@ -47,17 +55,21 @@ class PoincareProblem:
 
 def poincare_problem(grid: Grid, L: float) -> PoincareProblem:
     """The pencil's regions; GridDomainError unless the grid covers the
-    core and has a node in it (coefficients.core_sets)."""
+    core, has a node in it (coefficients.core_sets) and an interior node
+    with inner mass."""
     if grid.x_min > -L or grid.x_max < L:
         raise GridDomainError("grid must cover the core |x| <= L")
     w_in, w_out = partition_cell_weights(grid, L)
-    if not core_sets(grid, L)[0].any() or w_in.sum() == 0.0:
+    if not core_sets(grid, L)[0].any() or not w_in[1:-1].any():
         raise GridDomainError("inner region contains no grid mass; refine the grid")
     return PoincareProblem(grid, L, w_in, w_out)
 
 
 @dataclass(frozen=True)
 class PoincareEstimate:
+    """C* = 1 / lambda_min, the minimizer (max |w| = 1), its relative
+    eigenresidual, the bisection's steps and max |w| next to the ends."""
+
     problem: PoincareProblem
     c_star: float
     lambda_min: float
@@ -85,97 +97,88 @@ def rayleigh_ratio(problem: PoincareProblem, w: np.ndarray) -> float:
     return q_in / denom
 
 
-def _pencil(problem: PoincareProblem) -> tuple[np.ndarray, float, np.ndarray]:
-    """Interior-node matrices: A = stiffness + outer mass as its diagonal
-    and its constant off-diagonal, B = inner mass diagonal."""
-    dx = problem.grid.dx
-    diag = 2.0 / dx + problem.w_out[1:-1]
-    b_diag = problem.w_in[1:-1].copy()
-    return diag, -1.0 / dx, b_diag
+def _bisect(crosses, lo: float, hi: float) -> tuple[float, int]:
+    """Bisect a predicate that is False at lo, True at hi and monotone in
+    between down to adjacent floats; (the last lo, the step count)."""
+    steps = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if crosses(mid):
+            hi = mid
+        else:
+            lo = mid
+        steps += 1
+    return lo, steps
 
 
-def _tridiag_matvec(diag: np.ndarray, off: float, v: np.ndarray) -> np.ndarray:
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
+def _sinh_ratio(j, k: int, mu: float):
+    """sinh(j mu) / sinh(k mu) for 0 <= j <= k, k >= 1, free of overflow."""
+    return np.exp((j - k) * mu) * np.expm1(-2.0 * j * mu) / np.expm1(-2.0 * k * mu)
 
 
-def _ldl_factor(diag: np.ndarray, off: float) -> tuple[list[float], list[float]]:
-    """Pivot-free L D L^T of the SPD tridiagonal matrix (diag, off):
-    multipliers l (l[i] = L[i, i-1], l[0] unused) and pivots d."""
-    d = diag.tolist()
-    l = [0.0] * len(d)
-    for i in range(1, len(d)):
-        l[i] = off / d[i - 1]
-        d[i] -= l[i] * off
-    return l, d
+def estimate_c_star(problem: PoincareProblem) -> PoincareEstimate:
+    """lambda_min bisected on the Sturm predicate from 0 to a plateau-hat's
+    Rayleigh quotient, and the minimizer at that root."""
+    grid, L, w_in, w_out = problem.grid, problem.L, problem.w_in, problem.w_out
+    dx, n = grid.dx, grid.n_cells
+    inner = np.flatnonzero(w_in[1:-1]) + 1  # the nodes whose cell meets the core
+    first, last = int(inner[0]), int(inner[-1])
+    runs = list(range(first, last + 1))  # split nodes, the core as one range
+    core = np.flatnonzero(np.abs(grid.x[first:last + 1]) + dx / 2 <= L)
+    if core.size:
+        runs[core[0]:core[-1] + 1] = [range(first + core[0], first + core[-1] + 1)]
+    mu = 2.0 * math.asinh(dx / 2.0)
+    q_left = float(_sinh_ratio(first - 1, first, mu))
+    q_right = float(_sinh_ratio(n - 1 - last, n - last, mu))
+
+    def crosses(lam: float, w: np.ndarray | None = None) -> bool:
+        """lam >= lambda_min; with w given, write the shot solution into it."""
+        prev, cur = q_left, 1.0
+        if w is not None:
+            w[:first + 1] = _sinh_ratio(np.arange(first + 1), first, mu)
+        for run in runs:
+            if isinstance(run, int):
+                prev, cur = cur, (2.0 + dx * (w_out[run] - lam * w_in[run])) * cur - prev
+                if cur <= 0.0:
+                    return True
+                if w is not None:
+                    w[run + 1] = cur
+                continue
+            s = dx * math.sqrt(lam) / 2.0  # sin(theta / 2)
+            if s >= 1.0:
+                return True
+            theta, m = 2.0 * math.asin(s), len(run)
+            alpha = math.atan2((1.0 - 2.0 * s * s) * cur - prev, math.sin(theta) * cur)
+            if m * theta - alpha >= math.pi / 2.0:
+                return True
+            scale = cur / math.cos(alpha)
+            if w is not None:
+                w[run.start + 1:run.stop + 1] = scale * np.cos(np.arange(1, m + 1) * theta - alpha)
+            prev, cur = (scale * math.cos((m - 1) * theta - alpha),
+                         scale * math.cos(m * theta - alpha))
+        if w is not None:
+            w[last + 1:-1] = cur * _sinh_ratio(np.arange(n - last - 1, 0, -1), n - last - 1, mu)
+            w[-1] = 0.0
+        return prev * q_right >= cur
+
+    # at least a cell wide, so that every node whose cell meets the core carries it
+    hat = np.clip(L + max(1.0, dx) - np.abs(grid.x), 0.0, 1.0)
+    hat[0] = hat[-1] = 0.0
+    lam, steps = _bisect(crosses, 0.0, 1.0 / rayleigh_ratio(problem, hat))
+    w = np.zeros(grid.n_nodes)
+    crosses(lam, w)
+    w /= np.max(np.abs(w))
+    a_w = -np.diff(w, 2) / dx + w_out[1:-1] * w[1:-1]
+    residual = float(np.linalg.norm(a_w - lam * w_in[1:-1] * w[1:-1]) / np.linalg.norm(a_w))
+    return PoincareEstimate(problem=problem, c_star=1.0 / lam, lambda_min=lam, minimizer=w,
+                            residual=residual, iterations=steps,
+                            edge_tail=float(max(abs(w[1]), abs(w[-2]))))
 
 
-def _ldl_solve(l: list[float], d: list[float], b: np.ndarray) -> np.ndarray:
-    """Solve L D L^T y = b by forward and back substitution."""
-    y = b.tolist()
-    n = len(y)
-    for i in range(1, n):
-        y[i] -= l[i] * y[i - 1]
-    y[-1] /= d[-1]
-    for i in range(n - 2, -1, -1):
-        y[i] = y[i] / d[i] - l[i + 1] * y[i + 1]
-    return np.array(y)
-
-
-def estimate_c_star(
-    problem: PoincareProblem, tol: float = 1e-12, max_iter: int = 10_000
-) -> PoincareEstimate:
-    """Inverse-power iteration for the smallest Rayleigh value of the pencil.
-
-    Converged when the eigenvalue increment is below tol * lambda and the
-    relative eigenresidual is below sqrt(tol); the eigenvalue error then
-    scales like residual^2 / gap, i.e. like tol.
-    """
-    diag, off, b_diag = _pencil(problem)
-    l, d = _ldl_factor(diag, off)
-    res_tol = np.sqrt(tol)
-
-    # deterministic even start concentrated on the core, where the
-    # minimizer lives
-    xi = problem.grid.x[1:-1]
-    v = np.exp(-((xi / max(problem.L, 1.0)) ** 2))
-    v /= np.linalg.norm(v)
-
-    lam_prev = np.inf
-    lam = np.inf
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = _ldl_solve(l, d, b_diag * v)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            raise ConvergenceError("iteration collapsed to zero; inner mass degenerate")
-        v = y / ny
-        av = _tridiag_matvec(diag, off, v)
-        bv = b_diag * v
-        lam = float(v @ av) / float(v @ bv)
-        residual = float(np.linalg.norm(av - lam * bv) / np.linalg.norm(av))
-        if abs(lam - lam_prev) <= tol * abs(lam) and residual <= res_tol:
-            break
-        lam_prev = lam
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} iterations", residual=residual
-        )
-    minimizer = np.zeros(problem.grid.n_nodes)
-    minimizer[1:-1] = v / np.max(np.abs(v))
-    edge_tail = float(max(abs(minimizer[1]), abs(minimizer[-2])))
-    return PoincareEstimate(
-        problem=problem,
-        c_star=1.0 / lam,
-        lambda_min=lam,
-        minimizer=minimizer,
-        residual=residual,
-        iterations=iterations,
-        edge_tail=edge_tail,
-    )
+def c_star_continuum(L: float) -> float:
+    """The paper's C* on the whole line, 1/k^2 with k tan(kL) = 1 and
+    k in (0, pi/2L): the limit of estimate_c_star as dx -> 0 and X -> inf."""
+    k, _ = _bisect(lambda k: k * math.tan(k * L) >= 1.0, 0.0, math.pi / (2.0 * L))
+    return 1.0 / (k * k)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ def example1_profile(grid, V0=0.01, beta=2.0, L=1.0, eps1=1.0, ramp="sharp"):
 
 
 def dense_c_star(problem):
-    """Dense oracle for spectral.estimate_c_star, independent of its L D L^T
-    inverse iteration: C* is the largest mu of the reversed pencil
+    """Dense oracle for spectral.estimate_c_star, independent of its
+    closed-form bisection: C* is the largest mu of the reversed pencil
     B v = mu A v (mu = 1/lambda), reduced by the Cholesky factor A = L L^T
     to the symmetric L^-1 B L^-T = X X^T with X = L^-1 B^1/2, then solved
     in full. Only for coarse grids."""

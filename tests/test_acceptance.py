@@ -163,7 +163,7 @@ def test_criterion_07_poincare_constant_oracle_and_samples():
     estimate = dw.estimate_c_star(problem)
     dense = dense_c_star(problem)
     rel = abs(estimate.c_star - dense) / dense
-    assert rel < 1e-6, f"iterative vs dense C* differ by {rel:.2e}"
+    assert rel < 1e-6, f"closed-form vs dense C* differ by {rel:.2e}"
     report = dw.verify_poincare_on_samples(estimate, 1000, seed=42,
                                            relative_slack=1e-8)
     assert report.violations == 0, f"{report.violations} sample violations"

@@ -289,6 +289,14 @@ class TestCoreSets:
             with pytest.raises(GridDomainError, match="no grid mass"):
                 dw.poincare_problem(grid, L)
 
+    def test_poincare_problem_needs_inner_mass_off_the_ends(self):
+        # nodes -1, 3, 7: only the end node -1 meets the core, and the
+        # pencil's unknowns are the interior nodes
+        grid = dw.Grid(-1.0, 7.0, 2)
+        assert core_sets(grid, 1.0)[0].any()
+        with pytest.raises(GridDomainError, match="no grid mass"):
+            dw.poincare_problem(grid, 1.0)
+
 
 class TestInitialData:
     def test_truncation_and_support(self):

@@ -11,6 +11,8 @@ _spec.loader.exec_module(same_outputs)
 RUN_CSV = "t,E_u,l2_u\n0,1.5,0.25\n1,0.75,0.125\n"
 SWEEP_CSV = "p\\I0,0.1,1\n3,decayed_at_rate,blowup(t=2.5)\n"
 MANIFEST = '{\n  "c_star": 1.25,\n  "files": {"csv": "run.csv"}\n}\n'
+VALIDATE = ('smallness_V0  pass  V(0) = 0.02\nC*  1.25\n1/(4C*)  0.2\n'
+            '{"c_star": 1.25, "checks": [{"margin": 0.5, "name": "smallness_V0"}]}\n')
 
 
 def write_dir(path: Path, files: dict[str, str]) -> Path:
@@ -55,10 +57,31 @@ class TestCompareDirs:
         assert got["run.csv"] == "shapes differ (2 vs 3 rows)"
         assert got["sweep.csv"] == "headers differ"
 
-    def test_manifest_reports_first_differing_line(self, parent, tmp_path):
-        got = compare(parent, tmp_path, **{"run.manifest.json": MANIFEST.replace("1.25", "1.5")})
+    def test_manifest_reports_largest_relative_key_difference(self, parent, tmp_path):
+        changed = MANIFEST.replace("1.25", "1.5").replace(
+            '"run.csv"}', '"run.csv", "log": "run.log"}')
+        got = compare(parent, tmp_path, **{"run.manifest.json": changed})
         assert got["run.manifest.json"] == (
-            "line 2 differs: '\"c_star\": 1.25,' vs '\"c_star\": 1.5,'")
+            "largest relative difference 0.167 in key c_star (1 values differ); "
+            "keys only in the change: files.log")
+
+    def test_json_keys_on_one_side_and_text_values(self):
+        got = same_outputs.json_difference(
+            '{"a": {"b": [1, 2.0]}, "k": "nan", "old": 1}',
+            '{"a": {"b": [1, 2.000002]}, "k": 0.5, "new": {"x": 1}}')
+        assert got == ("largest relative difference inf in key k (2 values differ); "
+                       "keys only in the parent: old; keys only in the change: new.x")
+
+    def test_validate_output_reports_lines_and_json_keys(self, tmp_path):
+        parent = write_dir(tmp_path / "parent", {"v.validate.txt": VALIDATE})
+        changed = VALIDATE.replace("1/(4C*)", "C*_continuum  1.3\n1/(4C*)").replace(
+            '"margin": 0.5', '"margin": 0.50000001')
+        got = dict(same_outputs.compare_dirs(
+            parent, write_dir(tmp_path / "change", {"v.validate.txt": changed})))
+        assert got["v.validate.txt"] == (
+            "1 lines only in the change, the first 'C*_continuum 1.3'; "
+            "JSON line: largest relative difference 2e-08 in key checks.0.margin "
+            "(1 values differ)")
 
     def test_file_on_one_side_only(self, parent, tmp_path):
         got = compare(parent, tmp_path, **{"sweep.csv": None, "extra.csv": RUN_CSV})

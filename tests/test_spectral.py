@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave.errors import ConvergenceError, GridDomainError
-from dampedwave.spectral import _ldl_factor, _ldl_solve, _pencil, quadratic_forms, rayleigh_ratio
+from dampedwave.errors import GridDomainError
+from dampedwave.spectral import quadratic_forms, rayleigh_ratio
 
 from helpers import dense_c_star
 
@@ -17,10 +17,10 @@ class TestEstimate:
         problem = coarse_problem()
         estimate = dw.estimate_c_star(problem)
         dense = dense_c_star(problem)
-        assert abs(estimate.c_star - dense) / dense < 1e-6
+        assert abs(estimate.c_star - dense) / dense < 1e-12
         assert estimate.c_star * estimate.lambda_min == pytest.approx(1.0, rel=1e-12)
         assert estimate.lambda_min > 0.0
-        assert estimate.residual <= 1e-6
+        assert estimate.residual <= 1e-10
 
     @pytest.mark.parametrize("n_cells, L", [(400, 1.0), (1000, 2.5), (4000, 3.0)])
     def test_matches_dense_oracle_to_round_off(self, n_cells, L):
@@ -75,27 +75,60 @@ class TestEstimate:
         with pytest.raises(GridDomainError):
             dw.poincare_problem(grid, 1e-4)
 
-    def test_iteration_cap_raises_with_residual(self):
-        problem = coarse_problem()
-        with pytest.raises(ConvergenceError) as err:
-            dw.estimate_c_star(problem, tol=1e-15, max_iter=2)
-        assert err.value.residual is not None
 
 
-class TestTridiagonalSolve:
-    @pytest.mark.parametrize("grid, L, split", [
-        (dw.Grid(-32.0, 32.0, 256), 1.0, False),  # +-L on a node
-        (dw.Grid(-12.0, 12.0, 400), 1.0, True),  # +-L inside a cell
-    ])
-    def test_ldl_solve_matches_dense_solve(self, grid, L, split):
+class TestClosedForm:
+    """The runs the shot crosses in closed form: exterior (no inner mass),
+    core (cell inside [-L, L]) and the split nodes between them."""
+
+    @pytest.mark.parametrize("grid, L", [
+        (dw.Grid(-20.0, 20.0, 400), 1.0),  # +-L on a node
+        (dw.Grid(-12.0, 12.0, 400), 1.0),  # +-L inside a cell
+        (dw.Grid(-40.5, 39.5, 800), 1.0),  # asymmetric
+        (dw.Grid(-1.0, 1.0, 100), 1.0),  # no exterior: the ends are +-L
+        (dw.Grid(-2.005, 1.995, 400), 0.005),  # no cell wholly in the core
+        (dw.Grid(-2.0, 2.0, 400), 1.9),  # the core reaches near the ends
+        (dw.Grid(-1.0, 9.0, 3), 1.0),  # one inner interior node, 2.33 from the origin
+    ], ids=["on-node", "mid-cell", "asymmetric", "no-exterior", "no-core-cell", "wide-core",
+            "coarse"])
+    def test_matches_dense_oracle_on_edge_grids(self, grid, L):
         problem = dw.poincare_problem(grid, L)
-        assert (abs(L / grid.dx - round(L / grid.dx)) > 0.1) == split
-        diag, off, _ = _pencil(problem)
-        A = np.diag(diag) + off * (np.eye(diag.size, k=1) + np.eye(diag.size, k=-1))
-        b = np.random.default_rng(3).standard_normal(diag.size)
-        y = _ldl_solve(*_ldl_factor(diag, off), b)
-        want = np.linalg.solve(A, b)
-        assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+        estimate = dw.estimate_c_star(problem)
+        assert estimate.c_star == pytest.approx(dense_c_star(problem), rel=1e-12)
+        assert estimate.residual <= 1e-10
+        assert np.max(np.abs(estimate.minimizer)) == 1.0
+        assert estimate.minimizer[0] == estimate.minimizer[-1] == 0.0
+
+    def test_long_exterior_stays_finite(self):
+        # sinh(j mu) overflows near j mu = 710; here the exterior spans 3,000
+        far = dw.estimate_c_star(dw.poincare_problem(dw.Grid(-3000.0, 3000.0, 300_000), 1.0))
+        near = dw.estimate_c_star(dw.poincare_problem(dw.Grid(-60.0, 60.0, 6000), 1.0))
+        assert np.all(np.isfinite(far.minimizer))
+        assert far.c_star == pytest.approx(near.c_star, rel=1e-12)
+        assert far.residual <= 1e-10
+
+    def test_bisection_runs_to_adjacent_floats(self):
+        estimate = dw.estimate_c_star(coarse_problem())
+        assert 45 <= estimate.iterations <= 64
+
+
+class TestContinuum:
+    def test_unit_core_radius(self):
+        assert dw.c_star_continuum(1.0) == pytest.approx(1.3510339, abs=5e-8)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.5, 3.0])
+    def test_root_of_k_tan_kL(self, L):
+        k = 1.0 / np.sqrt(dw.c_star_continuum(L))
+        assert 0.0 < k * L < np.pi / 2
+        assert k * np.tan(k * L) == pytest.approx(1.0, abs=1e-14)
+
+    def test_discrete_converges_at_second_order(self):
+        # +-1 on a node at dx = 0.1, 0.05 and 0.025
+        continuum = dw.c_star_continuum(1.0)
+        errors = [continuum - dw.estimate_c_star(
+            dw.poincare_problem(dw.Grid(-40.0, 40.0, n), 1.0)).c_star for n in (800, 1600, 3200)]
+        assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.5)
+        assert errors[1] / errors[2] == pytest.approx(4.0, abs=0.5)
 
 
 class TestInequality:

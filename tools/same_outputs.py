@@ -12,16 +12,21 @@ marches the half line), and the sweep_pxI0 command line of the change's
 bench/common.py with --workers 2. Then it prints one line
 per output file: "identical" when the bytes agree; for a CSV that differs, the
 column with the largest relative difference and the number of cells
-that differ; for any other file, the first line that differs. A file
-written on one side only, or a command whose exit status differs,
-counts as a difference. Exits 1 on any difference, else 0. Outputs go
+that differ; for a JSON file (and the JSON report that ends a
+validate output), the key with the largest relative difference, the
+number of values that differ and the keys written on one side only; for
+other text, the lines written on one side only. A file written on one
+side only, or a command whose exit status differs, counts as a
+difference. Exits 1 on any difference, else 0. Outputs go
 to a temporary directory. Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import importlib.util
+import json
 import math
 import os
 import re
@@ -96,6 +101,14 @@ def _cell(text: str) -> float | str:
         return text
 
 
+def _relative(x, y) -> float:
+    """|x - y| / max(|x|, |y|) for two finite numbers; inf for anything
+    else (text, NaN, a number against text)."""
+    if all(type(v) in (int, float) and math.isfinite(v) for v in (x, y)):
+        return abs(x - y) / max(abs(x), abs(y))
+    return math.inf
+
+
 def csv_difference(a: str, b: str) -> str:
     """Where two CSV texts differ: header, row count, or the column with
     the largest relative difference |x - y| / max(|x|, |y|) and the count
@@ -115,23 +128,60 @@ def csv_difference(a: str, b: str) -> str:
             if x == y:
                 continue
             cells += 1
-            x, y = _cell(x), _cell(y)
-            if isinstance(x, float) and isinstance(y, float) and math.isfinite(x) \
-                    and math.isfinite(y):
-                rel = abs(x - y) / max(abs(x), abs(y))
-            else:
-                rel = math.inf
-            worst[name] = max(worst[name], rel)
+            worst[name] = max(worst[name], _relative(_cell(x), _cell(y)))
     name = max(header, key=lambda n: worst[n])
     return f"largest relative difference {worst[name]:.3g} in column {name} ({cells} cells differ)"
 
 
+def _leaves(value, key: str = "") -> dict:
+    """The leaves of a JSON value by dotted key; list items by index."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        out = {}
+        for k, v in items:
+            out.update(_leaves(v, f"{key}.{k}" if key else str(k)))
+        return out
+    return {key: value}
+
+
+def json_difference(a: str, b: str) -> str:
+    """Where two JSON texts differ: the key with the largest relative
+    difference and the count of values that differ, then the keys
+    written on one side only."""
+    leaves = _leaves(json.loads(a)), _leaves(json.loads(b))
+    differ = {key: _relative(leaves[0][key], leaves[1][key])
+              for key in sorted(leaves[0].keys() & leaves[1].keys())
+              if leaves[0][key] != leaves[1][key]}
+    parts = []
+    if differ:
+        key = max(differ, key=differ.get)
+        parts.append(f"largest relative difference {differ[key]:.3g} in key {key} "
+                     f"({len(differ)} values differ)")
+    for side, mine, other in zip(SIDES, leaves, reversed(leaves)):
+        if only := sorted(mine.keys() - other.keys()):
+            parts.append(f"keys only in the {side}: {', '.join(only)}")
+    return "; ".join(parts) or "same values, other formatting"
+
+
 def text_difference(a: str, b: str) -> str:
-    lines_a, lines_b = a.splitlines(), b.splitlines()
-    for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
-        if x != y:
-            return f"line {i} differs: {x.strip()!r} vs {y.strip()!r}"
-    return f"lengths differ ({len(lines_a)} vs {len(lines_b)} lines)"
+    """Where two texts differ: the lines written on one side only, the first
+    of each quoted; a last line holding JSON on both sides (validate
+    --json's report) is compared by json_difference."""
+    lines = a.splitlines(), b.splitlines()
+    report = []
+    if all(side and side[-1].startswith("{") for side in lines):
+        reports = [side.pop() for side in lines]
+        if reports[0] != reports[1]:
+            report.append(f"JSON line: {json_difference(*reports)}")
+    only = ([], [])
+    matcher = difflib.SequenceMatcher(None, *lines, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            only[0].extend(lines[0][i1:i2])
+            only[1].extend(lines[1][j1:j2])
+    parts = [f"{len(mine)} lines only in the {side}, the first {' '.join(mine[0].split())!r}"
+             for side, mine in zip(SIDES, only) if mine]
+    return "; ".join(parts + report) or "same lines, other line ends"
 
 
 def compare_dirs(parent: Path, change: Path) -> list[tuple[str, str | None]]:
@@ -149,7 +199,7 @@ def compare_dirs(parent: Path, change: Path) -> list[tuple[str, str | None]]:
             out.append((name, None))
             continue
         text_a, text_b = raw_a.decode(errors="replace"), raw_b.decode(errors="replace")
-        diff = csv_difference if name.endswith(".csv") else text_difference
+        diff = {".csv": csv_difference, ".json": json_difference}.get(a.suffix, text_difference)
         out.append((name, diff(text_a, text_b)))
     return out
 
