@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     FitResult,
-    SemilinearSweep,
     check_gagliardo_nirenberg,
     check_lemma31,
     fit_decay,

@@ -16,12 +16,13 @@ which the report exposes instead of raising), and the interpolation
 inequality ||u||_2p <= C ||u||^(1-theta) ||u_x||^theta with
 theta = (p-1)/(2p), probed on random smoothed samples.
 
-A semilinear sweep is a base RunSpec: each (p, I0) cell is the base with
-|u|^p, built by config.build_problem as for `dampedwave run`, its data
-rescaled to I0. A cell's outcome reads only ||u|| and the energy norm,
-so it marches without history (solver.RunConfig.history = False) under
-the Recorder `dampedwave run` uses; the columns that need history are
-NaN.
+A semilinear sweep is a base RunSpec and a cell is a (spec, I0) pair:
+the base with |u|^p, built by config.build_problem as for `dampedwave
+run`, its data rescaled to I0. The cells are mapped in order, p-major,
+and the sweep returns their outcome tokens as a matrix, one row per p.
+A cell's outcome reads only ||u|| and the energy norm, so it marches
+without history (solver.RunConfig.history = False) under the Recorder
+`dampedwave run` uses; the columns that need history are NaN.
 """
 
 from __future__ import annotations
@@ -203,18 +204,17 @@ class InterpolationReport:
     mean_ratio: float
 
 
-def check_gagliardo_nirenberg(
-    p: float, n_samples: int = 1000, seed: int = 7, grid: Grid | None = None
-) -> InterpolationReport:
+def check_gagliardo_nirenberg(p: float, n_samples: int = 1000, seed: int = 7
+                              ) -> InterpolationReport:
     """Empirical constant in ||u||_2p <= C ||u||^(1-theta) ||u_x||^theta,
-    theta = (p-1)/(2p), over random smoothed samples tapered to zero at
-    the domain ends. The ratio is scale invariant, so sample amplitude is
-    irrelevant; the report carries its max (the empirical constant)."""
+    theta = (p-1)/(2p), over random smoothed samples on [-20, 20] (2,048
+    cells) tapered to zero at the ends. The ratio is scale invariant, so
+    sample amplitude is irrelevant; the report carries its max (the
+    empirical constant)."""
     if p <= 1:
         raise HypothesisError(f"interpolation exponent needs p > 1, got {p}")
     theta = (p - 1.0) / (2.0 * p)
-    if grid is None:
-        grid = Grid(-20.0, 20.0, 2048)
+    grid = Grid(-20.0, 20.0, 2048)
     rng = np.random.default_rng(seed)
     taper = np.sin(np.linspace(0.0, math.pi, grid.n_nodes)) ** 2
     ratios = np.empty(n_samples)
@@ -240,15 +240,6 @@ def interpolation_ratio(grid: Grid, u: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 # semilinear sweeps
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SemilinearSweep:
-    beta: float
-    p_values: tuple[float, ...]
-    I0_values: tuple[float, ...]
-    outcomes: tuple[tuple[str, ...], ...]  # rows: p, columns: I0
-    p_critical: float
-
 
 BOUNDED_GROWTH_FACTOR = 1.10
 DECAY_EXPONENT_GATE = -0.4
@@ -295,27 +286,21 @@ def classify_outcome(result: solver.RunResult, t_end: float) -> str:
         fit = fit_decay(records, "energy_norm", (10.0, t_end))
     except FitError:
         return "bounded"
-    if np.max([r.energy_norm for r in records]) == 0.0:
-        return "bounded"
     return "decayed_at_rate" if fit.exponent <= DECAY_EXPONENT_GATE else "bounded"
 
 
-def _sweep_cell(args) -> tuple[int, int, str]:
-    (i, j, p, i0, spec) = args
+def _sweep_cell(cell: tuple[cfg.RunSpec, float]) -> str:
+    """The outcome token of one (spec, I0) cell, its spec carrying its power;
+    a cell that fails its checks becomes error(<exception name>)."""
+    spec, i0 = cell
     try:
-        outcome = _run_sweep_cell(p, i0, spec)
+        profile, data = cfg.build_problem(spec)
+        data = scale_data_to_i0(data, profile, i0)
+        run_config = replace(cfg.run_config_from_spec(spec, profile, data), history=False)
+        return classify_outcome(solver.run(run_config, Recorder(profile, None, data, None)),
+                                spec.time.t_end)
     except (ConfigError, HypothesisError) as exc:
-        outcome = f"error({type(exc).__name__})"
-    return i, j, outcome
-
-
-def _run_sweep_cell(p: float, i0: float, spec: cfg.RunSpec) -> str:
-    spec = replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p))
-    profile, data = cfg.build_problem(spec)
-    data = scale_data_to_i0(data, profile, i0)
-    run_config = replace(cfg.run_config_from_spec(spec, profile, data), history=False)
-    result = solver.run(run_config, Recorder(profile, None, data, None))
-    return classify_outcome(result, spec.time.t_end)
+        return f"error({type(exc).__name__})"
 
 
 def semilinear_sweep(
@@ -323,27 +308,22 @@ def semilinear_sweep(
     p_values: list[float],
     I0_values: list[float],
     workers: int = 1,
-) -> SemilinearSweep:
-    """Outcome matrix over (p, I0) for a base spec with a potential beta.
-    A base that is invalid for every cell raises ConfigError/HypothesisError
-    before any cell runs; a cell that fails on its own becomes an
-    error(<exception name>) outcome token and never aborts the sweep.
-    workers must be >= 1 (ConfigError otherwise); more than one dispatches
-    cells to a process pool of at most one worker per cell. Aggregation
-    order is deterministic either way."""
+) -> tuple[tuple[str, ...], ...]:
+    """Outcome matrix over (p, I0) for a base spec with a potential beta:
+    one row of tokens per p, one column per I0. A base that is invalid for
+    every cell raises ConfigError/HypothesisError before any cell runs; a
+    cell that fails on its own becomes an error(<exception name>) token
+    and never aborts the sweep. workers must be >= 1 (ConfigError
+    otherwise); more than one maps the cells in order over a process pool
+    of at most one worker per cell, one maps them in process."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    beta = spec.potential.beta
-    if beta is None:
+    if spec.potential.beta is None:
         raise ConfigError(f"a sweep needs a potential with beta, got {spec.potential.family!r}")
     profile, data = cfg.build_problem(spec)
     solver.check_semilinear_support(data, profile)
-    cells = [
-        (i, j, p, i0, spec)
-        for i, p in enumerate(p_values)
-        for j, i0 in enumerate(I0_values)
-    ]
-    grid_out = [["" for _ in I0_values] for _ in p_values]
+    cells = [(replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p)), i0)
+             for p in p_values for i0 in I0_values]
     workers = min(workers, len(cells))
     if workers > 1:
         # deferred: concurrent.futures loads multiprocessing, which only
@@ -351,16 +331,8 @@ def semilinear_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, j, outcome in pool.map(_sweep_cell, cells):
-                grid_out[i][j] = outcome
+            flat = list(pool.map(_sweep_cell, cells))
     else:
-        for cell in cells:
-            i, j, outcome = _sweep_cell(cell)
-            grid_out[i][j] = outcome
-    return SemilinearSweep(
-        beta=beta,
-        p_values=tuple(p_values),
-        I0_values=tuple(I0_values),
-        outcomes=tuple(tuple(row) for row in grid_out),
-        p_critical=p_star(beta),
-    )
+        flat = list(map(_sweep_cell, cells))
+    m = len(I0_values)
+    return tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(len(p_values)))

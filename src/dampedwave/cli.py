@@ -7,7 +7,9 @@ Exit-status contract (stable for harnesses):
        that is not a run's, empty series, stdout closed by the reader,
        a grid too large to allocate)
     2  validation failure (hypothesis or configuration problems, a
-       config that is not UTF-8 text)
+       config that is not UTF-8 text, a grid wider than a float or with
+       more nodes than numpy can address, a C* solve out of float range,
+       a t_end below 1e-8 of the CFL step)
     3  runtime instability
 
 Every run emits one CSV time series (17 significant digits, columns
@@ -271,30 +273,31 @@ def cmd_sweep(args) -> int:
         time=cfg.TimeSpec(t_end=args.t_end),
     )
     try:
-        sweep = analysis.semilinear_sweep(spec, p_values, i0_values, workers=args.workers)
+        outcomes = analysis.semilinear_sweep(spec, p_values, i0_values, workers=args.workers)
     except _VALIDATION_ERRORS as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = _out_dir(args.out)
     path = out / f"{args.name}.csv"
-    header = "p\\I0," + ",".join(_fmt(v) for v in sweep.I0_values)
+    header = "p\\I0," + ",".join(_fmt(v) for v in i0_values)
     lines = [header]
-    for p, row in zip(sweep.p_values, sweep.outcomes):
+    for p, row in zip(p_values, outcomes):
         lines.append(",".join([_fmt(p)] + list(row)))
     path.write_text("\n".join(lines) + "\n")
+    p_critical = analysis.p_star(args.beta)
     manifest = {
         "artifact_version": __version__,
         "kind": "sweep",
-        "beta": sweep.beta,
-        "p_critical": sweep.p_critical,
-        "p_values": list(sweep.p_values),
-        "I0_values": list(sweep.I0_values),
+        "beta": args.beta,
+        "p_critical": p_critical,
+        "p_values": p_values,
+        "I0_values": i0_values,
         "base_config": cfg.emit_config(spec),
         "files": {"csv": path.name},
     }
     (out / f"{args.name}.manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}; critical exponent p*({sweep.beta:g}) = {sweep.p_critical:g}")
+    print(f"wrote {path}; critical exponent p*({args.beta:g}) = {p_critical:g}")
     return EXIT_OK
 
 

@@ -54,6 +54,10 @@ class Grid:
             )
         if self.n_cells < 2:
             raise GridDomainError("grid needs at least 2 cells")
+        if not self.x_max - self.x_min < np.inf:
+            raise GridDomainError(f"grid [{self.x_min}, {self.x_max}] is wider than a float")
+        if self.n_cells >= (limit := np.iinfo(np.intp).max // 8):
+            raise GridDomainError(f"grid has more nodes than numpy can address ({limit} cells)")
 
     @property
     def dx(self) -> float:

@@ -75,13 +75,11 @@ class MultiplierConfig:
     c_star: float
 
 
-def derive_multiplier_config(
-    profile: CoefficientProfile, c_star: float, eps: float | None = None
-) -> MultiplierConfig:
+def derive_multiplier_config(profile: CoefficientProfile, c_star: float) -> MultiplierConfig:
     """Derive the proof constants for a hypothesis-satisfying profile.
 
-    eps is the free parameter in the positivity condition for G_k; it must
-    lie in (0, eps1) and defaults to the midpoint eps1/2.
+    eps, the free parameter in the positivity condition for G_k, must lie
+    in (0, eps1); it is the midpoint eps1/2.
     """
     report = validate_hypotheses(profile, c_star)
     if not report.passed:
@@ -91,10 +89,7 @@ def derive_multiplier_config(
     eps1, L = profile.eps1, profile.L
     alpha = eps1 / 4.0
     eps2 = eps1 / 8.0
-    if eps is None:
-        eps = eps1 / 2.0
-    if not 0.0 < eps < eps1:
-        raise ConfigError(f"eps must lie in (0, eps1) = (0, {eps1}), got {eps}")
+    eps = eps1 / 2.0
 
     v0 = profile.v_at_origin
     gamma0 = 2.0 * (eps2 - c_star * eps1 * v0 / 2.0)
@@ -300,10 +295,10 @@ def check_lemma25(state: WaveState, profile: CoefficientProfile,
     return Lemma25Report(*recorder._lemma25(sums, state))
 
 
-def check_lemma21(record: EnergyRecord, mc: MultiplierConfig,
-                  relative_slack: float = 1e-10) -> bool:
-    """Localized-norm bound: l2_local <= (2 / V_L) E_u, up to rounding slack."""
-    return record.l2_local <= (2.0 / mc.V_L) * record.E_u * (1.0 + relative_slack)
+def check_lemma21(record: EnergyRecord, mc: MultiplierConfig) -> bool:
+    """Localized-norm bound: l2_local <= (2 / V_L) E_u, up to a relative
+    rounding slack of 1e-10."""
+    return record.l2_local <= (2.0 / mc.V_L) * record.E_u * (1.0 + 1e-10)
 
 
 class Recorder:

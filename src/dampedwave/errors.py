@@ -8,7 +8,8 @@ class HypothesisError(ValueError):
 
 
 class GridDomainError(ValueError):
-    """The grid does not cover a region an operation requires."""
+    """The grid does not cover a region an operation requires, or lies
+    beyond float or numpy range (a width or node count, C* on it)."""
 
 
 class ConfigError(ValueError):

@@ -120,6 +120,7 @@ from .errors import ConfigError
 
 BLOWUP_THRESHOLD = 1e8
 BLOCK = 32  # window growth per side between rebuilds of run()'s views
+MIN_T_END_CFL_FRACTION = 1e-8  # below it, (2 dt)^2 underflows or u_t is rounding / dt
 
 COMPLETED = "completed"
 BLOWUP = "blowup"
@@ -173,9 +174,9 @@ def domain_for_radius(support_radius: float, t_end: float, dx: float,
                       padding: float) -> Grid:
     """Symmetric grid [-X, X] with X = support_radius + t_end + padding, so
     unit-speed signals never reach the boundary before t_end."""
-    if dx <= 0 or t_end <= 0 or padding < 0:
-        raise ConfigError("domain sizing needs dx > 0, t_end > 0, padding >= 0")
     X = support_radius + t_end + padding
+    if dx <= 0 or t_end <= 0 or padding < 0 or 2.0 * X / dx == math.inf:
+        raise ConfigError("domain sizing needs dx > 0, t_end > 0, padding >= 0, finite 2X/dx")
     n_cells = int(math.ceil(2.0 * X / dx))
     n_cells += n_cells % 2  # keep 0 on a node
     return Grid(-X, X, n_cells)
@@ -337,6 +338,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("potential and damping must be finite on the grid")
     if config.t_end <= 0:
         raise ConfigError("t_end must be positive")
+    dt0 = cfl_timestep(config.profile, config.cfl)
+    if config.t_end < MIN_T_END_CFL_FRACTION * dt0:
+        raise ConfigError(f"t_end = {config.t_end:.6g} is below {MIN_T_END_CFL_FRACTION:g} "
+                          f"of the CFL step {dt0:.6g}: u_t would be rounding over dt")
     if config.record_every < 1:
         raise ConfigError("record_every must be >= 1")
     if config.p is not None:

@@ -115,9 +115,12 @@ def _sinh_ratio(j, k: int, mu: float):
     return np.exp((j - k) * mu) * np.expm1(-2.0 * j * mu) / np.expm1(-2.0 * k * mu)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_c_star(problem: PoincareProblem) -> PoincareEstimate:
     """lambda_min bisected on the Sturm predicate from 0 to a plateau-hat's
-    Rayleigh quotient, and the minimizer at that root."""
+    Rayleigh quotient, and the minimizer at that root; GridDomainError if
+    lambda_min is not finite and positive or the residual is not finite
+    (a grid whose dx^2 is out of float range)."""
     grid, L, w_in, w_out = problem.grid, problem.L, problem.w_in, problem.w_out
     dx, n = grid.dx, grid.n_cells
     inner = np.flatnonzero(w_in[1:-1]) + 1  # the nodes whose cell meets the core
@@ -169,6 +172,9 @@ def estimate_c_star(problem: PoincareProblem) -> PoincareEstimate:
     w /= np.max(np.abs(w))
     a_w = -np.diff(w, 2) / dx + w_out[1:-1] * w[1:-1]
     residual = float(np.linalg.norm(a_w - lam * w_in[1:-1] * w[1:-1]) / np.linalg.norm(a_w))
+    if not (0.0 < lam < math.inf and residual < math.inf):
+        raise GridDomainError(f"C* is out of float range on this grid (lambda_min = {lam:.6g}, "
+                              f"residual = {residual:.6g})")
     return PoincareEstimate(problem=problem, c_star=1.0 / lam, lambda_min=lam, minimizer=w,
                             residual=residual, iterations=steps,
                             edge_tail=float(max(abs(w[1]), abs(w[-2]))))

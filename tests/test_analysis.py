@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 import dampedwave as dw
 from dampedwave import analysis
 from dampedwave import config as cfg
-from dampedwave.analysis import (
-    _run_sweep_cell, _sweep_cell, interpolation_ratio, scale_data_to_i0,
-)
+from dampedwave.analysis import _sweep_cell, interpolation_ratio, scale_data_to_i0
 from dampedwave.diagnostics import EnergyRecord
 from dampedwave.errors import ConfigError, FitError, HypothesisError
 
 from helpers import example1_profile, sweep_spec
+
+
+def power(spec, p):
+    """spec with the nonlinearity |u|^p, as a sweep cell carries it."""
+    return dataclasses.replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p))
 
 
 def synthetic_records(func, t_values):
@@ -201,25 +204,25 @@ class TestDataScaling:
             scale_data_to_i0(data, profile, target)
 
 
-class TestSemilinearSweep:
+class TestSweep:
     def test_outcome_matrix_structure(self):
         base = sweep_spec(t_end=20.0, dx=0.1)
-        sweep = dw.semilinear_sweep(base, [2.0, 11.0], [0.0, 1e-4, 20.0])
-        assert sweep.p_critical == 9.0
-        assert len(sweep.outcomes) == 2
-        assert len(sweep.outcomes[0]) == 3
+        outcomes = dw.semilinear_sweep(base, [2.0, 11.0], [0.0, 1e-4, 20.0])
+        assert dw.p_star(base.potential.beta) == 9.0
+        assert len(outcomes) == 2
+        assert len(outcomes[0]) == 3
         # supercritical power with tiny data: global and decaying
-        assert sweep.outcomes[1][1] in ("decayed_at_rate", "bounded")
+        assert outcomes[1][1] in ("decayed_at_rate", "bounded")
         # zero data: trivially bounded
-        assert sweep.outcomes[1][0] == "bounded"
+        assert outcomes[1][0] == "bounded"
         # subcritical power with sizable data: blowup with a tagged time
-        assert sweep.outcomes[0][2].startswith("blowup(t=")
+        assert outcomes[0][2].startswith("blowup(t=")
 
     def test_worker_pool_matches_serial(self):
         base = sweep_spec(t_end=10.0, dx=0.1)
         serial = dw.semilinear_sweep(base, [11.0], [1e-4, 10.0], workers=1)
         pooled = dw.semilinear_sweep(base, [11.0], [1e-4, 10.0], workers=2)
-        assert serial.outcomes == pooled.outcomes
+        assert serial == pooled
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_raise(self, workers, monkeypatch):
@@ -246,32 +249,37 @@ class TestSemilinearSweep:
                 return map(fn, cells)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        sweep = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0], [0.0, 1e-4, 1e-3],
-                                    workers=workers)
+        outcomes = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0],
+                                       [0.0, 1e-4, 1e-3], workers=workers)
         assert sizes == [pool_size]
-        assert all(o in ("decayed_at_rate", "bounded") for o in sweep.outcomes[0])
+        assert all(o in ("decayed_at_rate", "bounded") for o in outcomes[0])
 
     def test_one_cell_runs_without_a_pool(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda *a, **k: pytest.fail("pool started"))
-        sweep = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0], [1e-4], workers=4)
-        assert len(sweep.outcomes[0]) == 1
+        outcomes = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0], [1e-4], workers=4)
+        assert len(outcomes[0]) == 1
+
+    def test_empty_i0_list_gives_empty_rows(self, monkeypatch):
+        monkeypatch.setattr(analysis.solver, "run", lambda *a, **k: pytest.fail("marched"))
+        assert dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [3.0, 11.0], [],
+                                   workers=2) == ((), ())
 
     def test_single_cell_supercritical_decays(self):
-        outcome = _run_sweep_cell(11.0, 1e-4, sweep_spec(t_end=30.0, dx=0.05))
+        outcome = _sweep_cell((power(sweep_spec(t_end=30.0, dx=0.05), 11.0), 1e-4))
         assert outcome == "decayed_at_rate"
 
     def test_invalid_cell_becomes_error_token(self):
         base = sweep_spec(t_end=2.0, dx=0.1)
-        assert _sweep_cell((0, 1, 0.5, 1e-3, base)) == (0, 1, "error(ConfigError)")
-        assert _sweep_cell((1, 0, 3.0, -1.0, base)) == (1, 0, "error(HypothesisError)")
-        assert _sweep_cell((0, 0, math.nan, 1e-3, base)) == (0, 0, "error(ConfigError)")
-        assert _sweep_cell((0, 0, 3.0, math.inf, base)) == (0, 0, "error(HypothesisError)")
+        assert _sweep_cell((power(base, 0.5), 1e-3)) == "error(ConfigError)"
+        assert _sweep_cell((power(base, 3.0), -1.0)) == "error(HypothesisError)"
+        assert _sweep_cell((power(base, math.nan), 1e-3)) == "error(ConfigError)"
+        assert _sweep_cell((power(base, 3.0), math.inf)) == "error(HypothesisError)"
 
     def test_mixed_sweep_keeps_valid_cells(self):
-        sweep = dw.semilinear_sweep(sweep_spec(t_end=5.0, dx=0.1), [0.5, 11.0], [1e-4])
-        assert sweep.outcomes[0] == ("error(ConfigError)",)
-        assert sweep.outcomes[1][0] in ("decayed_at_rate", "bounded")
+        outcomes = dw.semilinear_sweep(sweep_spec(t_end=5.0, dx=0.1), [0.5, 11.0], [1e-4])
+        assert outcomes[0] == ("error(ConfigError)",)
+        assert outcomes[1][0] in ("decayed_at_rate", "bounded")
 
     @pytest.mark.parametrize("base", [
         sweep_spec(L=10.0, t_end=5.0), sweep_spec(dx=0.0, t_end=5.0),
@@ -304,9 +312,7 @@ class TestSemilinearSweep:
                             lambda spec: built.append(spec) or build(spec))
         base = sweep_spec(t_end=2.0, dx=0.1)
         dw.semilinear_sweep(base, [3.0, 11.0], [1e-4], workers=1)
-        assert built == [base] + [
-            dataclasses.replace(base, nonlinearity=cfg.NonlinearitySpec("power", p))
-            for p in (3.0, 11.0)]
+        assert built == [base] + [power(base, p) for p in (3.0, 11.0)]
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
     def test_non_finite_beta_raises_before_marching(self, beta, monkeypatch):

@@ -30,6 +30,15 @@ class TestGrid:
         with pytest.raises(GridDomainError):
             dw.Grid(-5.0, -1.0, 10)
 
+    def test_width_beyond_float_range(self):
+        with pytest.raises(GridDomainError, match="wider than a float"):
+            dw.Grid(-1e308, 1e308, 10)
+
+    @pytest.mark.parametrize("n_cells", [np.iinfo(np.intp).max // 8, 10**20, 10**302])
+    def test_node_count_numpy_cannot_address(self, n_cells):
+        with pytest.raises(GridDomainError, match="more nodes than numpy can address"):
+            dw.Grid(-10.0, 10.0, n_cells)
+
     @settings(max_examples=50, derandomize=True)
     @given(
         x_min=st.floats(-100.0, -0.5),

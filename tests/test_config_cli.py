@@ -156,6 +156,16 @@ class TestConfigParsing:
         assert 0.0 <= gap <= 2 * grid.dx
 
 
+def edited_config(tmp_path, stem, key, value):
+    """configs/<stem>.cfg with its one `key = ...` line set to value, in tmp_path."""
+    text = next(path for path in CONFIGS if path.stem == stem).read_text()
+    text, count = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+    assert count == 1
+    path = tmp_path / f"{stem}.cfg"
+    path.write_text(text)
+    return path
+
+
 @pytest.fixture()
 def demo_config(tmp_path):
     path = tmp_path / "demo.cfg"
@@ -413,6 +423,45 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_ERROR
         out = capsys.readouterr()
         assert out.err == "cannot allocate: Unable to allocate 1.57 TiB for an array\n"
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep", "poincare"])
+    def test_grid_numpy_cannot_address_exits_2(self, command, tmp_path, capsys):
+        config = edited_config(tmp_path, "semilinear_demo", "dx", "1e-300")
+        argv = {"validate": ["validate", str(config)],
+                "run": ["run", str(config), "--out", str(tmp_path)],
+                "sweep": ["sweep", "--p", "3", "--i0", "1", "--dx", "1e-300",
+                          "--out", str(tmp_path)],
+                "poincare": ["poincare", "--L", "1", "--domain", "10",
+                             "--nodes", str(10**20)]}[command]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        out = capsys.readouterr()
+        lines = (out.out + out.err).splitlines()
+        assert len(lines) == 1 and "more nodes than numpy can address" in lines[0]
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("domain, message", [
+        ("1e308", "grid [-1e+308, 1e+308] is wider than a float"),
+        ("1e155", "C* is out of float range"), ("1e200", "C* is out of float range")])
+    def test_poincare_beyond_float_range_exits_2(self, domain, message, capsys):
+        argv = ["poincare", "--L", "1", "--domain", domain, "--nodes", "10"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"invalid poincare input: {message}")
+        assert out.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t_end", ["1e-170", "1e-150"])
+    def test_run_t_end_far_below_the_cfl_step_exits_2(self, t_end, tmp_path, capsys):
+        config = edited_config(tmp_path, "linear_demo", "t_end", t_end)
+        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid run configuration: t_end = {t_end} is below 1e-08 "
+                              "of the CFL step")
+        assert err.count("\n") == 1
         assert list(tmp_path.glob("*.csv")) == []
 
     def test_closed_stdout_exits_1_quietly(self, demo_config, tmp_path, monkeypatch, capsys):

@@ -76,10 +76,6 @@ class TestMultiplierConfig:
         with pytest.raises(ConfigError, match="smallness"):
             dw.derive_multiplier_config(profile, c_star)
 
-    def test_eps_override_validated(self, coarse_profile, coarse_mc):
-        with pytest.raises(ConfigError):
-            dw.derive_multiplier_config(coarse_profile, coarse_mc.c_star, eps=1.5)
-
 
 class TestEnergy:
     def test_zero_state(self, coarse_profile):

@@ -97,13 +97,15 @@ def test_sweep_command_comes_from_the_benchmark():
     sweep = same_outputs.sweep_args(ROOT)
     argv = same_outputs.commands(ROOT, Path("/out"), sweep, Path("/cfg/off.cfg"))
     assert [a[0] for a in argv] == ["run"] * (len(CONFIG_PATHS) + 1) + [
-        "validate"] * len(CONFIG_PATHS) + ["sweep"]
+        "validate"] * len(CONFIG_PATHS) + ["sweep"] * 2
     assert argv[len(CONFIG_PATHS)] == ["run", "/cfg/off.cfg", "--out", "/out"]
     assert [a for a in argv if a[0] == "validate"] == [
         ["validate", str(path), "--json"] for path in CONFIG_PATHS]
-    assert argv[-1] == ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
-                        "--dx", "0.02", "--t-end", "40", "--workers", "2", "--out", "/out",
-                        "--name", "sweep_pxI0"]
+    options = ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
+               "--dx", "0.02", "--t-end", "40"]
+    assert argv[-2:] == [
+        [*options, "--workers", "2", "--out", "/out", "--name", "sweep_pxI0"],
+        [*options, "--workers", "1", "--out", "/out", "--name", "sweep_pxI0_workers1"]]
 
 
 def test_validate_stdout_and_exit_status_are_kept(tmp_path, monkeypatch):

@@ -100,6 +100,10 @@ class TestDomain:
         half = solver.domain_for_radius(2.0, t_end=25.0, dx=0.05, padding=3.0)
         assert half.x_max == pytest.approx(30.0)
 
+    def test_cell_count_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="finite 2X/dx"):
+            solver.domain_for_radius(2.0, t_end=50.0, dx=1e-320, padding=3.0)
+
     def test_boundary_stays_silent(self):
         # with X = R + t_end + padding nothing reaches the edge before t_end
         grid = solver.domain_for_radius(1.0, 5.0, 0.05, 2.0)
@@ -155,6 +159,18 @@ class TestRunControl:
                                     np.zeros(grid.n_nodes))
         with pytest.raises(ConfigError, match="p > 1"):
             solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=p))
+
+    @pytest.mark.parametrize("t_end", [1e-170, 1e-150])
+    def test_t_end_far_below_the_cfl_step_rejected(self, t_end):
+        # (2 dt)^2 underflows at 1e-170; at 1e-150 E_u is u's rounding over dt
+        grid = dw.Grid(-10.0, 10.0, 200)
+        profile = example1_profile(grid)
+        data = reference_data(grid, width=0.5)
+        with pytest.raises(ConfigError, match="below 1e-08 of the CFL step"):
+            solver.run(solver.RunConfig(profile=profile, data=data, t_end=t_end))
+        dt0 = solver.cfl_timestep(profile, 0.9)
+        result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=2e-8 * dt0))
+        assert result.termination.kind == solver.COMPLETED
 
     def test_non_finite_coefficients_rejected(self):
         # the light-cone skip relies on V u = a u = 0 wherever u = 0

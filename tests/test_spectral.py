@@ -75,6 +75,17 @@ class TestEstimate:
         with pytest.raises(GridDomainError):
             dw.poincare_problem(grid, 1e-4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("X", [1e155, 1e200])
+    def test_dx_squared_beyond_float_range_is_setup_error(self, X):
+        # dx^2 overflows: the eigenresidual reads NaN
+        problem = dw.poincare_problem(dw.Grid(-X, X, 10), 1.0)
+        with pytest.raises(GridDomainError, match="C\\* is out of float range"):
+            dw.estimate_c_star(problem)
+
+    def test_precision_loss_is_reported_not_rejected(self):
+        estimate = dw.estimate_c_star(dw.poincare_problem(dw.Grid(-1e20, 1e20, 10), 1.0))
+        assert 0.0 < estimate.lambda_min < np.inf and np.isfinite(estimate.residual)
 
 
 class TestClosedForm:

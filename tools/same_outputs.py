@@ -9,10 +9,11 @@ saved as <config stem>.validate.txt), `dampedwave run` on a copy of its
 linear_demo.cfg with u0_center = 0.5 (linear_offcentre.cfg: data off the
 centre, so the run marches the whole line where every committed config
 marches the half line), and the sweep_pxI0 command line of the change's
-bench/common.py with --workers 2. Then it prints one line
-per output file: "identical" when the bytes agree; for a CSV that differs, the
-column with the largest relative difference and the number of cells
-that differ; for a JSON file (and the JSON report that ends a
+bench/common.py twice: with --workers 2 (the process pool, outputs named
+sweep_pxI0) and with --workers 1 (the in-process map, sweep_pxI0_workers1).
+Then it prints one line per output file: "identical" when the bytes agree;
+for a CSV that differs, the column with the largest relative difference
+and the number of cells that differ; for a JSON file (and the JSON report that ends a
 validate output), the key with the largest relative difference, the
 number of values that differ and the keys written on one side only; for
 other text, the lines written on one side only. A file written on one
@@ -37,7 +38,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 SWEEP_WORKLOAD = "sweep_pxI0"
-SWEEP_WORKERS = "2"
+# the benchmark sweep's --workers values and output names: the process pool
+# and the in-process map
+SWEEPS = {"2": SWEEP_WORKLOAD, "1": f"{SWEEP_WORKLOAD}_workers1"}
 OFF_CENTRE = "linear_offcentre.cfg"
 
 
@@ -65,13 +68,14 @@ def off_centre_config(checkout: Path, directory: Path) -> Path:
 def commands(checkout: Path, out_dir: Path, sweep: list[str],
              off_centre: Path) -> list[list[str]]:
     """dampedwave argument lists: one run per config and the off-centre
-    config, one validate --json per config, then the sweep."""
+    config, one validate --json per config, then one sweep per SWEEPS entry."""
     out = ["--out", str(out_dir)]
     configs = sorted((checkout / "configs").glob("*.cfg"))
     runs = [["run", str(path), *out] for path in configs + [off_centre]]
     validates = [["validate", str(path), "--json"] for path in configs]
-    return runs + validates + [
-        ["sweep", *sweep, "--workers", SWEEP_WORKERS, *out, "--name", SWEEP_WORKLOAD]]
+    sweeps = [["sweep", *sweep, "--workers", workers, *out, "--name", name]
+              for workers, name in SWEEPS.items()]
+    return runs + validates + sweeps
 
 
 def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, int]:
@@ -84,7 +88,7 @@ def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, 
     for argv in commands(checkout, out_dir, sweep, off_centre):
         proc = subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv], cwd=checkout,
                               env=env, capture_output=True, text=True)
-        label = "sweep" if argv[0] == "sweep" else f"{argv[0]} {Path(argv[1]).name}"
+        label = f"{argv[0]} {argv[-1] if argv[0] == 'sweep' else Path(argv[1]).name}"
         codes[label] = proc.returncode
         if argv[0] == "validate":  # exits 2 where a hypothesis fails
             (out_dir / f"{Path(argv[1]).stem}.validate.txt").write_text(proc.stdout)
