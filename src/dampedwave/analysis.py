@@ -310,18 +310,20 @@ def semilinear_sweep(
     workers: int = 1,
 ) -> tuple[tuple[str, ...], ...]:
     """Outcome matrix over (p, I0) for a base spec with a potential beta:
-    one row of tokens per p, one column per I0. A base that is invalid for
-    every cell raises ConfigError/HypothesisError before any cell runs; a
-    cell that fails on its own becomes an error(<exception name>) token
-    and never aborts the sweep. workers must be >= 1 (ConfigError
-    otherwise); more than one maps the cells in order over a process pool
-    of at most one worker per cell, one maps them in process."""
+    one row of tokens per p, one column per I0. A base invalid for every
+    cell (data inside the core, or no linear RunConfig, which is valid by
+    construction) raises ConfigError/HypothesisError before any cell runs;
+    a cell's own fault (p <= 1, a bad I0) becomes an error(<exception
+    name>) token and never aborts the sweep. workers must be >= 1
+    (ConfigError otherwise); more than one maps the cells in order over a
+    process pool of at most one worker per cell, one maps them in process."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if spec.potential.beta is None:
         raise ConfigError(f"a sweep needs a potential with beta, got {spec.potential.family!r}")
     profile, data = cfg.build_problem(spec)
     solver.check_semilinear_support(data, profile)
+    cfg.run_config_from_spec(replace(spec, nonlinearity=cfg.NonlinearitySpec()), profile, data)
     cells = [(replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p)), i0)
              for p in p_values for i0 in I0_values]
     workers = min(workers, len(cells))

@@ -9,7 +9,8 @@ Exit-status contract (stable for harnesses):
     2  validation failure (hypothesis or configuration problems, a
        config that is not UTF-8 text, a grid wider than a float or with
        more nodes than numpy can address, a C* solve out of float range,
-       a t_end below 1e-8 of the CFL step)
+       a t_end below 1e-8 of the CFL step); validate and sweep refuse
+       every config that run refuses
     3  runtime instability
 
 Every run emits one CSV time series (17 significant digits, columns
@@ -35,13 +36,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import analysis, config as cfg, runner, solver
-from .coefficients import Grid
+from .coefficients import DataNorms, Grid
 from .diagnostics import CSV_COLUMNS
 from .errors import ConfigError, FitError, GridDomainError, HypothesisError
 from .spectral import c_star_continuum, estimate_c_star, poincare_problem
@@ -80,11 +82,7 @@ def _json_safe(x):
     if x is None or isinstance(x, (str, int, bool)):
         return x
     x = float(x)
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+    return x if math.isfinite(x) else str(x)  # "nan", "inf", "-inf"
 
 
 def _checks_json(report) -> list[dict]:
@@ -104,16 +102,10 @@ def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict
         "c_star_edge_tail": estimate.edge_tail if estimate else None,
         "V_at_origin": profile.v_at_origin,
         "I0": lab.norms.I0 if lab.norms else None,
-        "h1_norm_u0": lab.norms.h1_norm_u0 if lab.norms else None,
-        "l2_norm_u1": lab.norms.l2_norm_u1 if lab.norms else None,
-        "weighted_norm": lab.norms.weighted_norm if lab.norms else None,
+        **(asdict(lab.norms) if lab.norms else dict.fromkeys(f.name for f in fields(DataNorms))),
     }
     if lab.mc is not None:
-        derived.update(
-            alpha=lab.mc.alpha, eps2=lab.mc.eps2, eps=lab.mc.eps, k=lab.mc.k,
-            gamma0=lab.mc.gamma0, P0=lab.mc.P0, eta0=lab.mc.eta0,
-            V_L=lab.mc.V_L, V_L_prime=lab.mc.V_L_prime,
-        )
+        derived.update(asdict(lab.mc))  # its c_star is lab.c_star
     grid = profile.grid
     return {
         "artifact_version": __version__,
@@ -146,8 +138,8 @@ def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict
 def cmd_validate(args) -> int:
     try:
         spec, _raw = cfg.load_config(args.config)
-        profile, data = cfg.build_problem(spec)
-        report, estimate, _mc, _norms = runner.prepare_constants(profile, data)
+        run = cfg.run_config_from_spec(spec, *cfg.build_problem(spec))
+        report, estimate, _mc, _norms = runner.prepare_constants(run.profile, run.data)
     except _VALIDATION_ERRORS as exc:
         print(f"INVALID: {exc}")
         return EXIT_VALIDATION
@@ -158,7 +150,7 @@ def cmd_validate(args) -> int:
         print(f"{check.name:35s} {status:7s} {check.detail}{margin}")
     c_star = continuum = None
     if estimate is not None:
-        c_star, continuum = estimate.c_star, c_star_continuum(profile.L)
+        c_star, continuum = estimate.c_star, c_star_continuum(run.profile.L)
         print(f"{'C*':35s} {c_star:.12g}")
         print(f"{'C*_continuum':35s} {continuum:.12g}")
         print(f"{'1/(4C*)':35s} {1.0 / (4.0 * c_star):.12g}")
@@ -176,8 +168,7 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     try:
         spec, raw = cfg.load_config(args.config)
-        profile, data = cfg.build_problem(spec)
-        lab = runner.execute(cfg.run_config_from_spec(spec, profile, data))
+        lab = runner.execute(cfg.run_config_from_spec(spec, *cfg.build_problem(spec)))
     except _VALIDATION_ERRORS as exc:
         print(f"invalid run configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -313,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("validate", help="check coefficient hypotheses and smallness")
+    v = sub.add_parser("validate", help="check coefficient hypotheses and smallness, "
+                       "and that `run` would accept the config")
     v.add_argument("config")
     v.add_argument("--json", action="store_true", help="also print a JSON report")
     v.set_defaults(func=cmd_validate)

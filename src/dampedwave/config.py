@@ -23,7 +23,8 @@ A spec reaches a run by one route: build_problem() gives its profile
 and data (the grid is profile.grid), run_config_from_spec() adds the
 time stepping, and runner.execute() marches that RunConfig (sweep cells
 call solver.run on it directly). build_problem() calls check_spec()
-first, so a hand-built spec is held to the same rules as config text.
+first, so a hand-built spec is held to the same rules as config text,
+and the RunConfig is valid by construction (solver, Validity).
 """
 
 from __future__ import annotations

@@ -30,6 +30,9 @@ Domains are sized so no signal reaches the boundary before t_end
 (unit propagation speed), making homogeneous Dirichlet truncation exact
 to machine precision for compactly supported data.
 
+Validity. A RunConfig is valid by construction: building one raises
+ConfigError on any input run() could not march, so run() checks nothing.
+
 History. The accumulated field v = int_0^t u ds and the cumulative
 integrals int_0^t int a u_t^2 (dissipation_cum) and int_0^t int a u^2
 (au2_cum) are the march's history. A per-step trapezoid updates them,
@@ -152,6 +155,25 @@ class RunConfig:
     p: float | None = None  # power nonlinearity |u|^p; None = linear
     record_every: int = 10
     history: bool = True  # keep v and the cumulative integrals (History)
+
+    def __post_init__(self):
+        # conformity and finiteness first: a NaN V never reaches cfl_timestep
+        if not self.data.conforms_to(self.profile.grid):
+            raise ConfigError("initial data does not conform to the profile grid")
+        if not (np.all(np.isfinite(self.profile.V)) and np.all(np.isfinite(self.profile.a))):
+            raise ConfigError("potential and damping must be finite on the grid")
+        if self.t_end <= 0:
+            raise ConfigError("t_end must be positive")
+        dt0 = cfl_timestep(self.profile, self.cfl)
+        if self.t_end < MIN_T_END_CFL_FRACTION * dt0:
+            raise ConfigError(f"t_end = {self.t_end:.6g} is below {MIN_T_END_CFL_FRACTION:g} "
+                              f"of the CFL step {dt0:.6g}: u_t would be rounding over dt")
+        if self.record_every < 1:
+            raise ConfigError("record_every must be >= 1")
+        if self.p is not None:
+            if not self.p > 1:  # NaN fails too
+                raise ConfigError(f"power nonlinearity needs p > 1, got {self.p}")
+            check_semilinear_support(self.data, self.profile)
 
 
 @dataclass(frozen=True)
@@ -331,25 +353,6 @@ def first_step(u0, u1, profile, dt, p=None):
     return out
 
 
-def _validate(config: RunConfig) -> None:
-    if not config.data.conforms_to(config.profile.grid):
-        raise ConfigError("initial data does not conform to the profile grid")
-    if not (np.all(np.isfinite(config.profile.V)) and np.all(np.isfinite(config.profile.a))):
-        raise ConfigError("potential and damping must be finite on the grid")
-    if config.t_end <= 0:
-        raise ConfigError("t_end must be positive")
-    dt0 = cfl_timestep(config.profile, config.cfl)
-    if config.t_end < MIN_T_END_CFL_FRACTION * dt0:
-        raise ConfigError(f"t_end = {config.t_end:.6g} is below {MIN_T_END_CFL_FRACTION:g} "
-                          f"of the CFL step {dt0:.6g}: u_t would be rounding over dt")
-    if config.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
-    if config.p is not None:
-        if not config.p > 1:  # NaN fails too
-            raise ConfigError(f"power nonlinearity needs p > 1, got {config.p}")
-        check_semilinear_support(config.data, config.profile)
-
-
 def check_semilinear_support(data: InitialData, profile: CoefficientProfile) -> None:
     """Semilinear runs need compactly supported data reaching beyond the
     core: support radius R > L (or zero data)."""
@@ -399,7 +402,6 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     History). An even run marches only x >= 0 and hands out whole states
     (Mirror symmetry).
     """
-    _validate(config)
     profile, data = config.profile, config.data
     n = profile.grid.n_nodes
 

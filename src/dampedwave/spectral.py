@@ -41,6 +41,8 @@ import numpy as np
 from .coefficients import Grid, core_sets, partition_cell_weights
 from .errors import GridDomainError
 
+SAMPLE_SLACK = 1e-8  # relative rounding slack of verify_poincare_on_samples
+
 
 @dataclass(frozen=True)
 class PoincareProblem:
@@ -221,14 +223,13 @@ def _smoothed_noise(problem: PoincareProblem, rng: np.random.Generator) -> np.nd
     return w
 
 
-def verify_poincare_on_samples(
-    estimate: PoincareEstimate, n_samples: int, seed: int, relative_slack: float = 1e-8
-) -> ViolationReport:
+def verify_poincare_on_samples(estimate: PoincareEstimate, n_samples: int,
+                               seed: int) -> ViolationReport:
     """Property-test the inequality: no random sample's Rayleigh ratio may
-    exceed C* (1 + relative_slack). A violation signals an estimator bug."""
+    exceed C* (1 + SAMPLE_SLACK). A violation signals an estimator bug."""
     problem = estimate.problem
     rng = np.random.default_rng(seed)
-    threshold = estimate.c_star * (1.0 + relative_slack)
+    threshold = estimate.c_star * (1.0 + SAMPLE_SLACK)
     max_ratio = 0.0
     violations = 0
     for _ in range(n_samples):

@@ -164,8 +164,8 @@ def test_criterion_07_poincare_constant_oracle_and_samples():
     dense = dense_c_star(problem)
     rel = abs(estimate.c_star - dense) / dense
     assert rel < 1e-6, f"closed-form vs dense C* differ by {rel:.2e}"
-    report = dw.verify_poincare_on_samples(estimate, 1000, seed=42,
-                                           relative_slack=1e-8)
+    report = dw.verify_poincare_on_samples(estimate, 1000, seed=42)
+    assert report.threshold == estimate.c_star * (1.0 + 1e-8)
     assert report.violations == 0, f"{report.violations} sample violations"
     _announce(7, f"C* = {estimate.c_star:.9f} (oracle agreement {rel:.1e}), "
                  f"1000 samples max ratio {report.max_ratio:.4f}")

@@ -156,11 +156,13 @@ class TestConfigParsing:
         assert 0.0 <= gap <= 2 * grid.dx
 
 
-def edited_config(tmp_path, stem, key, value):
-    """configs/<stem>.cfg with its one `key = ...` line set to value, in tmp_path."""
+def edited_config(tmp_path, stem, **values):
+    """configs/<stem>.cfg with its one `key = ...` line set to value for each
+    key, in tmp_path."""
     text = next(path for path in CONFIGS if path.stem == stem).read_text()
-    text, count = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
-    assert count == 1
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+        assert count == 1
     path = tmp_path / f"{stem}.cfg"
     path.write_text(text)
     return path
@@ -350,7 +352,8 @@ class TestCli:
     @pytest.mark.parametrize("extra", [["--L", "10"], ["--dx", "0"], ["--p", "nan"],
                                        ["--i0", "1e-3,inf"], ["--p", "11,-inf"],
                                        ["--beta", "nan"], ["--L", "nan"], ["--dx", "nan"],
-                                       ["--t-end", "inf"], ["--V0", "nan"], ["--eps1", "inf"]])
+                                       ["--t-end", "inf"], ["--V0", "nan"], ["--eps1", "inf"],
+                                       ["--p", "3,11", "--i0", "1", "--t-end", "1e-170"]])
     def test_sweep_invalid_for_every_cell_exits_2(self, extra, tmp_path, capsys):
         code = cli.main(["sweep", "--p", "11", "--i0", "1e-3", "--t-end", "5", *extra,
                          "--workers", "1", "--out", str(tmp_path)])
@@ -428,7 +431,7 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["validate", "run", "sweep", "poincare"])
     def test_grid_numpy_cannot_address_exits_2(self, command, tmp_path, capsys):
-        config = edited_config(tmp_path, "semilinear_demo", "dx", "1e-300")
+        config = edited_config(tmp_path, "semilinear_demo", dx="1e-300")
         argv = {"validate": ["validate", str(config)],
                 "run": ["run", str(config), "--out", str(tmp_path)],
                 "sweep": ["sweep", "--p", "3", "--i0", "1", "--dx", "1e-300",
@@ -456,12 +459,29 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t_end", ["1e-170", "1e-150"])
     def test_run_t_end_far_below_the_cfl_step_exits_2(self, t_end, tmp_path, capsys):
-        config = edited_config(tmp_path, "linear_demo", "t_end", t_end)
+        config = edited_config(tmp_path, "linear_demo", t_end=t_end)
         assert cli.main(["run", str(config), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"invalid run configuration: t_end = {t_end} is below 1e-08 "
                               "of the CFL step")
         assert err.count("\n") == 1
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"p": "0.5"}, "power nonlinearity needs p > 1"),
+        ({"p": "1.0"}, "power nonlinearity needs p > 1"),
+        ({"u0_kind": "bump", "u0_width": "0.5"},
+         "semilinear runs require support radius R > L"),
+        ({"t_end": "1e-150"}, "t_end = 1e-150 is below 1e-08 of the CFL step")],
+        ids=["p=0.5", "p=1", "bump_inside_core", "t_end=1e-150"])
+    def test_validate_refuses_what_run_refuses(self, edits, message, tmp_path, capsys):
+        config = edited_config(tmp_path, "semilinear_demo", **edits)
+        assert cli.main(["validate", str(config)]) == cli.EXIT_VALIDATION
+        validated = capsys.readouterr()
+        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        ran = capsys.readouterr()
+        assert ran.err.startswith(f"invalid run configuration: {message}")
+        assert validated.out == "INVALID: " + ran.err.removeprefix("invalid run configuration: ")
         assert list(tmp_path.glob("*.csv")) == []
 
     def test_closed_stdout_exits_1_quietly(self, demo_config, tmp_path, monkeypatch, capsys):

@@ -97,10 +97,10 @@ def test_sweep_command_comes_from_the_benchmark():
     sweep = same_outputs.sweep_args(ROOT)
     argv = same_outputs.commands(ROOT, Path("/out"), sweep, Path("/cfg/off.cfg"))
     assert [a[0] for a in argv] == ["run"] * (len(CONFIG_PATHS) + 1) + [
-        "validate"] * len(CONFIG_PATHS) + ["sweep"] * 2
+        "validate"] * (len(CONFIG_PATHS) + 1) + ["sweep"] * 2
     assert argv[len(CONFIG_PATHS)] == ["run", "/cfg/off.cfg", "--out", "/out"]
     assert [a for a in argv if a[0] == "validate"] == [
-        ["validate", str(path), "--json"] for path in CONFIG_PATHS]
+        ["validate", str(path), "--json"] for path in CONFIG_PATHS + [Path("/cfg/off.cfg")]]
     options = ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
                "--dx", "0.02", "--t-end", "40"]
     assert argv[-2:] == [
@@ -115,9 +115,10 @@ def test_validate_stdout_and_exit_status_are_kept(tmp_path, monkeypatch):
     monkeypatch.setattr(same_outputs, "commands", lambda *args: [
         argv for argv in commands(*args) if argv[0] == "validate"])
     codes = same_outputs.write_outputs(ROOT, tmp_path, [])
+    validated = CONFIG_PATHS + [Path(same_outputs.OFF_CENTRE)]
     assert codes == {f"validate {path.name}": 2 if path.stem == "freewave_demo" else 0
-                     for path in CONFIG_PATHS}
-    for path in CONFIG_PATHS:
+                     for path in validated}
+    for path in validated:
         text = (tmp_path / f"{path.stem}.validate.txt").read_text()
         assert text.splitlines()[-1].startswith('{"c_star": ')
 

@@ -147,9 +147,9 @@ class TestRunControl:
         data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.1, 0.5),
                                     np.zeros(grid.n_nodes))
         with pytest.raises(ConfigError):
-            solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=2.0))
+            solver.RunConfig(profile=profile, data=data, t_end=1.0, p=2.0)
         with pytest.raises(ConfigError):
-            solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=0.5))
+            solver.RunConfig(profile=profile, data=data, t_end=1.0, p=0.5)
 
     @pytest.mark.parametrize("p", [1.0, float("nan")])
     def test_power_must_exceed_one(self, p):
@@ -158,19 +158,22 @@ class TestRunControl:
         data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.1, 2.0),
                                     np.zeros(grid.n_nodes))
         with pytest.raises(ConfigError, match="p > 1"):
-            solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0, p=p))
+            solver.RunConfig(profile=profile, data=data, t_end=1.0, p=p)
 
     @pytest.mark.parametrize("t_end", [1e-170, 1e-150])
     def test_t_end_far_below_the_cfl_step_rejected(self, t_end):
-        # (2 dt)^2 underflows at 1e-170; at 1e-150 E_u is u's rounding over dt
+        # (2 dt)^2 underflows at 1e-170; at 1e-150 E_u is u's rounding over dt;
+        # the config refuses it when built, and when replace() rebuilds it
         grid = dw.Grid(-10.0, 10.0, 200)
         profile = example1_profile(grid)
         data = reference_data(grid, width=0.5)
         with pytest.raises(ConfigError, match="below 1e-08 of the CFL step"):
-            solver.run(solver.RunConfig(profile=profile, data=data, t_end=t_end))
+            solver.RunConfig(profile=profile, data=data, t_end=t_end)
         dt0 = solver.cfl_timestep(profile, 0.9)
-        result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=2e-8 * dt0))
-        assert result.termination.kind == solver.COMPLETED
+        config = solver.RunConfig(profile=profile, data=data, t_end=2e-8 * dt0)
+        with pytest.raises(ConfigError, match="below 1e-08 of the CFL step"):
+            dataclasses.replace(config, t_end=t_end)
+        assert solver.run(config).termination.kind == solver.COMPLETED
 
     def test_non_finite_coefficients_rejected(self):
         # the light-cone skip relies on V u = a u = 0 wherever u = 0
@@ -180,7 +183,7 @@ class TestRunControl:
             profile = example1_profile(grid)
             getattr(profile, field)[0] = np.inf
             with pytest.raises(ConfigError):
-                solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0))
+                solver.RunConfig(profile=profile, data=data, t_end=1.0)
 
     def test_blowup_signal_for_subcritical_power(self):
         grid = solver.domain_for_radius(2.0, 20.0, 0.05, 2.0)

@@ -4,11 +4,11 @@
 
 From each checkout, with its own src/ on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1, runs `dampedwave run` and `dampedwave validate
---json` on every configs/*.cfg of that checkout (validate's stdout is
-saved as <config stem>.validate.txt), `dampedwave run` on a copy of its
+--json` on every configs/*.cfg of that checkout and on a copy of its
 linear_demo.cfg with u0_center = 0.5 (linear_offcentre.cfg: data off the
 centre, so the run marches the whole line where every committed config
-marches the half line), and the sweep_pxI0 command line of the change's
+marches the half line; validate's stdout is saved as <config
+stem>.validate.txt), and the sweep_pxI0 command line of the change's
 bench/common.py twice: with --workers 2 (the process pool, outputs named
 sweep_pxI0) and with --workers 1 (the in-process map, sweep_pxI0_workers1).
 Then it prints one line per output file: "identical" when the bytes agree;
@@ -68,10 +68,11 @@ def off_centre_config(checkout: Path, directory: Path) -> Path:
 def commands(checkout: Path, out_dir: Path, sweep: list[str],
              off_centre: Path) -> list[list[str]]:
     """dampedwave argument lists: one run per config and the off-centre
-    config, one validate --json per config, then one sweep per SWEEPS entry."""
+    config, one validate --json per config and the off-centre config, then
+    one sweep per SWEEPS entry."""
     out = ["--out", str(out_dir)]
-    configs = sorted((checkout / "configs").glob("*.cfg"))
-    runs = [["run", str(path), *out] for path in configs + [off_centre]]
+    configs = sorted((checkout / "configs").glob("*.cfg")) + [off_centre]
+    runs = [["run", str(path), *out] for path in configs]
     validates = [["validate", str(path), "--json"] for path in configs]
     sweeps = [["sweep", *sweep, "--workers", workers, *out, "--name", name]
               for workers, name in SWEEPS.items()]
