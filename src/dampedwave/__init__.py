@@ -16,8 +16,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     FitResult,
-    check_gagliardo_nirenberg,
-    check_lemma31,
     fit_decay,
     p_star,
     semilinear_sweep,
@@ -32,7 +30,6 @@ from .coefficients import (
     build_potential_example1,
     build_potential_gaussian,
     compute_data_norms,
-    free_space_profile,
     gaussian_bump,
     make_initial_data,
     make_profile,
@@ -43,12 +40,7 @@ from .diagnostics import (
     EnergyRecord,
     MultiplierConfig,
     Recorder,
-    check_energy_identity,
-    check_lemma21,
-    check_lemma25,
     derive_multiplier_config,
-    energy,
-    g_k,
 )
 from .runner import LabRun, execute
 from .solver import (
@@ -65,7 +57,6 @@ from .spectral import (
     c_star_continuum,
     estimate_c_star,
     poincare_problem,
-    verify_poincare_on_samples,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Decay-rate fitting, theorem-level checks, and semilinear sweeps.
+"""Decay-rate fitting and semilinear sweeps.
 
 The linear theory claims E_u(t) <= C I0^2 (1+t)^-1 and ||u(t)|| <= C I0;
 the semilinear theory claims, for potentials V0 |x|^-beta with beta > 1,
@@ -6,15 +6,7 @@ global existence with rate (1+t)^-1/2 in the energy norm once the power
 exceeds the critical exponent p*(beta) = 5 + 2 beta and the data are
 small. Rates are measured as least-squares slopes of log(quantity)
 against log(1+t) over a window (transients are skipped by starting
-windows at t = 10). Two auxiliary inequalities from the semilinear proof
-are verified numerically: the convolution bound
-
-    int_0^t (1+t-s)^-1/2 (1+s)^-theta ds <= C_theta (1+t)^-1/2,
-
-valid exactly for theta > 1 (for theta <= 1 the scaled sup keeps growing,
-which the report exposes instead of raising), and the interpolation
-inequality ||u||_2p <= C ||u||^(1-theta) ||u_x||^theta with
-theta = (p-1)/(2p), probed on random smoothed samples.
+windows at t = 10).
 
 A semilinear sweep is a base RunSpec and a cell is a (spec, I0) pair:
 the base with |u|^p, built by config.build_problem as for `dampedwave
@@ -35,10 +27,9 @@ import numpy as np
 
 from . import config as cfg
 from . import solver
-from .coefficients import CoefficientProfile, Grid, InitialData, compute_data_norms
+from .coefficients import CoefficientProfile, InitialData, compute_data_norms
 from .diagnostics import EnergyRecord, Recorder
 from .errors import ConfigError, FitError, HypothesisError
-from .spectral import smoothed_noise
 
 QUANTITY_FLOOR = 1e-300
 MIN_FIT_RECORDS = 10
@@ -124,123 +115,6 @@ def p_star(beta: float) -> float:
     return 5.0 + 2.0 * beta
 
 
-# ---------------------------------------------------------------------------
-# convolution inequality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Lemma31Report:
-    theta: float
-    t_max: float
-    n_quadrature: int
-    sup_value: float
-    sup_doubled: float
-    rel_change: float
-    hypothesis_satisfied: bool
-
-
-def _convolution_nodes(t: float, n: int) -> np.ndarray:
-    """Composite mesh on [0, t] log-graded toward both ends, where the
-    integrand factors (1+s)^-theta and (1+t-s)^-1/2 have their curvature."""
-    half = max(n // 2, 8) | 1
-    left = np.expm1(np.linspace(0.0, math.log1p(t / 2.0), half))
-    right = t - left[::-1]
-    return np.concatenate((left, right[1:]))
-
-
-def _simpson(f: np.ndarray, s: np.ndarray) -> float:
-    """Composite Simpson rule over consecutive node pairs of a non-uniform
-    mesh s with an odd point count: exact for quadratics on each pair."""
-    h = np.diff(s)
-    h0, h1 = h[0::2], h[1::2]
-    hsum, ratio = h0 + h1, h0 / h1
-    return float(np.sum(hsum / 6.0 * (f[:-2:2] * (2.0 - 1.0 / ratio)
-                                      + f[1::2] * (hsum * (hsum / (h0 * h1)))
-                                      + f[2::2] * (2.0 - ratio))))
-
-
-def _scaled_convolution_sup(theta: float, t_max: float, n_quadrature: int) -> float:
-    t_values = np.concatenate(([0.0], np.geomspace(1e-2, t_max, 160)))
-    t_values[-1] = t_max
-    sup = 0.0
-    for t in t_values:
-        if t == 0.0:
-            continue
-        s = _convolution_nodes(t, n_quadrature)
-        integrand = (1.0 + t - s) ** -0.5 * (1.0 + s) ** -theta
-        val = _simpson(integrand, s) * math.sqrt(1.0 + t)
-        sup = max(sup, val)
-    return sup
-
-
-def check_lemma31(theta: float, t_max: float = 1000.0) -> Lemma31Report:
-    """Numeric sup over [0, t_max] of (1+t)^1/2 int_0^t (1+t-s)^-1/2 (1+s)^-theta ds,
-    and the same sup on the doubled horizon. For theta > 1 the sup is finite
-    and barely moves under doubling; for theta <= 1 it keeps growing, which
-    rel_change exposes."""
-    if theta <= 0:
-        raise HypothesisError(f"theta must be positive, got {theta}")
-    n = 2001  # quadrature points per integral; Simpson pairs need an odd count
-    sup1 = _scaled_convolution_sup(theta, t_max, n)
-    sup2 = _scaled_convolution_sup(theta, 2.0 * t_max, n)
-    return Lemma31Report(
-        theta=theta, t_max=t_max, n_quadrature=n,
-        sup_value=sup1, sup_doubled=sup2,
-        rel_change=(sup2 - sup1) / sup1 if sup1 > 0 else float("nan"),
-        hypothesis_satisfied=theta > 1.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# interpolation inequality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterpolationReport:
-    p: float
-    theta: float
-    n_samples: int
-    max_ratio: float
-    mean_ratio: float
-
-
-def check_gagliardo_nirenberg(p: float, n_samples: int = 1000, seed: int = 7
-                              ) -> InterpolationReport:
-    """Empirical constant in ||u||_2p <= C ||u||^(1-theta) ||u_x||^theta,
-    theta = (p-1)/(2p), over random smoothed samples on [-20, 20] (2,048
-    cells) tapered to zero at the ends. The ratio is scale invariant, so
-    sample amplitude is irrelevant; the report carries its max (the
-    empirical constant)."""
-    if p <= 1:
-        raise HypothesisError(f"interpolation exponent needs p > 1, got {p}")
-    theta = (p - 1.0) / (2.0 * p)
-    grid = Grid(-20.0, 20.0, 2048)
-    rng = np.random.default_rng(seed)
-    taper = np.sin(np.linspace(0.0, math.pi, grid.n_nodes)) ** 2
-    ratios = np.empty(n_samples)
-    for i in range(n_samples):
-        u = smoothed_noise(grid, rng) * taper
-        ratios[i] = interpolation_ratio(grid, u, p)
-    return InterpolationReport(
-        p=p, theta=theta, n_samples=n_samples,
-        max_ratio=float(ratios.max()), mean_ratio=float(ratios.mean()),
-    )
-
-
-def interpolation_ratio(grid: Grid, u: np.ndarray, p: float) -> float:
-    """||u||_2p / (||u||^(1-theta) ||u_x||^theta), theta = (p-1)/(2p), for one sample."""
-    theta = (p - 1.0) / (2.0 * p)
-    l2 = math.sqrt(grid.integrate(u**2))
-    ux = np.gradient(u, grid.dx, edge_order=2)
-    h1 = math.sqrt(grid.integrate(ux**2))
-    l2p = grid.integrate(np.abs(u) ** (2.0 * p)) ** (1.0 / (2.0 * p))
-    return l2p / (l2 ** (1.0 - theta) * h1**theta)
-
-
-# ---------------------------------------------------------------------------
-# semilinear sweeps
-# ---------------------------------------------------------------------------
-
 BOUNDED_GROWTH_FACTOR = 1.10
 DECAY_EXPONENT_GATE = -0.4
 
@@ -254,7 +128,7 @@ def scale_data_to_i0(
         raise HypothesisError(f"target I0 must be finite and nonnegative, got {target_i0}")
     if target_i0 == 0.0:
         zeros = np.zeros_like(data.u0)
-        return InitialData(zeros, zeros.copy(), data.support_radius)
+        return InitialData(zeros, zeros, data.support_radius)
     unit = compute_data_norms(data, profile).I0
     if unit == 0.0:
         raise HypothesisError("cannot rescale identically zero data to a positive I0")

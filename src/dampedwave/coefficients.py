@@ -74,6 +74,7 @@ class Grid:
             c = self.n_cells // 2
             x[c] = 0.0
             x[:c] = -x[:c:-1]
+        x.flags.writeable = False
         return x
 
     @cached_property
@@ -81,6 +82,7 @@ class Grid:
         """Trapezoidal quadrature weights (half cells at the ends)."""
         w = np.full(self.n_nodes, self.dx)
         w[0] = w[-1] = 0.5 * self.dx
+        w.flags.writeable = False
         return w
 
     def integrate(self, values: np.ndarray) -> float:
@@ -90,6 +92,17 @@ class Grid:
     def index_near(self, x0: float) -> int:
         i = int(round((x0 - self.x_min) / self.dx))
         return min(max(i, 0), self.n_cells)
+
+
+def _read_only(values) -> np.ndarray:
+    """values as a float array nobody can write: itself if it is one (read
+    only, owning its memory), else a read-only copy."""
+    if isinstance(values, np.ndarray) and values.dtype == float and (
+            values.flags.owndata and not values.flags.writeable):
+        return values
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def inner_cell_weights(grid: Grid, L: float) -> np.ndarray:
@@ -142,7 +155,8 @@ class CoefficientProfile:
     L is the radius where the damping plateau starts; eps1 the damping
     floor outside L. beta/V0 are kept when the potential belongs to the
     polynomial short-range family (they drive the semilinear critical
-    exponent bookkeeping)."""
+    exponent bookkeeping). V, a and phi are read-only copies of the
+    arrays given."""
 
     grid: Grid
     V: np.ndarray
@@ -152,6 +166,10 @@ class CoefficientProfile:
     eps1: float
     beta: float | None = None
     V0: float | None = None
+
+    def __post_init__(self):
+        for name in ("V", "a", "phi"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def v_at_origin(self) -> float:
@@ -245,9 +263,7 @@ def make_profile(
     V0: float | None = None,
 ) -> CoefficientProfile:
     phi = multiplier_weight(eps1, L, grid) if eps1 > 0 else np.zeros(grid.n_nodes)
-    return CoefficientProfile(grid=grid, V=np.asarray(V, dtype=float),
-                              a=np.asarray(a, dtype=float), phi=phi,
-                              L=L, eps1=eps1, beta=beta, V0=V0)
+    return CoefficientProfile(grid=grid, V=V, a=a, phi=phi, L=L, eps1=eps1, beta=beta, V0=V0)
 
 
 def free_space_profile(grid: Grid) -> CoefficientProfile:
@@ -367,11 +383,16 @@ TRUNCATION_FLOOR = 1e-14
 @dataclass(frozen=True)
 class InitialData:
     """Displacement/velocity samples plus the support radius (None means
-    unbounded, which blocks automatic domain sizing)."""
+    unbounded, which blocks automatic domain sizing). u0 and u1 are
+    read-only copies of the arrays given."""
 
     u0: np.ndarray
     u1: np.ndarray
     support_radius: float | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "u0", _read_only(self.u0))
+        object.__setattr__(self, "u1", _read_only(self.u1))
 
     def conforms_to(self, grid: Grid) -> bool:
         return self.u0.shape == (grid.n_nodes,) and self.u1.shape == (grid.n_nodes,)
@@ -406,19 +427,22 @@ def make_initial_data(
     are then zeroed outside it. An explicit radius is enforced the same
     way. Pass support_radius=np.inf to declare genuinely unbounded data.
     """
-    u0 = np.asarray(u0, dtype=float).copy()
-    u1 = np.asarray(u1, dtype=float).copy()
+    u0 = np.array(u0, dtype=float)
+    u1 = np.array(u1, dtype=float)
     if u0.shape != (grid.n_nodes,) or u1.shape != (grid.n_nodes,):
         raise GridDomainError("initial data arrays must conform to the grid")
-    if support_radius is not None and np.isinf(support_radius):
-        return InitialData(u0, u1, None)
     if support_radius is None:
         live = (np.abs(u0) >= TRUNCATION_FLOOR) | (np.abs(u1) >= TRUNCATION_FLOOR)
         support_radius = float(np.max(np.abs(grid.x[live]))) if live.any() else 0.0
-    outside = np.abs(grid.x) > support_radius
-    u0[outside] = 0.0
-    u1[outside] = 0.0
-    return InitialData(u0, u1, float(support_radius))
+    if np.isinf(support_radius):
+        support_radius = None
+    else:
+        outside = np.abs(grid.x) > support_radius
+        u0[outside] = 0.0
+        u1[outside] = 0.0
+        support_radius = float(support_radius)
+    u0.flags.writeable = u1.flags.writeable = False  # InitialData keeps them uncopied
+    return InitialData(u0, u1, support_radius)
 
 
 @dataclass(frozen=True)

@@ -21,17 +21,17 @@ snapshots:
   together with the L2-bound ratio
       (||u||^2 + int_0^t int a u^2) / (||u0||^2 + ||(u1 + a u0)/sqrt(V)||^2),
   which the theory keeps below 2,
-* the localized-norm bound int_{|x|<=L} u^2 <= (2 / V_L) E_u.
+* the localized norm int_{|x|<=L} u^2, which Lemma 2.1 bounds by (2 / V_L) E_u.
 
 Spatial derivatives use centered differences (second-order one-sided at
 the domain ends); all space integrals are trapezoidal, taken over the
 state's support (solver.WaveState.support) widened to the gradient
-stencil, by one formula per functional (_Quadrature) that the Recorder,
-energy, g_k and check_lemma25 share. Diagnostics are pure over immutable
-snapshots. Runs whose coefficients fail the hypotheses (e.g. free waves)
-still get records, with the functionals that need the multiplier
-constants or a positive potential set to NaN; so do marches without
-history (solver.RunConfig.history) for the columns that read it.
+stencil, by one formula per functional (_Quadrature), which the Recorder
+evaluates. Diagnostics are pure over immutable snapshots. Runs whose
+coefficients fail the hypotheses (e.g. free waves) still get records,
+with the functionals that need the multiplier constants or a positive
+potential set to NaN; so do marches without history
+(solver.RunConfig.history) for the columns that read it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .coefficients import (
     CoefficientProfile,
     DataNorms,
     InitialData,
-    compute_data_norms,
     inner_cell_weights,
     potential_bounds_at_core,
     validate_hypotheses,
@@ -243,16 +242,6 @@ class _Quadrature:
         return out
 
 
-def energy(state: WaveState, profile: CoefficientProfile) -> float:
-    """Total energy E_u(t) = (||u_t||^2 + ||u_x||^2 + ||sqrt(V) u||^2) / 2."""
-    return _Quadrature(profile).sums(state).energy
-
-
-def g_k(state: WaveState, profile: CoefficientProfile, mc: MultiplierConfig) -> float:
-    """The multiplier functional G_k of a state."""
-    return _Quadrature(profile).sums(state, multiplier=True).g_k(mc)
-
-
 @dataclass(frozen=True)
 class EnergyRecord:
     t: float
@@ -269,36 +258,6 @@ class EnergyRecord:
 
     def csv_values(self) -> tuple[float, ...]:
         return tuple(getattr(self, name) for name in CSV_COLUMNS)
-
-
-@dataclass(frozen=True)
-class Lemma25Report:
-    lhs: float
-    rhs: float
-    residual: float
-    bound_ratio: float
-
-
-def check_lemma25(state: WaveState, profile: CoefficientProfile,
-                  data: InitialData) -> Lemma25Report:
-    """Residual of the accumulated-field identity and the L2-bound ratio
-    of a state with history, by the evaluation a Recorder with the data
-    norms makes (NaN throughout where V is not positive everywhere). It
-    reads state.au2_cum = int_0^t int a |v_s|^2 = int_0^t int a |u|^2
-    (v_t = u); a state without history (v None) raises ConfigError,
-    where a Recorder reports NaN."""
-    if state.v is None:
-        raise ConfigError("the Lemma 2.5 sums need a state with history (v)")
-    norms = compute_data_norms(data, profile) if np.all(profile.V > 0.0) else None
-    recorder = Recorder(profile, None, data, norms)
-    sums = recorder._quad.sums(state, lemma25=recorder._v_positive)
-    return Lemma25Report(*recorder._lemma25(sums, state))
-
-
-def check_lemma21(record: EnergyRecord, mc: MultiplierConfig) -> bool:
-    """Localized-norm bound: l2_local <= (2 / V_L) E_u, up to a relative
-    rounding slack of 1e-10."""
-    return record.l2_local <= (2.0 / mc.V_L) * record.E_u * (1.0 + 1e-10)
 
 
 class Recorder:
@@ -360,33 +319,3 @@ class Recorder:
             lemma25_ratio=ratio,
             au2_cum=au2_cum,
         )
-
-
-@dataclass(frozen=True)
-class EnergyIdentityReport:
-    max_relative_residual: float
-    t_at_max: float
-    e0: float
-
-
-def check_energy_identity(records: list[EnergyRecord]) -> EnergyIdentityReport:
-    """Largest |E_u(t) + dissipation_cum(t) - E_u(0)| / E_u(0) over a run
-    (absolute where E_u(0) = 0)."""
-    if not records:
-        raise ConfigError("no records to check")
-    e0 = records[0].E_u
-    worst = max(records, key=lambda r: abs(r.identity_residual))
-    return EnergyIdentityReport(
-        max_relative_residual=abs(worst.identity_residual) / (e0 if e0 != 0.0 else 1.0),
-        t_at_max=worst.t,
-        e0=e0,
-    )
-
-
-def cumulative_energy(records: list[EnergyRecord]) -> np.ndarray:
-    """Trapezoid of E_u over record times: int_0^t E_u(s) ds at each record."""
-    t = np.array([r.t for r in records])
-    e = np.array([r.E_u for r in records])
-    out = np.zeros_like(e)
-    out[1:] = np.cumsum(0.5 * np.diff(t) * (e[:-1] + e[1:]))
-    return out

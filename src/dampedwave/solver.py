@@ -52,11 +52,12 @@ vanish outside the index range [lo, hi), level k vanishes outside
 [lo - k, hi + k), clipped to the grid. run() works only on a block
 holding that window, up to BLOCK nodes wider each side (Buffers). The
 skip is exact, not a truncation: each node outside the window holds the
-+0.0 a full-grid update would write, and the per-node arithmetic is the
-one leapfrog_step/first_step use, so u, u_t and v are bit-identical to
-a full-grid march. The two integrals' dot products take the exact
-window (their bits depend on its length), in another order than a
-full-grid sum, which moves them by round-off.
++0.0 a full-grid update would write, and each node's arithmetic is the
+one _StepKernel does on the whole grid (leapfrog_step and first_step in
+tests/helpers.py), so u, u_t and v are bit-identical to a full-grid
+march. The two integrals' dot products take the exact window (their
+bits depend on its length), in another order than a full-grid sum,
+which moves them by round-off.
 
 Mirror symmetry. A run is even when its grid is a mirror grid
 (coefficients.Grid: x == -x[::-1], odd node count) and V, a, u0 and u1
@@ -96,7 +97,7 @@ coefficients and scratch. Steps write into them in place and allocate
 no full-length array. A view costs about a small array operation, so a
 step's ~25 views are built per ring phase k % 4, only when the window
 outgrows its block. Integer p evaluates |u|^p by repeated squaring
-(abs_power); other p use np.power.
+(_abs_power); other p use np.power.
 
 Array contract. The WaveState a diagnostics hook receives, and
 RunResult.final_state, hold copies that no later step writes to; a hook
@@ -217,28 +218,20 @@ def cfl_timestep(profile: CoefficientProfile, cfl: float) -> float:
 _QUIET = dict(over="ignore", invalid="ignore", under="ignore")
 
 
-def abs_power(u: np.ndarray, p: float, out: np.ndarray | None = None,
-              work: np.ndarray | None = None) -> np.ndarray:
-    """|u|^p elementwise into out (work is scratch of u's shape).
-
-    Integer p >= 1 uses repeated squaring (|u|^11 is five multiplies);
-    each multiply rounds once, so the result is within (p - 1) unit
-    roundoffs of the exact power, against np.power's one. Any other p
-    uses np.power. inf and nan pass through, without a warning.
-    """
-    out = np.empty_like(u) if out is None else out
-    work = np.empty_like(u) if work is None else work
-    with np.errstate(**_QUIET):
-        return _abs_power(u, p, _exponent(p), out, work)
-
-
 def _exponent(p: float) -> int | None:
-    """int(p) where abs_power squares repeatedly (integer p >= 1), else None."""
+    """int(p) where _abs_power squares repeatedly (integer p >= 1), else None."""
     return int(p) if float(p).is_integer() and p >= 1 else None
 
 
 def _abs_power(u, p, e, out, work):
-    """abs_power with e = _exponent(p), under the caller's error state."""
+    """|u|^p elementwise into out (work is scratch of u's shape), with
+    e = _exponent(p), under the caller's error state.
+
+    Integer p >= 1 uses repeated squaring (|u|^11 is five multiplies);
+    each multiply rounds once, so the result is within (p - 1) unit
+    roundoffs of the exact power, against np.power's one. Any other p
+    uses np.power. inf and nan pass through.
+    """
     if e is None:
         return np.power(np.abs(u, out=work), p, out=out)
     np.abs(u, out=out)
@@ -332,25 +325,6 @@ class _StepKernel:
         np.multiply(u1, self.dt, out=out)
         np.add(uc, out, out=out)
         np.add(out, acc, out=out)
-
-
-def leapfrog_step(u, u_prev, profile, dt, p=None):
-    """One update u^(n+1) from (u^n, u^(n-1)) through the kernel run()
-    uses, on the whole grid; handy for oracle and reversibility tests."""
-    u, u_prev = np.asarray(u, float), np.asarray(u_prev, float)
-    kernel, out = _StepKernel(profile, dt, p), np.zeros_like(u)
-    with np.errstate(**_QUIET):
-        kernel.step(*kernel.views(out, u, u_prev, slice(1, u.size - 1)))
-    return out
-
-
-def first_step(u0, u1, profile, dt, p=None):
-    """Second-order Taylor start u^1 from (u^0, u_t^0)."""
-    u0, u1 = np.asarray(u0, float), np.asarray(u1, float)
-    kernel, out, s = _StepKernel(profile, dt, p), np.zeros_like(u0), slice(1, u0.size - 1)
-    with np.errstate(**_QUIET):
-        kernel.first(out[s], *_stencil(u0, 1, s.stop), u1[s], s)
-    return out
 
 
 def check_semilinear_support(data: InitialData, profile: CoefficientProfile) -> None:

@@ -41,8 +41,6 @@ import numpy as np
 from .coefficients import Grid, core_sets, partition_cell_weights
 from .errors import GridDomainError
 
-SAMPLE_SLACK = 1e-8  # relative rounding slack of verify_poincare_on_samples
-
 
 @dataclass(frozen=True)
 class PoincareProblem:
@@ -187,61 +185,3 @@ def c_star_continuum(L: float) -> float:
     k in (0, pi/2L): the limit of estimate_c_star as dx -> 0 and X -> inf."""
     k, _ = _bisect(lambda k: k * math.tan(k * L) >= 1.0, 0.0, math.pi / (2.0 * L))
     return 1.0 / (k * k)
-
-
-@dataclass(frozen=True)
-class ViolationReport:
-    n_samples: int
-    max_ratio: float
-    c_star: float
-    threshold: float
-    violations: int
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-
-def smoothed_noise(grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    """Random H1-like sample: one draw of white nodal noise smoothed by a
-    Gaussian kernel of standard deviation 0.25, cut at +-0.5."""
-    half_width = max(2, int(round(0.5 / grid.dx)))
-    s = np.arange(-half_width, half_width + 1) * grid.dx
-    kernel = np.exp(-(s**2) / (2 * 0.25**2))
-    kernel /= kernel.sum()
-    return np.convolve(rng.standard_normal(grid.n_nodes), kernel, mode="same")
-
-
-def _smoothed_noise(problem: PoincareProblem, rng: np.random.Generator) -> np.ndarray:
-    """smoothed_noise localized around the core (where the extremizers
-    live) and pinned to zero at the domain ends."""
-    grid = problem.grid
-    w = smoothed_noise(grid, rng)
-    envelope_width = max(2.0 * problem.L, 2.0)
-    w *= np.exp(-(grid.x**2) / (2.0 * envelope_width**2))
-    w[0] = w[-1] = 0.0
-    return w
-
-
-def verify_poincare_on_samples(estimate: PoincareEstimate, n_samples: int,
-                               seed: int) -> ViolationReport:
-    """Property-test the inequality: no random sample's Rayleigh ratio may
-    exceed C* (1 + SAMPLE_SLACK). A violation signals an estimator bug."""
-    problem = estimate.problem
-    rng = np.random.default_rng(seed)
-    threshold = estimate.c_star * (1.0 + SAMPLE_SLACK)
-    max_ratio = 0.0
-    violations = 0
-    for _ in range(n_samples):
-        w = _smoothed_noise(problem, rng)
-        ratio = rayleigh_ratio(problem, w)
-        max_ratio = max(max_ratio, ratio)
-        if ratio > threshold:
-            violations += 1
-    return ViolationReport(
-        n_samples=n_samples,
-        max_ratio=max_ratio,
-        c_star=estimate.c_star,
-        threshold=threshold,
-        violations=violations,
-    )

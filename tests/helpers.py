@@ -58,6 +58,51 @@ def reference_run_config(profile, data, t_end, record_every=10):
                             cfl=0.9, record_every=record_every)
 
 
+def leapfrog_step(u, u_prev, profile, dt, p=None):
+    """One update u^(n+1) from (u^n, u^(n-1)) through the kernel run()
+    uses, on the whole grid; for oracle and reversibility tests."""
+    u, u_prev = np.asarray(u, float), np.asarray(u_prev, float)
+    kernel, out = solver._StepKernel(profile, dt, p), np.zeros_like(u)
+    with np.errstate(**solver._QUIET):
+        kernel.step(*kernel.views(out, u, u_prev, slice(1, u.size - 1)))
+    return out
+
+
+def first_step(u0, u1, profile, dt, p=None):
+    """Second-order Taylor start u^1 from (u^0, u_t^0), by the same kernel."""
+    u0, u1 = np.asarray(u0, float), np.asarray(u1, float)
+    kernel, out, s = solver._StepKernel(profile, dt, p), np.zeros_like(u0), slice(1, u0.size - 1)
+    with np.errstate(**solver._QUIET):
+        kernel.first(out[s], *solver._stencil(u0, 1, s.stop), u1[s], s)
+    return out
+
+
+def abs_power(u, p, out=None):
+    """|u|^p by the kernel's solver._abs_power into out, without a warning."""
+    out = np.empty_like(u) if out is None else out
+    with np.errstate(**solver._QUIET):
+        return solver._abs_power(u, p, solver._exponent(p), out, np.empty_like(u))
+
+
+def max_identity_residual(records):
+    """Largest |identity_residual| over a run's records relative to E_u(0)
+    (absolute where E_u(0) = 0)."""
+    e0 = records[0].E_u
+    return max(abs(r.identity_residual) for r in records) / (e0 if e0 != 0.0 else 1.0)
+
+
+def lemma21_holds(record, mc):
+    """Lemma 2.1's localized-norm bound on a record, l2_local <= (2 / V_L) E_u,
+    up to a relative rounding slack of 1e-10."""
+    return record.l2_local <= (2.0 / mc.V_L) * record.E_u * (1.0 + 1e-10)
+
+
+def cumulative_energy(records):
+    """int_0^t E_u(s) ds at each record, by the trapezoid over record times."""
+    t, e = (np.array([getattr(r, name) for r in records]) for name in ("t", "E_u"))
+    return np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (e[:-1] + e[1:]))))
+
+
 def reference_spec(n_cells=6000, t_end=50.0, record_every=10):
     return cfg.RunSpec(
         grid=cfg.GridSpec(mode="explicit", x_min=-60.0, x_max=60.0, n_cells=n_cells),

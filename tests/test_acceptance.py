@@ -15,15 +15,19 @@ import pytest
 
 import dampedwave as dw
 from dampedwave import analysis, runner, solver
+from dampedwave.coefficients import free_space_profile
 from dampedwave.diagnostics import CSV_COLUMNS
 
 from helpers import (
     LINEAR_DEMO_CFG,
     dense_c_star,
     example1_profile,
+    lemma21_holds,
+    max_identity_residual,
     reference_data,
     reference_run_config,
 )
+from theory import check_lemma31, verify_poincare_on_samples
 
 
 def _announce(n, text):
@@ -92,9 +96,9 @@ def hypothesis_passing_labs(ref_50, ref_50_fine, ref_200, ref_400, semi_100, sem
 
 def test_criterion_01_energy_identity_residual_and_refinement(ref_50, ref_50_fine):
     lab, wall = ref_50
-    residual = dw.check_energy_identity(lab.records).max_relative_residual
+    residual = max_identity_residual(lab.records)
     assert residual < 1e-4, f"identity residual {residual:.3e} exceeds 1e-4"
-    fine = dw.check_energy_identity(ref_50_fine.records).max_relative_residual
+    fine = max_identity_residual(ref_50_fine.records)
     ratio = residual / fine
     assert 3.5 <= ratio <= 4.5, f"refinement ratio {ratio:.3f} outside [3.5, 4.5]"
     assert wall < 30.0, f"reference run took {wall:.1f} s"
@@ -131,7 +135,7 @@ def test_criterion_03_l2_bound_stability(ref_200, ref_400):
 def test_criterion_04_free_wave_growth():
     radius = 1.0 * np.sqrt(2.0 * np.log(1e-3 / 1e-14))
     grid = solver.domain_for_radius(radius, 100.0, 0.02, 3.0)
-    profile = dw.free_space_profile(grid)
+    profile = free_space_profile(grid)
     data = dw.make_initial_data(grid, np.zeros(grid.n_nodes),
                                 dw.gaussian_bump(grid, 1e-3, 1.0))
     lab = runner.execute(reference_run_config(profile, data, 100.0))
@@ -152,7 +156,7 @@ def test_criterion_06_localized_norm_bound_all_runs(hypothesis_passing_labs):
     for name, lab in hypothesis_passing_labs.items():
         assert lab.mc is not None, f"{name} unexpectedly failed hypotheses"
         for rec in lab.records:
-            assert dw.check_lemma21(rec, lab.mc), f"violation in {name} at t={rec.t}"
+            assert lemma21_holds(rec, lab.mc), f"violation in {name} at t={rec.t}"
             checked += 1
     _announce(6, f"local L2 bound held at all {checked} records of "
                  f"{len(hypothesis_passing_labs)} runs")
@@ -164,7 +168,7 @@ def test_criterion_07_poincare_constant_oracle_and_samples():
     dense = dense_c_star(problem)
     rel = abs(estimate.c_star - dense) / dense
     assert rel < 1e-6, f"closed-form vs dense C* differ by {rel:.2e}"
-    report = dw.verify_poincare_on_samples(estimate, 1000, seed=42)
+    report = verify_poincare_on_samples(estimate, 1000, seed=42)
     assert report.threshold == estimate.c_star * (1.0 + 1e-8)
     assert report.violations == 0, f"{report.violations} sample violations"
     _announce(7, f"C* = {estimate.c_star:.9f} (oracle agreement {rel:.1e}), "
@@ -186,9 +190,9 @@ def test_criterion_08_accumulated_field_identity(ref_50, ref_200, ref_400):
 
 
 def test_criterion_09_convolution_inequality():
-    good = dw.check_lemma31(1.5, t_max=1000.0)
+    good = check_lemma31(1.5, t_max=1000.0)
     assert abs(good.rel_change) < 0.01, f"theta=1.5 sup moved {good.rel_change:.2%}"
-    bad = dw.check_lemma31(1.0, t_max=1000.0)
+    bad = check_lemma31(1.0, t_max=1000.0)
     assert bad.rel_change > 0.05, f"theta=1.0 sup moved only {bad.rel_change:.2%}"
     _announce(9, f"theta=1.5 sup {good.sup_value:.6f} (change {good.rel_change:.3%}); "
                  f"theta=1.0 grows {bad.rel_change:.1%}")
@@ -219,7 +223,7 @@ def test_criterion_11_critical_exponent_values():
 def test_criterion_12_solver_convergence_against_dalembert():
     def error(n_cells):
         grid = dw.Grid(-12.0, 12.0, n_cells)
-        profile = dw.free_space_profile(grid)
+        profile = free_space_profile(grid)
         u0 = lambda x: 1e-3 * np.exp(-(x**2) / (2 * 0.5**2))
         data = dw.make_initial_data(grid, u0(grid.x), np.zeros(grid.n_nodes))
         result = solver.run(solver.RunConfig(profile=profile, data=data,

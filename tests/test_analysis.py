@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import dampedwave as dw
 from dampedwave import analysis
 from dampedwave import config as cfg
-from dampedwave.analysis import _sweep_cell, interpolation_ratio, scale_data_to_i0
+from dampedwave.analysis import _sweep_cell, scale_data_to_i0
 from dampedwave.diagnostics import EnergyRecord
 from dampedwave.errors import ConfigError, FitError, HypothesisError
 
+import theory
 from helpers import example1_profile, sweep_spec
 
 
@@ -104,7 +105,7 @@ class TestLemma31:
     def test_quadrature_against_closed_form(self):
         # theta = 3/2 integrates in closed form: the scaled integral is
         # exactly 2t / (t + 2), increasing to the constant 2
-        report = dw.check_lemma31(1.5, t_max=1000.0)
+        report = theory.check_lemma31(1.5, t_max=1000.0)
         assert report.sup_value == pytest.approx(2.0 * 1000.0 / 1002.0, rel=1e-6)
         assert report.sup_doubled == pytest.approx(2.0 * 2000.0 / 2002.0, rel=1e-6)
 
@@ -114,51 +115,51 @@ class TestLemma31:
     ])
     def test_pinned_to_round_off(self, theta, sup_value, sup_doubled):
         # the values scipy.integrate.simpson gave on the same meshes
-        report = dw.check_lemma31(theta, t_max=1000.0)
+        report = theory.check_lemma31(theta, t_max=1000.0)
         assert report.sup_value == pytest.approx(sup_value, rel=1e-15, abs=0.0)
         assert report.sup_doubled == pytest.approx(sup_doubled, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("t", [0.01, 1.0, 37.0, 2000.0])
     def test_simpson_exact_on_quadratics(self, t):
-        s = analysis._convolution_nodes(t, 2001)
+        s = theory._convolution_nodes(t, 2001)
         assert len(s) % 2 == 1
         for f, exact in ((np.ones_like(s), t), (s, t**2 / 2.0), (s**2, t**3 / 3.0)):
-            assert analysis._simpson(f, s) == pytest.approx(exact, rel=1e-14, abs=0.0)
+            assert theory._simpson(f, s) == pytest.approx(exact, rel=1e-14, abs=0.0)
 
     def test_supercritical_theta_is_stable(self):
-        report = dw.check_lemma31(1.5, t_max=1000.0)
+        report = theory.check_lemma31(1.5, t_max=1000.0)
         assert report.hypothesis_satisfied
         assert abs(report.rel_change) < 0.01
 
     def test_critical_theta_keeps_growing(self):
-        report = dw.check_lemma31(1.0, t_max=1000.0)
+        report = theory.check_lemma31(1.0, t_max=1000.0)
         assert not report.hypothesis_satisfied
         assert report.rel_change > 0.05
 
     def test_sup_monotone_in_theta(self):
-        sups = [dw.check_lemma31(th, t_max=200.0).sup_value for th in (1.2, 1.5, 2.0)]
+        sups = [theory.check_lemma31(th, t_max=200.0).sup_value for th in (1.2, 1.5, 2.0)]
         assert sups[0] > sups[1] > sups[2]
 
     def test_nonpositive_theta_rejected(self):
         with pytest.raises(HypothesisError):
-            dw.check_lemma31(0.0)
+            theory.check_lemma31(0.0)
 
 
 class TestGagliardoNirenberg:
     def test_theta_formula(self):
-        report = dw.check_gagliardo_nirenberg(3.0, n_samples=10)
+        report = theory.check_gagliardo_nirenberg(3.0, n_samples=10)
         assert report.theta == pytest.approx(1.0 / 3.0)
 
     def test_ratio_scale_invariant(self):
         grid = dw.Grid(-20.0, 20.0, 1024)
         u = dw.gaussian_bump(grid, 1.0, 1.0) * np.cos(grid.x)
-        r1 = interpolation_ratio(grid, u, 3.0)
-        r2 = interpolation_ratio(grid, 137.0 * u, 3.0)
+        r1 = theory.interpolation_ratio(grid, u, 3.0)
+        r2 = theory.interpolation_ratio(grid, 137.0 * u, 3.0)
         assert r2 == pytest.approx(r1, rel=1e-12)
 
     def test_bounded_and_stable_in_sample_count(self):
-        small = dw.check_gagliardo_nirenberg(3.0, n_samples=300, seed=7)
-        large = dw.check_gagliardo_nirenberg(3.0, n_samples=600, seed=7)
+        small = theory.check_gagliardo_nirenberg(3.0, n_samples=300, seed=7)
+        large = theory.check_gagliardo_nirenberg(3.0, n_samples=600, seed=7)
         assert small.max_ratio < 2.0
         # doubling the sample count extends the same stream, so the max can
         # only creep up, and for a bounded ratio it barely moves
@@ -167,7 +168,7 @@ class TestGagliardoNirenberg:
 
     def test_invalid_exponent(self):
         with pytest.raises(HypothesisError):
-            dw.check_gagliardo_nirenberg(1.0, n_samples=5)
+            theory.check_gagliardo_nirenberg(1.0, n_samples=5)
 
 
 class TestDataScaling:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import dampedwave as dw
 from dampedwave.coefficients import (
     core_sets,
+    free_space_profile,
     inner_cell_weights,
     partition_cell_weights,
     potential_bounds_at_core,
@@ -240,7 +241,7 @@ class TestValidation:
 
     def test_free_wave_fails_but_reports(self):
         g = dw.Grid(-10.0, 10.0, 200)
-        report = dw.validate_hypotheses(dw.free_space_profile(g))
+        report = dw.validate_hypotheses(free_space_profile(g))
         assert not report.passed
         assert not report.check("V1_potential_positive").passed
         assert not report.check("A2_damping_floor").passed
@@ -357,7 +358,7 @@ class TestDataNorms:
 
     def test_division_guard(self):
         g = dw.Grid(-10.0, 10.0, 100)
-        profile = dw.free_space_profile(g)
+        profile = free_space_profile(g)
         data = dw.make_initial_data(g, np.zeros(g.n_nodes), np.ones(g.n_nodes),
                                     support_radius=5.0)
         with pytest.raises(HypothesisError):

@@ -7,10 +7,12 @@ import pytest
 import dampedwave as dw
 from dampedwave import diagnostics, runner, solver
 from dampedwave.coefficients import inner_cell_weights
-from dampedwave.diagnostics import CSV_COLUMNS, cumulative_energy
+from dampedwave.coefficients import free_space_profile
+from dampedwave.diagnostics import CSV_COLUMNS, _Quadrature
 from dampedwave.errors import ConfigError
 
-from helpers import (HISTORY_COLUMNS, NORM_COLUMNS, example1_profile, reference_data,
+from helpers import (HISTORY_COLUMNS, NORM_COLUMNS, cumulative_energy, example1_profile,
+                     lemma21_holds, max_identity_residual, reference_data,
                      reference_run_config)
 
 
@@ -80,37 +82,40 @@ class TestMultiplierConfig:
 class TestEnergy:
     def test_zero_state(self, coarse_profile):
         z = np.zeros(coarse_profile.grid.n_nodes)
-        assert dw.energy(make_state(coarse_profile.grid, z, z), coarse_profile) == 0.0
+        state = make_state(coarse_profile.grid, z, z)
+        assert _Quadrature(coarse_profile).sums(state).energy == 0.0
 
     def test_velocity_only_state(self, coarse_profile):
         grid = coarse_profile.grid
         g = dw.gaussian_bump(grid, 1.0, 0.5)
         state = make_state(grid, np.zeros(grid.n_nodes), g)
         expected = 0.5 * grid.integrate(g**2)
-        assert dw.energy(state, coarse_profile) == pytest.approx(expected, rel=1e-14)
+        energy = _Quadrature(coarse_profile).sums(state).energy
+        assert energy == pytest.approx(expected, rel=1e-14)
 
     def test_standing_bump_matches_closed_form(self):
         # E = ||u0'||^2 / 2 for V = a = 0, u_t = 0; gaussian closed form
         grid = dw.Grid(-10.0, 10.0, 4000)
-        profile = dw.free_space_profile(grid)
+        profile = free_space_profile(grid)
         sigma = 0.5
         u0 = dw.gaussian_bump(grid, 1.0, sigma)
         state = make_state(grid, u0, np.zeros_like(u0))
         exact = 0.5 * np.sqrt(np.pi) / (2.0 * sigma)
-        assert dw.energy(state, profile) == pytest.approx(exact, rel=2e-4)
+        assert _Quadrature(profile).sums(state).energy == pytest.approx(exact, rel=2e-4)
 
 
 class TestGk:
     def test_zero_state(self, coarse_profile, coarse_mc):
         z = np.zeros(coarse_profile.grid.n_nodes)
-        assert dw.g_k(make_state(coarse_profile.grid, z, z), coarse_profile, coarse_mc) == 0.0
+        state = make_state(coarse_profile.grid, z, z)
+        assert _Quadrature(coarse_profile).sums(state, multiplier=True).g_k(coarse_mc) == 0.0
 
     def test_velocity_only_state_reduces_to_k_energy(self, coarse_profile, coarse_mc):
         grid = coarse_profile.grid
         g = dw.gaussian_bump(grid, 1.0, 0.5)
         state = make_state(grid, np.zeros(grid.n_nodes), g)
         expected = coarse_mc.k * 0.5 * grid.integrate(g**2)
-        value = dw.g_k(state, coarse_profile, coarse_mc)
+        value = _Quadrature(coarse_profile).sums(state, multiplier=True).g_k(coarse_mc)
         assert value == pytest.approx(expected, rel=1e-14)
         assert value >= 0.0
 
@@ -124,8 +129,7 @@ class TestEnergyIdentity:
         grid = coarse_profile.grid
         data = dw.make_initial_data(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes))
         lab = runner.execute(reference_run_config(coarse_profile, data, 2.0))
-        report = dw.check_energy_identity(lab.records)
-        assert report.max_relative_residual == 0.0
+        assert max_identity_residual(lab.records) == 0.0
 
     def test_undamped_drift_refines_second_order(self):
         residuals = {}
@@ -136,7 +140,7 @@ class TestEnergyIdentity:
                 np.zeros(grid.n_nodes), 1.0, 0.0, beta=2.0, V0=0.01)
             data = reference_data(grid)
             lab = runner.execute(reference_run_config(profile, data, 20.0))
-            residuals[n] = dw.check_energy_identity(lab.records).max_relative_residual
+            residuals[n] = max_identity_residual(lab.records)
         assert residuals[1500] < 5e-3
         assert residuals[1500] / residuals[3000] == pytest.approx(4.0, rel=0.3)
 
@@ -146,7 +150,7 @@ class TestEnergyIdentity:
             profile = example1_profile(dw.Grid(-60.0, 60.0, n))
             data = reference_data(profile.grid)
             lab = runner.execute(reference_run_config(profile, data, 20.0))
-            residuals[n] = dw.check_energy_identity(lab.records).max_relative_residual
+            residuals[n] = max_identity_residual(lab.records)
         assert residuals[1500] / residuals[3000] == pytest.approx(4.0, rel=0.3)
 
     def test_energy_monotone_at_reference_resolution(self, medium_lab):
@@ -166,11 +170,12 @@ class TestLemma25:
         u0 = dw.gaussian_bump(grid, 1e-3, 1.0)
         data = dw.make_initial_data(grid, u0, np.zeros(grid.n_nodes))
         state = make_state(grid, u0.copy(), np.zeros(grid.n_nodes))
-        report = dw.check_lemma25(state, coarse_profile, data)
+        sums = _Quadrature(coarse_profile, data).sums(state, lemma25=True)
+        lhs, rhs, residual, _ratio = sums.lemma25(grid.integrate(data.u0**2), 0.0, None)
         half = 0.5 * grid.integrate(u0**2)
-        assert report.lhs == pytest.approx(half, rel=1e-12)
-        assert report.rhs == pytest.approx(half, rel=1e-12)
-        assert report.residual < 1e-12
+        assert lhs == pytest.approx(half, rel=1e-12)
+        assert rhs == pytest.approx(half, rel=1e-12)
+        assert residual < 1e-12
 
     def test_residual_small_on_reference_run(self, medium_lab):
         res = np.array([r.lemma25_residual for r in medium_lab.records])
@@ -179,31 +184,6 @@ class TestLemma25:
     def test_bound_ratio_below_proof_constant(self, medium_lab):
         ratio = np.array([r.lemma25_ratio for r in medium_lab.records])
         assert np.nanmax(ratio) <= 2.0
-
-    def test_standalone_matches_recorder(self, medium_lab):
-        rec = medium_lab.records[-1]
-        state = medium_lab.result.final_state
-        run = medium_lab.run_config
-        assert state.au2_cum == rec.au2_cum
-        report = dw.check_lemma25(state, run.profile, run.data)
-        assert report.residual == rec.lemma25_residual
-        assert report.bound_ratio == rec.lemma25_ratio
-
-
-    @pytest.mark.parametrize("amplitude", [1e-3, 0.07, 0.3, 7.0])
-    def test_standalone_is_the_recorder_evaluation(self, coarse_profile, amplitude):
-        # exact for any data, not only where sqrt(x)^2 happens to round to x
-        grid = coarse_profile.grid
-        u0 = dw.gaussian_bump(grid, amplitude, 1.0)
-        data = dw.make_initial_data(grid, u0, dw.gaussian_bump(grid, amplitude / 3, 2.0))
-        recorder = dw.Recorder(coarse_profile, None, data,
-                               dw.compute_data_norms(data, coarse_profile))
-        state = make_state(grid, 0.5 * u0, data.u1.copy(), v=0.1 * u0,
-                           au2_cum=0.02 * amplitude**2)
-        rec = recorder(state)
-        report = dw.check_lemma25(state, coarse_profile, data)
-        assert (report.residual, report.bound_ratio) == (rec.lemma25_residual,
-                                                         rec.lemma25_ratio)
 
 
 class TestHistory:
@@ -218,9 +198,9 @@ class TestHistory:
         final, last = solver.run(medium_lab.run_config).final_state, medium_lab.records[-1]
         assert (final.dissipation_cum, final.au2_cum) == (last.dissipation_cum, last.au2_cum)
 
-    def test_state_without_history_records_nan_and_check_lemma25_raises(self):
+    def test_state_without_history_records_nan(self):
         # a history = False march keeps no v: a Recorder reports the Lemma 2.5
-        # pair as NaN, while check_lemma25, which asks for it, names the fault
+        # pair as NaN
         grid = solver.domain_for_radius(2.0, 1.0, 0.05, 1.0)
         profile = example1_profile(grid)
         data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 0.5, 2.0),
@@ -233,8 +213,6 @@ class TestHistory:
         rec = recorder(final)
         assert math.isnan(rec.lemma25_residual) and math.isnan(rec.lemma25_ratio)
         assert rec.E_u > 0.0
-        with pytest.raises(ConfigError, match="history"):
-            dw.check_lemma25(final, profile, data)
 
 
 class TestLemma21:
@@ -244,7 +222,7 @@ class TestLemma21:
         recorder = dw.Recorder(coarse_profile, coarse_mc,
                                dw.make_initial_data(grid, z, z), None)
         rec = recorder(make_state(grid, z, z))
-        assert dw.check_lemma21(rec, coarse_mc)
+        assert lemma21_holds(rec, coarse_mc)
 
     def test_concentrated_bump_strictly_below_bound(self, coarse_profile, coarse_mc):
         # energy is gradient-dominated for concentrated bumps (the smallness
@@ -255,12 +233,12 @@ class TestLemma21:
         recorder = dw.Recorder(coarse_profile, coarse_mc,
                                dw.make_initial_data(grid, u.copy(), np.zeros_like(u)), None)
         rec = recorder(make_state(grid, u, np.zeros_like(u)))
-        assert dw.check_lemma21(rec, coarse_mc)
+        assert lemma21_holds(rec, coarse_mc)
         ratio = rec.l2_local / ((2.0 / coarse_mc.V_L) * rec.E_u)
         assert 0.0 < ratio < coarse_mc.V_L / coarse_profile.v_at_origin
 
     def test_every_record_of_reference_run(self, medium_lab):
-        assert all(dw.check_lemma21(r, medium_lab.mc) for r in medium_lab.records)
+        assert all(lemma21_holds(r, medium_lab.mc) for r in medium_lab.records)
 
 
 class TestRunLevelBounds:
@@ -298,7 +276,7 @@ class TestRunLevelBounds:
 class TestRecorder:
     def test_free_wave_records_carry_nan_where_undefined(self):
         grid = solver.domain_for_radius(7.2, 5.0, 0.05, 2.0)
-        profile = dw.free_space_profile(grid)
+        profile = free_space_profile(grid)
         data = dw.make_initial_data(grid, np.zeros(grid.n_nodes),
                                     dw.gaussian_bump(grid, 1e-3, 1.0))
         lab = runner.execute(reference_run_config(profile, data, 5.0))
@@ -474,8 +452,9 @@ class TestRecorderOracle:
         def whole_grid_energy(u):
             ux = np.gradient(u, grid.dx, edge_order=2)
             return 0.5 * grid.integrate(u**2 + ux**2 + profile.V * u**2)
-        assert dw.energy(state, profile) == pytest.approx(whole_grid_energy(lopsided),
-                                                          rel=1e-13)
+        quad = _Quadrature(profile)
+        assert quad.sums(state).energy == pytest.approx(whole_grid_energy(lopsided),
+                                                        rel=1e-13)
         # flagged even, the same fields count their right half twice
-        assert dw.energy(replace(state, mirrored=True), profile) == pytest.approx(
+        assert quad.sums(replace(state, mirrored=True)).energy == pytest.approx(
             whole_grid_energy(left + right), rel=1e-13)

@@ -1,7 +1,6 @@
-"""Import footprint of `dampedwave` processes: no part of the package loads
-SciPy, not even check_lemma31's quadrature; a fresh `import dampedwave.cli`
-loads no multiprocessing either, and the `validate`, `run` and `poincare`
-commands load no SciPy."""
+"""Import footprint of `dampedwave` processes: no module of the package
+loads SciPy; a fresh `import dampedwave.cli` loads no multiprocessing
+either, and the `validate`, `run` and `poincare` commands load no SciPy."""
 
 import os
 import subprocess
@@ -33,8 +32,7 @@ def test_package_loads_no_scipy():
     loaded = loaded_modules(
         "import importlib, pkgutil, sys, dampedwave\n"
         "for module in pkgutil.iter_modules(dampedwave.__path__):\n"
-        "    importlib.import_module(f'dampedwave.{module.name}')\n"
-        "dampedwave.check_lemma31(1.5, t_max=10.0)"
+        "    importlib.import_module(f'dampedwave.{module.name}')"
     )
     assert {"dampedwave.analysis", "dampedwave.cli", "dampedwave.spectral"} <= loaded
     assert not scipy_modules(loaded), scipy_modules(loaded)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import dampedwave as dw
 from dampedwave import analysis, solver
 from dampedwave import config as cfg
+from dampedwave.coefficients import free_space_profile
 
 from helpers import CONFIGS, centred_specs, example1_profile, reference_spec, sweep_spec
 
@@ -101,7 +102,7 @@ class TestWhichRunsMirror:
         bump = dw.polynomial_bump(grid, 1e-3, 2.0, 3.0)
         data = dw.make_initial_data(grid, bump + bump[::-1], np.zeros(grid.n_nodes))
         assert grid.n_nodes % 2 == 1 and is_palindrome(data.u0) and data.u0.any()
-        result = solver.run(solver.RunConfig(profile=dw.free_space_profile(grid), data=data,
+        result = solver.run(solver.RunConfig(profile=free_space_profile(grid), data=data,
                                              t_end=1.0))
         assert not result.mirrored and not result.final_state.mirrored
 

@@ -8,15 +8,17 @@ from hypothesis import given, settings
 import dampedwave as dw
 from dampedwave import config as cfg
 from dampedwave import solver
+from dampedwave.coefficients import free_space_profile
 from dampedwave.errors import ConfigError
 
-from helpers import (HISTORY_COLUMNS, NORM_COLUMNS, centred_specs, example1_profile,
-                     reference_data, reference_run_config)
+from helpers import (HISTORY_COLUMNS, NORM_COLUMNS, abs_power, centred_specs,
+                     example1_profile, first_step, leapfrog_step, reference_data,
+                     reference_run_config)
 
 
 def dalembert_error(n_cells, t_end=5.0, sigma=0.5):
     grid = dw.Grid(-12.0, 12.0, n_cells)
-    profile = dw.free_space_profile(grid)
+    profile = free_space_profile(grid)
     u0 = lambda x: 1e-3 * np.exp(-(x**2) / (2 * sigma**2))
     data = dw.make_initial_data(grid, u0(grid.x), np.zeros(grid.n_nodes))
     result = solver.run(solver.RunConfig(profile=profile, data=data,
@@ -47,9 +49,9 @@ class TestScheme:
         profile = dw.make_profile(grid, np.zeros(grid.n_nodes),
                                   np.full(grid.n_nodes, a0), 0.5, a0)
         u_prev = np.full(grid.n_nodes, c)
-        u = solver.first_step(u_prev, np.full(grid.n_nodes, g), profile, dt)
+        u = first_step(u_prev, np.full(grid.n_nodes, g), profile, dt)
         for _ in range(n - 1):
-            u, u_prev = solver.leapfrog_step(u, u_prev, profile, dt), u
+            u, u_prev = leapfrog_step(u, u_prev, profile, dt), u
         exact = c + g * (1 - np.exp(-a0 * n * dt)) / a0
         inside = u[n + 1:-(n + 1)]
         assert inside.size > 100
@@ -62,12 +64,12 @@ class TestScheme:
             np.zeros(grid.n_nodes), 1.0, 0.0)
         u0 = dw.polynomial_bump(grid, 1.0, 1.0)
         dt, n = 0.9 * grid.dx, 150
-        hist = [u0, solver.first_step(u0, np.zeros_like(u0), profile, dt)]
+        hist = [u0, first_step(u0, np.zeros_like(u0), profile, dt)]
         for _ in range(n - 1):
-            hist.append(solver.leapfrog_step(hist[-1], hist[-2], profile, dt))
+            hist.append(leapfrog_step(hist[-1], hist[-2], profile, dt))
         back = [hist[-1], hist[-2]]
         for _ in range(n - 1):
-            back.append(solver.leapfrog_step(back[-1], back[-2], profile, dt))
+            back.append(leapfrog_step(back[-1], back[-2], profile, dt))
         assert np.max(np.abs(back[-1] - u0)) < 1e-12
 
     def test_finite_propagation_speed(self):
@@ -75,18 +77,18 @@ class TestScheme:
         profile = example1_profile(grid, eps1=0.5)
         u_prev = dw.polynomial_bump(grid, 1.0, 1.0)
         live0 = np.nonzero(u_prev)[0]
-        u = solver.first_step(u_prev, np.zeros_like(u_prev), profile, 0.9 * grid.dx)
+        u = first_step(u_prev, np.zeros_like(u_prev), profile, 0.9 * grid.dx)
         for n in range(1, 60):
             live = np.nonzero(u)[0]
             assert live[0] >= live0[0] - n and live[-1] <= live0[-1] + n
-            u, u_prev = solver.leapfrog_step(u, u_prev, profile, 0.9 * grid.dx), u
+            u, u_prev = leapfrog_step(u, u_prev, profile, 0.9 * grid.dx), u
 
     def test_implicit_damping_well_posed(self):
         grid = dw.Grid(-5.0, 5.0, 200)
         profile = dw.make_profile(grid, np.zeros(grid.n_nodes),
                                   np.full(grid.n_nodes, 1e6), 1.0, 1e6)
         u0 = dw.polynomial_bump(grid, 1.0, 1.0)
-        out = solver.leapfrog_step(u0, u0, profile, 0.9 * grid.dx)
+        out = leapfrog_step(u0, u0, profile, 0.9 * grid.dx)
         assert np.all(np.isfinite(out))
         # denominator 1 + a dt/2 >= 1 keeps the update bounded by its inputs
         assert np.max(np.abs(out)) <= 1.0 + 1e-12
@@ -181,9 +183,28 @@ class TestRunControl:
         data = reference_data(grid, width=0.5)
         for field in ("V", "a"):
             profile = example1_profile(grid)
-            getattr(profile, field)[0] = np.inf
+            values = getattr(profile, field).copy()
+            values[0] = np.inf
+            profile = dataclasses.replace(profile, **{field: values})
             with pytest.raises(ConfigError):
                 solver.RunConfig(profile=profile, data=data, t_end=1.0)
+
+    def test_a_built_config_cannot_be_edited_invalid(self):
+        # the problem's arrays are read-only copies: writing inf into V after
+        # the checks fails at the write, and the config still runs
+        grid = dw.Grid(-10.0, 10.0, 200)
+        V = dw.build_potential_example1(0.01, 2.0, 1.0, grid)
+        profile = dw.make_profile(grid, V, dw.build_damping_plateau(1.0, 1.0, "sharp", grid),
+                                  1.0, 1.0)
+        config = solver.RunConfig(profile=profile, data=reference_data(grid, width=0.5),
+                                  t_end=1.0)
+        V[0] = np.inf  # the caller's array, not the profile's
+        for array in (profile.V, profile.a, profile.phi, config.data.u0, config.data.u1,
+                      grid.x, grid.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = np.inf
+        assert np.all(np.isfinite(profile.V))
+        assert solver.run(config).termination.kind == solver.COMPLETED
 
     def test_blowup_signal_for_subcritical_power(self):
         grid = solver.domain_for_radius(2.0, 20.0, 0.05, 2.0)
@@ -234,9 +255,9 @@ def oracle_levels(config, dt, n_levels, mirrored=False):
         if mirrored:
             u[:half] = u[:half:-1]
         return u
-    levels = [data.u0, level(solver.first_step(data.u0, data.u1, prof, dt, p))]
+    levels = [data.u0, level(first_step(data.u0, data.u1, prof, dt, p))]
     while len(levels) <= n_levels:
-        levels.append(level(solver.leapfrog_step(levels[-1], levels[-2], prof, dt, p)))
+        levels.append(level(leapfrog_step(levels[-1], levels[-2], prof, dt, p)))
     return levels
 
 
@@ -510,10 +531,10 @@ class TestFusedKernel:
         dt = solver.cfl_timestep(profile, 0.9)
         eps = np.finfo(float).eps
         u_prev = config.data.u0
-        u = solver.first_step(u_prev, config.data.u1, profile, dt, p)
+        u = first_step(u_prev, config.data.u1, profile, dt, p)
         worst = 0.0
         for _ in range(40):
-            got = solver.leapfrog_step(u, u_prev, profile, dt, p)
+            got = leapfrog_step(u, u_prev, profile, dt, p)
             ref = unfused_step(u, u_prev, profile, dt, p)
             uc = np.abs(u[1:-1])
             scale = (np.abs(u[:-2]) + uc + np.abs(u[2:]) + np.abs(u_prev[1:-1])
@@ -662,28 +683,28 @@ class TestAbsPower:
         # plus one ulp for np.power's own rounding
         x = np.random.default_rng(p).uniform(-2.0, 2.0, 20000)
         ref = np.power(np.abs(x), float(p))
-        got = solver.abs_power(x, p)
+        got = abs_power(x, p)
         bound = (p - 1) * 2.0**-53 * ref + np.spacing(ref)
         assert np.all(np.abs(got - ref) <= bound)
-        assert np.array_equal(got, solver.abs_power(x, float(p)))
+        assert np.array_equal(got, abs_power(x, float(p)))
 
     def test_small_powers_within_4_ulp(self):
         x = np.random.default_rng(0).uniform(-2.0, 2.0, 20000)
         for p in range(2, 8):
             ref = np.power(np.abs(x), float(p))
-            assert np.all(np.abs(solver.abs_power(x, p) - ref) <= 4 * np.spacing(ref))
+            assert np.all(np.abs(abs_power(x, p) - ref) <= 4 * np.spacing(ref))
 
     def test_inf_and_nan_pass_through(self):
         x = np.array([np.inf, -np.inf, np.nan, 0.0, -2.0])
         for p in (2.0, 11.0, 2.5):
-            got = solver.abs_power(x, p)
+            got = abs_power(x, p)
             assert np.array_equal(got, np.power(np.abs(x), p), equal_nan=True)
 
     def test_overflow_is_silent(self):
         x = np.array([1e200, -1e200, 2.0])
         with np.errstate(all="raise"):
             for p in (2, 3, 4, 11, 2.5):
-                assert np.array_equal(solver.abs_power(x, p),
+                assert np.array_equal(abs_power(x, p),
                                       [np.inf, np.inf, 2.0**p])
 
     def test_bit_identical_to_plain_square_and_multiply(self):
@@ -698,10 +719,10 @@ class TestAbsPower:
                 if e:
                     square = square * square
             out = np.empty_like(x)
-            assert solver.abs_power(x, p, out=out) is out
+            assert abs_power(x, p, out=out) is out
             assert np.array_equal(out, ref)
 
     def test_non_integer_power_is_np_power(self):
         x = np.random.default_rng(1).uniform(-2.0, 2.0, 1000)
         for p in (1.5, 2.5, 0.5):
-            assert np.array_equal(solver.abs_power(x, p), np.power(np.abs(x), p))
+            assert np.array_equal(abs_power(x, p), np.power(np.abs(x), p))

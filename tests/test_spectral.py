@@ -6,6 +6,7 @@ from dampedwave.errors import GridDomainError
 from dampedwave.spectral import quadratic_forms, rayleigh_ratio
 
 from helpers import dense_c_star
+from theory import verify_poincare_on_samples
 
 
 def coarse_problem():
@@ -152,7 +153,7 @@ class TestInequality:
 
     def test_random_samples_never_violate(self):
         estimate = dw.estimate_c_star(coarse_problem())
-        report = dw.verify_poincare_on_samples(estimate, 200, seed=42)
+        report = verify_poincare_on_samples(estimate, 200, seed=42)
         assert report.passed
         assert report.violations == 0
         assert 0.0 < report.max_ratio <= report.threshold
