@@ -18,10 +18,11 @@ t, E_u, l2_u, l2_local, dissipation_cum, G_k, identity_residual,
 lemma25_residual, lemma25_ratio, au2_cum) plus one JSON manifest holding
 the config hash, derived constants (C* with the bisection steps,
 eigenresidual and edge tail of its solve, and c_star_continuum, the
-whole-line continuum C* for the same L), termination and time.mirrored
-(whether the run marched only x >= 0). Outputs are deterministic
-functions of the config bytes. The default output directory may be set
-with the DAMPEDWAVE_OUT environment variable.
+whole-line continuum C* for the same L), termination, time.mirrored
+(whether the run marched only x >= 0) and time.forcing_skipped_steps
+(the steps that left out a negligible |u|^p; null for a linear run).
+Outputs are deterministic functions of the config bytes. The default
+output directory may be set with the DAMPEDWAVE_OUT environment variable.
 
 A sweep is a base RunSpec built from its flags, each (p, I0) cell built as
 `run` builds a config; its manifest holds the base as config text
@@ -118,7 +119,8 @@ def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict
         "time": {"dt": lab.result.dt, "n_steps": lab.result.n_steps,
                  "t_end": run.t_end,
                  "record_every": run.record_every,
-                 "mirrored": lab.result.mirrored},
+                 "mirrored": lab.result.mirrored,
+                 "forcing_skipped_steps": lab.result.forcing_skipped_steps},
         "coefficients": {
             "L": profile.L, "eps1": profile.eps1,
             "beta": _json_safe(profile.beta), "V0": _json_safe(profile.V0),

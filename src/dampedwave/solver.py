@@ -16,7 +16,9 @@ arrays set once per march, cn = (dt^2/dx^2)/d, cu = (2 - dt^2 V)/d,
 cp = (1 - a dt/2)/d and cf = dt^2/d, and each step computes, in this order,
     t  = ((u[i-1] - 2u[i]) + u[i+1]) * cn,
     u+ = ((cu u + t) - cp u-) + cf |u|^p,
-eight array operations (two more and the power for p runs). The second
+eight array operations. The forcing adds the power (np.abs and five
+multiplies for p = 11) and two more, 16 in all for p = 11, on every
+step whose forcing is not negligible (Negligible forcing). The second
 difference is formed first, as in the unfolded formula, so its
 cancellation is unchanged: folding the -2u into cu instead moved the
 final lemma25_residual of a 5,560-step p = 11 run by 6.2e-9 relative,
@@ -32,6 +34,8 @@ to machine precision for compactly supported data.
 
 Validity. A RunConfig is valid by construction: building one raises
 ConfigError on any input run() could not march, so run() checks nothing.
+Building it also derives the march's dt and n_steps and whether it is
+even (Mirror symmetry), which run() reads.
 
 History. The accumulated field v = int_0^t u ds and the cumulative
 integrals int_0^t int a u_t^2 (dissipation_cum) and int_0^t int a u^2
@@ -78,10 +82,26 @@ left half by the mirrored right half after every level, and any other
 run's to the plain whole-grid march.
 
 Blowup screen. A level is bad when the window holds a non-finite value
-or one beyond BLOWUP_THRESHOLD in magnitude. The check first computes
-dot(u, u) over the block: at most 1e16 (1 - 1e-6) proves max|u| <= 1e8
-(the margin covers the dot product's rounding), and nan or inf fail it.
-Only a block that fails the screen gets the exact max/min test.
+or one beyond BLOWUP_THRESHOLD in magnitude. run() first computes
+sq = dot(u, u) over the block, which bounds max|u|^2 by sq (1 + 1e-6)
+(the margin covers the dot product's rounding): sq <= 1e16 (1 - 1e-6)
+proves max|u| <= 1e8, and nan or inf fail it. Only a block that fails
+the screen gets the exact max/min test.
+
+Negligible forcing. The same sq decides whether the next step needs its
+forcing. With M = max|u^k| and cf_max the largest cf, the forcing at
+node i is at most cf_max M^(p-1) |u^k_i|. When sq proves that factor at
+most FORCING_FLOOR = 2^-60 (a threshold on sq set once per march, so a
+step pays one comparison), step k+1 runs step()'s linear path, cf =
+None; first() always keeps the forcing. The dropped term is below half
+an ulp of u^(k+1)_i (at least 2^-54 |u^(k+1)_i|) unless |u^(k+1)_i| <
+|u^k_i| / 64, so the march is bit-identical to the forced one except at
+nodes that shrink 64x in one step, which it moves by at most one
+rounding (and a -0.0 in the data may keep its sign). The threshold also
+keeps M^p below e^700, where the forced step could have overflowed to
+the inf the screen reports. RunResult.forcing_skipped_steps counts the
+linear steps. Small data, the paper's global-existence regime, skip
+from step 2 on: semilinear_demo.cfg skips 5,559 of its 5,560 steps.
 
 u_t. One rule gives the u_t of every state run() hands out, from the u
 ring: u1 at level 0, (u^(k+1) - u^(k-1)) / (2 dt) in between, and at
@@ -123,6 +143,7 @@ from .coefficients import CoefficientProfile, Grid, InitialData
 from .errors import ConfigError
 
 BLOWUP_THRESHOLD = 1e8
+FORCING_FLOOR = 2.0**-60  # a step whose forcing is below this times |u| skips it
 BLOCK = 32  # window growth per side between rebuilds of run()'s views
 MIN_T_END_CFL_FRACTION = 1e-8  # below it, (2 dt)^2 underflows or u_t is rounding / dt
 
@@ -156,6 +177,11 @@ class RunConfig:
     p: float | None = None  # power nonlinearity |u|^p; None = linear
     record_every: int = 10
     history: bool = True  # keep v and the cumulative integrals (History)
+    # derived once by __post_init__: the march's step and length, and
+    # whether it marches only x >= 0 (Mirror symmetry)
+    dt: float = field(init=False)
+    n_steps: int = field(init=False)
+    mirrored: bool = field(init=False)
 
     def __post_init__(self):
         # conformity and finiteness first: a NaN V never reaches cfl_timestep
@@ -163,8 +189,8 @@ class RunConfig:
             raise ConfigError("initial data does not conform to the profile grid")
         if not (np.all(np.isfinite(self.profile.V)) and np.all(np.isfinite(self.profile.a))):
             raise ConfigError("potential and damping must be finite on the grid")
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError("t_end must be positive and finite")
         dt0 = cfl_timestep(self.profile, self.cfl)
         if self.t_end < MIN_T_END_CFL_FRACTION * dt0:
             raise ConfigError(f"t_end = {self.t_end:.6g} is below {MIN_T_END_CFL_FRACTION:g} "
@@ -172,9 +198,14 @@ class RunConfig:
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
         if self.p is not None:
-            if not self.p > 1:  # NaN fails too
-                raise ConfigError(f"power nonlinearity needs p > 1, got {self.p}")
+            if not 1 < self.p < math.inf:  # NaN fails too
+                raise ConfigError(f"power nonlinearity needs p > 1 and finite, got {self.p}")
             check_semilinear_support(self.data, self.profile)
+        n_steps = int(math.ceil(self.t_end / dt0))
+        n_steps += -n_steps % self.record_every  # uniform record cadence
+        object.__setattr__(self, "n_steps", n_steps)
+        object.__setattr__(self, "dt", self.t_end / n_steps)
+        object.__setattr__(self, "mirrored", _is_even(self))
 
 
 @dataclass(frozen=True)
@@ -191,6 +222,8 @@ class RunResult:
     dt: float = 0.0
     n_steps: int = 0
     mirrored: bool = False  # marched only x >= 0 (see Mirror symmetry)
+    # step() calls that left out the forcing (Negligible forcing); None: linear
+    forcing_skipped_steps: int | None = None
 
 
 def domain_for_radius(support_radius: float, t_end: float, dx: float,
@@ -339,20 +372,33 @@ def check_semilinear_support(data: InitialData, profile: CoefficientProfile) -> 
         )
 
 
-# dot(u, u) <= _SCREEN proves max|u| <= BLOWUP_THRESHOLD: a dot product of
+# sq = dot(u, u) bounds max|u|^2 by sq (1 + _DOT_MARGIN): a dot product of
 # n squares lies within about n unit roundoffs of the exact sum, which the
-# 1e-6 margin covers on any grid below a billion nodes.
-_SCREEN = BLOWUP_THRESHOLD**2 * (1.0 - 1e-6)
+# margin covers on any grid below a billion nodes. So sq <= _SCREEN proves
+# max|u| <= BLOWUP_THRESHOLD.
+_DOT_MARGIN = 1e-6
+_SCREEN = BLOWUP_THRESHOLD**2 * (1.0 - _DOT_MARGIN)
 
 
-def _window_bad(u: np.ndarray) -> bool:
-    """A non-finite value, or one beyond BLOWUP_THRESHOLD in magnitude.
+def _window_bad(u: np.ndarray, sq: float) -> bool:
+    """A non-finite value, or one beyond BLOWUP_THRESHOLD in magnitude;
+    sq = dot(u, u).
 
-    One dot product clears a bounded window; nan and inf fail it, and only
+    The dot product clears a bounded window; nan and inf fail it, and only
     then do the exact max/min tests run."""
-    if float(np.dot(u, u)) <= _SCREEN:
+    if sq <= _SCREEN:
         return False
     return not (u.max() <= BLOWUP_THRESHOLD and u.min() >= -BLOWUP_THRESHOLD)
+
+
+def _negligible_forcing_sq(cf_max: float, p: float) -> float:
+    """The dot(u, u) up to which a level's forcing is negligible: it proves
+    cf_max max|u|^(p-1) <= FORCING_FLOOR and max|u|^p < e^700 (module
+    docstring, Negligible forcing). Never raises: an overflow is inf."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = float((np.float64(FORCING_FLOOR) / cf_max) ** (2.0 / (p - 1.0)))
+    finite = math.exp(1400.0 / max(p, 2.0))  # max|u|^2 below it keeps |u|^p finite
+    return min(bound, finite) / (1.0 + _DOT_MARGIN)
 
 
 def _is_even(config: RunConfig) -> bool:
@@ -379,18 +425,18 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     profile, data = config.profile, config.data
     n = profile.grid.n_nodes
 
-    record_every = config.record_every
-    dt0 = cfl_timestep(profile, config.cfl)
-    n_steps = int(math.ceil(config.t_end / dt0))
-    rem = n_steps % record_every
-    if rem:
-        n_steps += record_every - rem  # uniform record cadence
-    dt = config.t_end / n_steps
+    record_every, dt, n_steps, mirrored = (
+        config.record_every, config.dt, config.n_steps, config.mirrored)
     half_dt, two_dt = 0.5 * dt, 2.0 * dt
 
     kernel = _StepKernel(profile, dt, config.p)
-    mirrored = _is_even(config)
     result = RunResult(dt=dt, n_steps=n_steps, mirrored=mirrored)
+    # a level with dot(u, u) <= sq_floor makes the next step linear
+    # (Negligible forcing); a linear run has no forcing to skip
+    sq = sq_floor = -math.inf
+    if config.p is not None:
+        sq_floor = _negligible_forcing_sq(float(np.max(kernel.cf)), config.p)
+        result.forcing_skipped_steps = 0
     history = config.history
     # the march writes nodes >= half; an even run's centre c = half reads
     # the ghost u[c - 1] = u[c + 1], and its states mirror x >= 0 onto x < 0
@@ -472,22 +518,29 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             if lo < blo or hi > bhi:  # a new block: build its views (Buffers)
                 blo, bhi = max(lo - BLOCK, 0), min(hi + BLOCK, n)
                 nodes, e = slice(max(blo, half, 1), min(bhi, n - 1)), slice(max(blo, half), bhi)
-                phases = []  # by k % 4: step()'s, u^k, u^(k-1), u^(k-2), v^k, v^(k-1), d
+                # by k % 4: step()'s with and without the forcing, u^k,
+                # u^(k-1), u^(k-2), v^k, v^(k-1), d
+                phases = []
                 for ph in range(4):
                     u3 = us[ph], us[(ph - 1) % 4], us[(ph - 2) % 4]
                     steps = kernel.views(*u3, nodes) if nodes.stop > nodes.start else None
+                    linear = steps and (*steps[:8], None, *steps[9:])  # cf's slot
                     h = (vs[ph % 2][e], vs[(ph - 1) % 2][e], scratch[e]) if history else ()
-                    phases.append((steps, *(u[e] for u in u3), h))
-            steps, u_new, u_c, u_p, h = phases[k % 4]
-            if steps and k > 1:
-                kernel.step(*steps)
-            elif steps:
+                    phases.append((steps, linear, *(u[e] for u in u3), h))
+            steps, linear, u_new, u_c, u_p, h = phases[k % 4]
+            if steps and k == 1:
                 kernel.first(*steps[:4], data.u1[nodes], nodes)
+            elif steps and sq <= sq_floor:  # level k-1's forcing is negligible
+                kernel.step(*linear)
+                result.forcing_skipped_steps += 1
+            elif steps:
+                kernel.step(*steps)
             if k == 4:  # level 4 overwrites u0, whose end nodes the kernel never writes
                 us[0][0] = us[0][-1] = 0.0
             if mirrored:
                 us[k % 4][half - 1] = us[k % 4][half + 1]
-            if _window_bad(u_new):
+            sq = float(np.dot(u_new, u_new))
+            if _window_bad(u_new, sq):
                 kind = BLOWUP if config.p is not None else INSTABILITY
                 result.termination = Termination(kind, time=k * dt)
                 result.final_state = state_at(max(k - 2, 0), prev_lo, prev_hi)

@@ -213,6 +213,17 @@ class TestCli:
         assert manifest["derived_constants"]["k"] > 2.0
         assert len(manifest["config_hash"]) == 64
         assert manifest["time"]["mirrored"] is True  # centred data on [-60, 60]
+        assert manifest["time"]["forcing_skipped_steps"] is None  # a linear run
+
+    @pytest.mark.parametrize("amplitude", ["0.00012", "1.2"])
+    def test_manifest_counts_the_steps_without_forcing(self, amplitude, tmp_path):
+        # small data skip |u|^p after first(); large data keep it throughout
+        config = edited_config(tmp_path, "semilinear_demo", t_end="5.0",
+                               u0_amplitude=amplitude)
+        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == 0
+        time = json.loads((tmp_path / "semilinear_demo.manifest.json").read_text())["time"]
+        expected = {"0.00012": time["n_steps"] - 1, "1.2": 0}[amplitude]
+        assert time["forcing_skipped_steps"] == expected
 
     def test_reruns_are_byte_identical(self, demo_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

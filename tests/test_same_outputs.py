@@ -95,12 +95,14 @@ CONFIG_PATHS = sorted((ROOT / "configs").glob("*.cfg"))
 
 def test_sweep_command_comes_from_the_benchmark():
     sweep = same_outputs.sweep_args(ROOT)
-    argv = same_outputs.commands(ROOT, Path("/out"), sweep, Path("/cfg/off.cfg"))
-    assert [a[0] for a in argv] == ["run"] * (len(CONFIG_PATHS) + 1) + [
-        "validate"] * (len(CONFIG_PATHS) + 1) + ["sweep"] * 2
-    assert argv[len(CONFIG_PATHS)] == ["run", "/cfg/off.cfg", "--out", "/out"]
+    derived = [Path("/cfg/off.cfg"), Path("/cfg/toggle.cfg")]
+    argv = same_outputs.commands(ROOT, Path("/out"), sweep, derived)
+    assert [a[0] for a in argv] == ["run"] * (len(CONFIG_PATHS) + 2) + [
+        "validate"] * (len(CONFIG_PATHS) + 2) + ["sweep"] * 2
+    assert argv[len(CONFIG_PATHS):len(CONFIG_PATHS) + 2] == [
+        ["run", str(path), "--out", "/out"] for path in derived]
     assert [a for a in argv if a[0] == "validate"] == [
-        ["validate", str(path), "--json"] for path in CONFIG_PATHS + [Path("/cfg/off.cfg")]]
+        ["validate", str(path), "--json"] for path in CONFIG_PATHS + derived]
     options = ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
                "--dx", "0.02", "--t-end", "40"]
     assert argv[-2:] == [
@@ -115,7 +117,7 @@ def test_validate_stdout_and_exit_status_are_kept(tmp_path, monkeypatch):
     monkeypatch.setattr(same_outputs, "commands", lambda *args: [
         argv for argv in commands(*args) if argv[0] == "validate"])
     codes = same_outputs.write_outputs(ROOT, tmp_path, [])
-    validated = CONFIG_PATHS + [Path(same_outputs.OFF_CENTRE)]
+    validated = CONFIG_PATHS + [Path(name) for name in same_outputs.DERIVED]
     assert codes == {f"validate {path.name}": 2 if path.stem == "freewave_demo" else 0
                      for path in validated}
     for path in validated:
@@ -123,11 +125,22 @@ def test_validate_stdout_and_exit_status_are_kept(tmp_path, monkeypatch):
         assert text.splitlines()[-1].startswith('{"c_star": ')
 
 
-def test_off_centre_copy_moves_only_the_data_centre(tmp_path):
-    path = same_outputs.off_centre_config(ROOT, tmp_path / "configs")
-    assert path == tmp_path / "configs" / same_outputs.OFF_CENTRE
-    original = (ROOT / "configs" / "linear_demo.cfg").read_text().splitlines()
-    copy = path.read_text().splitlines()
-    assert [(a, b) for a, b in zip(original, copy) if a != b] == [
-        ("u0_center = 0.0", "u0_center = 0.5")]
+def changed_lines(tmp_path, name):
+    """(committed line, copied line) wherever the DERIVED copy name differs."""
+    paths = same_outputs.derived_configs(ROOT, tmp_path / "configs")
+    assert paths == [tmp_path / "configs" / n for n in same_outputs.DERIVED]
+    source = same_outputs.DERIVED[name][0]
+    original = (ROOT / "configs" / source).read_text().splitlines()
+    copy = (tmp_path / "configs" / name).read_text().splitlines()
     assert len(copy) == len(original)
+    return [(a, b) for a, b in zip(original, copy) if a != b]
+
+
+def test_off_centre_copy_moves_only_the_data_centre(tmp_path):
+    assert changed_lines(tmp_path, "linear_offcentre.cfg") == [
+        ("u0_center = 0.0", "u0_center = 0.5")]
+
+
+def test_toggle_copy_raises_only_the_amplitude(tmp_path):
+    assert changed_lines(tmp_path, "semilinear_toggle.cfg") == [
+        ("u0_amplitude = 0.00012", "u0_amplitude = 0.12")]

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 import dampedwave as dw
+from dampedwave import analysis, runner, solver
 from dampedwave import config as cfg
-from dampedwave import solver
 from dampedwave.coefficients import free_space_profile
 from dampedwave.errors import ConfigError
 
-from helpers import (HISTORY_COLUMNS, NORM_COLUMNS, abs_power, centred_specs,
+from helpers import (CONFIGS, HISTORY_COLUMNS, NORM_COLUMNS, abs_power, centred_specs,
                      example1_profile, first_step, leapfrog_step, reference_data,
-                     reference_run_config)
+                     reference_run_config, sweep_spec)
 
 
 def dalembert_error(n_cells, t_end=5.0, sigma=0.5):
@@ -153,7 +153,7 @@ class TestRunControl:
         with pytest.raises(ConfigError):
             solver.RunConfig(profile=profile, data=data, t_end=1.0, p=0.5)
 
-    @pytest.mark.parametrize("p", [1.0, float("nan")])
+    @pytest.mark.parametrize("p", [1.0, float("nan"), float("inf")])
     def test_power_must_exceed_one(self, p):
         grid = dw.Grid(-15.0, 15.0, 300)
         profile = example1_profile(grid)  # L = 1
@@ -161,6 +161,38 @@ class TestRunControl:
                                     np.zeros(grid.n_nodes))
         with pytest.raises(ConfigError, match="p > 1"):
             solver.RunConfig(profile=profile, data=data, t_end=1.0, p=p)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+    def test_t_end_must_be_positive_and_finite(self, t_end):
+        grid = dw.Grid(-10.0, 10.0, 200)
+        with pytest.raises(ConfigError, match="t_end must be positive and finite"):
+            solver.RunConfig(profile=example1_profile(grid),
+                             data=reference_data(grid, width=0.5), t_end=t_end)
+
+    def test_step_count_and_symmetry_are_derived_when_built(self, monkeypatch):
+        # run() reads dt, n_steps and mirrored from the config; replace()
+        # derives them again for the new fields
+        grid = dw.Grid(-15.0, 15.0, 300)
+        config = solver.RunConfig(profile=example1_profile(grid),
+                                  data=reference_data(grid, width=0.5), t_end=3.0,
+                                  record_every=7)
+        steps = math.ceil(3.0 / solver.cfl_timestep(config.profile, config.cfl))
+        assert config.n_steps == 7 * math.ceil(steps / 7)
+        assert config.dt == 3.0 / config.n_steps and config.mirrored
+
+        def recomputed(*args):
+            raise AssertionError("run() derived what the config holds")
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "cfl_timestep", recomputed)
+            patch.setattr(solver, "_is_even", recomputed)
+            result = solver.run(config)
+        assert (result.dt, result.n_steps, result.mirrored) == (config.dt, config.n_steps, True)
+        longer = dataclasses.replace(config, t_end=6.0, record_every=1)
+        assert longer.n_steps == math.ceil(6.0 / solver.cfl_timestep(config.profile, 0.9))
+        assert longer.dt == 6.0 / longer.n_steps
+        off_centre = dw.make_initial_data(grid, dw.gaussian_bump(grid, 1e-3, 0.5, 0.5),
+                                          np.zeros(grid.n_nodes))
+        assert not dataclasses.replace(config, data=off_centre).mirrored
 
     @pytest.mark.parametrize("t_end", [1e-170, 1e-150])
     def test_t_end_far_below_the_cfl_step_rejected(self, t_end):
@@ -652,28 +684,135 @@ class TestDrawnSpecs:
         assert math.isfinite(final.dissipation_cum) and math.isfinite(final.au2_cum)
 
 
+def window_bad(u):
+    """solver._window_bad with the dot product run() passes it."""
+    return solver._window_bad(u, float(np.dot(u, u)))
+
+
 class TestWindowBad:
     def test_non_finite_values_are_bad(self):
         for bad in (np.nan, np.inf, -np.inf):
             u = np.zeros(50)
             u[17] = bad
-            assert solver._window_bad(u)
+            assert window_bad(u)
 
     def test_threshold_is_inclusive(self):
         T = solver.BLOWUP_THRESHOLD
-        assert not solver._window_bad(np.array([0.0, T, -T]))
-        assert solver._window_bad(np.array([0.0, np.nextafter(T, np.inf)]))
-        assert solver._window_bad(np.array([-np.nextafter(T, np.inf), 0.0]))
+        assert not window_bad(np.array([0.0, T, -T]))
+        assert window_bad(np.array([0.0, np.nextafter(T, np.inf)]))
+        assert window_bad(np.array([-np.nextafter(T, np.inf), 0.0]))
 
     def test_bounded_window_failing_the_screen_is_not_bad(self):
         # 10,000 nodes of 1e7 square-sum to 1e18, beyond the dot-product
         # screen, so the exact max/min test decides
         u = np.full(10_000, 1e7)
         assert float(u @ u) > solver._SCREEN
-        assert not solver._window_bad(u)
+        assert not window_bad(u)
 
     def test_empty_window_is_not_bad(self):
-        assert not solver._window_bad(np.zeros(0))
+        assert not window_bad(np.zeros(0))
+
+
+SEMILINEAR_DEMO = next(path for path in CONFIGS if path.stem == "semilinear_demo")
+
+
+def semilinear_demo_config(t_end=None, amplitude=None):
+    """semilinear_demo.cfg's RunConfig, with t_end or u0's amplitude replaced."""
+    spec, _raw = cfg.load_config(str(SEMILINEAR_DEMO))
+    if t_end is not None:
+        spec = dataclasses.replace(spec, time=dataclasses.replace(spec.time, t_end=t_end))
+    if amplitude is not None:
+        u0 = dataclasses.replace(spec.data.u0, amplitude=amplitude)
+        spec = dataclasses.replace(spec, data=dataclasses.replace(spec.data, u0=u0))
+    return cfg.run_config_from_spec(spec, *cfg.build_problem(spec))
+
+
+def sweep_cell_config(p, i0, record_every=10):
+    """The benchmark sweep's (p, I0) cell (dx 0.02, t_end 40), with history."""
+    spec = dataclasses.replace(sweep_spec(dx=0.02, t_end=40.0),
+                               nonlinearity=cfg.NonlinearitySpec("power", p))
+    profile, data = cfg.build_problem(spec)
+    data = analysis.scale_data_to_i0(data, profile, i0)
+    config = cfg.run_config_from_spec(spec, profile, data)
+    return dataclasses.replace(config, record_every=record_every)
+
+
+def recorded_run(config):
+    """solver.run under the Recorder `dampedwave run` attaches."""
+    _report, _estimate, mc, norms = runner.prepare_constants(config.profile, config.data)
+    return solver.run(config, dw.Recorder(config.profile, mc, config.data, norms))
+
+
+def run_bits(result):
+    """Every record and the final state, bit for bit (repr round-trips a float)."""
+    final = result.final_state
+    return ([repr(dataclasses.astuple(record)) for record in result.records],
+            [field.tobytes() for field in (final.u, final.u_t, final.v)],
+            repr((final.t, final.dissipation_cum, final.au2_cum, final.support)),
+            result.termination)
+
+
+FORCING_CASES = {
+    "semilinear_demo-t20": lambda: semilinear_demo_config(t_end=20.0),
+    "semilinear_demo-amplitude-0.12": lambda: semilinear_demo_config(amplitude=0.12),
+    "sweep-p2-I0-1e-8-every-level": lambda: sweep_cell_config(2.0, 1e-8, record_every=1),
+}
+
+
+class TestNegligibleForcing:
+    """A level whose forcing is below FORCING_FLOOR |u| makes the next step
+    linear (solver module docstring, Negligible forcing)."""
+
+    @pytest.mark.parametrize("case", FORCING_CASES)
+    def test_skipping_the_forcing_changes_no_bit(self, case, monkeypatch):
+        config = FORCING_CASES[case]()
+        lean = recorded_run(config)
+        monkeypatch.setattr(solver, "FORCING_FLOOR", 0.0)
+        full = recorded_run(config)
+        assert full.forcing_skipped_steps == 0
+        assert run_bits(lean) == run_bits(full)
+        assert lean.termination.kind == solver.COMPLETED
+        skipped = lean.forcing_skipped_steps
+        if case.startswith("semilinear_demo-t20"):  # all but first()
+            assert skipped == lean.n_steps - 1
+        elif case.startswith("semilinear_demo-amplitude"):  # forced, then linear
+            assert 0 < skipped < lean.n_steps - 1
+
+    @pytest.mark.parametrize("p, i0", [(1.5, 1.0), (13.0, 30.0)])
+    def test_blowup_cells_skip_nothing(self, p, i0):
+        result = solver.run(sweep_cell_config(p, i0))
+        assert result.termination.kind == solver.BLOWUP
+        assert result.forcing_skipped_steps == 0
+
+    def test_linear_runs_report_no_count(self):
+        grid = dw.Grid(-10.0, 10.0, 200)
+        config = solver.RunConfig(profile=example1_profile(grid),
+                                  data=reference_data(grid, width=0.5), t_end=1.0)
+        assert solver.run(config).forcing_skipped_steps is None
+
+    def test_power_near_one_on_a_fine_grid_marches(self):
+        # the bound's float power overflows here; the march skips every step
+        # after the first, since cf |u|^(p-1) is below the floor everywhere
+        grid = dw.Grid(-2e-6, 2e-6, 4000)  # dx = 1e-9
+        data = dw.make_initial_data(grid, dw.polynomial_bump(grid, 1e-3, 1e-6),
+                                    np.zeros(grid.n_nodes))
+        config = solver.RunConfig(profile=example1_profile(grid, L=5e-7), data=data,
+                                  t_end=2e-8, p=1.0 + 1e-12)
+        result = solver.run(config)
+        assert result.termination.kind == solver.COMPLETED
+        assert result.forcing_skipped_steps == result.n_steps - 1
+
+    @pytest.mark.parametrize("cf_max, p", [
+        (3.2e-4, 11.0), (3.2e-4, 2.0), (1e-3, 1.5), (4.4e-19, 1.0 + 1e-12),
+        (1.0, 1.0 + 1e-12), (2.0**-60 / 108.0, 1.0001), (5e-324, 50.0), (0.0, 3.0)])
+    def test_threshold_proves_the_floor(self, cf_max, p):
+        # m is the largest max|u| a level with dot(u, u) at the threshold can
+        # hold; its forcing factor is at most the floor, and |u|^p is finite
+        sq = solver._negligible_forcing_sq(cf_max, p)
+        assert 0.0 <= sq < math.inf
+        m = math.sqrt(sq * (1.0 + 1e-6))
+        assert cf_max * m ** (p - 1.0) <= solver.FORCING_FLOOR * (1.0 + 1e-12)
+        assert m ** p < math.inf
 
 
 class TestAbsPower:

@@ -4,21 +4,24 @@
 
 From each checkout, with its own src/ on PYTHONPATH and
 OPENBLAS_NUM_THREADS=1, runs `dampedwave run` and `dampedwave validate
---json` on every configs/*.cfg of that checkout and on a copy of its
-linear_demo.cfg with u0_center = 0.5 (linear_offcentre.cfg: data off the
-centre, so the run marches the whole line where every committed config
-marches the half line; validate's stdout is saved as <config
-stem>.validate.txt), and the sweep_pxI0 command line of the change's
-bench/common.py twice: with --workers 2 (the process pool, outputs named
-sweep_pxI0) and with --workers 1 (the in-process map, sweep_pxI0_workers1).
-Then it prints one line per output file: "identical" when the bytes agree;
+--json` on every configs/*.cfg of that checkout and on the DERIVED
+copies of its configs (validate's stdout is saved as <config
+stem>.validate.txt):
+- linear_offcentre.cfg, linear_demo.cfg with u0_center = 0.5, marches
+  the whole line where every committed config marches the half line;
+- semilinear_toggle.cfg, semilinear_demo.cfg with u0_amplitude = 0.12,
+  keeps |u|^p until t ~ 25 and skips it as negligible after that.
+Then it runs the sweep_pxI0 command line of the change's bench/common.py
+twice: with --workers 2 (the process pool, outputs named sweep_pxI0) and
+with --workers 1 (the in-process map, sweep_pxI0_workers1).
+It prints one line per output file: "identical" when the bytes agree;
 for a CSV that differs, the column with the largest relative difference
-and the number of cells that differ; for a JSON file (and the JSON report that ends a
-validate output), the key with the largest relative difference, the
-number of values that differ and the keys written on one side only; for
-other text, the lines written on one side only. A file written on one
-side only, or a command whose exit status differs, counts as a
-difference. Exits 1 on any difference, else 0. Outputs go
+and the number of cells that differ; for a JSON file (and the JSON
+report that ends a validate output), the key with the largest relative
+difference, the number of values that differ and the keys written on
+one side only; for other text, the lines written on one side only. A
+file written on one side only, or a command whose exit status differs,
+counts as a difference. Exits 1 on any difference, else 0. Outputs go
 to a temporary directory. Standard library only.
 """
 
@@ -41,7 +44,12 @@ SWEEP_WORKLOAD = "sweep_pxI0"
 # the benchmark sweep's --workers values and output names: the process pool
 # and the in-process map
 SWEEPS = {"2": SWEEP_WORKLOAD, "1": f"{SWEEP_WORKLOAD}_workers1"}
-OFF_CENTRE = "linear_offcentre.cfg"
+# copies of a committed config with one line changed, by file name: the
+# config, the key and its new value
+DERIVED = {
+    "linear_offcentre.cfg": ("linear_demo.cfg", "u0_center", "0.5"),
+    "semilinear_toggle.cfg": ("semilinear_demo.cfg", "u0_amplitude", "0.12"),
+}
 
 
 def sweep_args(checkout: Path) -> list[str]:
@@ -52,26 +60,29 @@ def sweep_args(checkout: Path) -> list[str]:
     return list(common.WORKLOADS[SWEEP_WORKLOAD]["sweep"])
 
 
-def off_centre_config(checkout: Path, directory: Path) -> Path:
-    """Write the checkout's configs/linear_demo.cfg with u0_center = 0.5
-    into directory as OFF_CENTRE; returns its path."""
-    text = (checkout / "configs" / "linear_demo.cfg").read_text()
-    text, count = re.subn(r"(?m)^u0_center\s*=.*$", "u0_center = 0.5", text)
-    if count != 1:
-        raise ValueError(f"{checkout}: linear_demo.cfg has {count} u0_center lines, not one")
+def derived_configs(checkout: Path, directory: Path) -> list[Path]:
+    """Write the DERIVED copies of the checkout's configs into directory;
+    returns their paths in DERIVED's order."""
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / OFF_CENTRE
-    path.write_text(text)
-    return path
+    paths = []
+    for name, (source, key, value) in DERIVED.items():
+        text = (checkout / "configs" / source).read_text()
+        text, count = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+        if count != 1:
+            raise ValueError(f"{checkout}: {source} has {count} {key} lines, not one")
+        path = directory / name
+        path.write_text(text)
+        paths.append(path)
+    return paths
 
 
 def commands(checkout: Path, out_dir: Path, sweep: list[str],
-             off_centre: Path) -> list[list[str]]:
-    """dampedwave argument lists: one run per config and the off-centre
-    config, one validate --json per config and the off-centre config, then
-    one sweep per SWEEPS entry."""
+             derived: list[Path]) -> list[list[str]]:
+    """dampedwave argument lists: one run per config and derived config,
+    one validate --json per config and derived config, then one sweep per
+    SWEEPS entry."""
     out = ["--out", str(out_dir)]
-    configs = sorted((checkout / "configs").glob("*.cfg")) + [off_centre]
+    configs = sorted((checkout / "configs").glob("*.cfg")) + derived
     runs = [["run", str(path), *out] for path in configs]
     validates = [["validate", str(path), "--json"] for path in configs]
     sweeps = [["sweep", *sweep, "--workers", workers, *out, "--name", name]
@@ -84,9 +95,9 @@ def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, 
     env = {k: v for k, v in os.environ.items() if k != "DAMPEDWAVE_OUT"}
     env.update(PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
     out_dir.mkdir(parents=True, exist_ok=True)
-    off_centre = off_centre_config(checkout, out_dir.with_name(f"{out_dir.name}-configs"))
+    derived = derived_configs(checkout, out_dir.with_name(f"{out_dir.name}-configs"))
     codes = {}
-    for argv in commands(checkout, out_dir, sweep, off_centre):
+    for argv in commands(checkout, out_dir, sweep, derived):
         proc = subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv], cwd=checkout,
                               env=env, capture_output=True, text=True)
         label = f"{argv[0]} {argv[-1] if argv[0] == 'sweep' else Path(argv[1]).name}"
