@@ -10,9 +10,13 @@ windows at t = 10).
 
 A semilinear sweep is a base RunSpec and a cell is a (spec, I0) pair:
 the base with |u|^p, built by config.build_problem as for `dampedwave
-run`, its data rescaled to I0. The cells are mapped in order, p-major,
-and the sweep returns their outcome tokens as a matrix, one row per p.
-A cell's outcome reads only ||u|| and the energy norm, so it marches
+run`, its data rescaled to I0. The power does not enter the problem, so
+each process builds the base's profile and data, and the data's I0,
+once. The cells are mapped in order, p-major, and the sweep returns
+their outcome tokens as a matrix, one row per p. With N workers, a pool
+of N - 1 processes takes cells from the front while the calling process
+marches, from the back, every cell no pool process has started. A
+cell's outcome reads only ||u|| and the energy norm, so it marches
 without history (solver.RunConfig.history = False) under the Recorder
 `dampedwave run` uses; the columns that need history are NaN.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,16 +125,18 @@ DECAY_EXPONENT_GATE = -0.4
 
 
 def scale_data_to_i0(
-    data: InitialData, profile: CoefficientProfile, target_i0: float
+    data: InitialData, profile: CoefficientProfile, target_i0: float,
+    unit_i0: float | None = None,
 ) -> InitialData:
     """Rescale both data fields so the combined norm I0 hits the target
-    (I0 is 1-homogeneous in the data)."""
+    (I0 is 1-homogeneous in the data); unit_i0 is the data's own I0 when
+    the caller has it."""
     if not 0.0 <= target_i0 < math.inf:
         raise HypothesisError(f"target I0 must be finite and nonnegative, got {target_i0}")
     if target_i0 == 0.0:
         zeros = np.zeros_like(data.u0)
         return InitialData(zeros, zeros, data.support_radius)
-    unit = compute_data_norms(data, profile).I0
+    unit = compute_data_norms(data, profile).I0 if unit_i0 is None else unit_i0
     if unit == 0.0:
         raise HypothesisError("cannot rescale identically zero data to a positive I0")
     s = target_i0 / unit
@@ -163,13 +170,32 @@ def classify_outcome(result: solver.RunResult, t_end: float) -> str:
     return "decayed_at_rate" if fit.exponent <= DECAY_EXPONENT_GATE else "bounded"
 
 
+def _linear(spec: cfg.RunSpec) -> cfg.RunSpec:
+    return replace(spec, nonlinearity=cfg.NonlinearitySpec())
+
+
+@lru_cache(maxsize=1)
+def _unit_problem(
+    linear: cfg.RunSpec,
+) -> tuple[CoefficientProfile, InitialData, float | None]:
+    """The profile, data and data I0 of a spec without its power, which
+    every cell of a sweep shares (the arrays are read-only). I0 is None
+    where V vanishes on the grid: a cell with I0 > 0 then raises."""
+    profile, data = cfg.build_problem(linear)
+    try:
+        unit = compute_data_norms(data, profile).I0
+    except HypothesisError:
+        unit = None
+    return profile, data, unit
+
+
 def _sweep_cell(cell: tuple[cfg.RunSpec, float]) -> str:
     """The outcome token of one (spec, I0) cell, its spec carrying its power;
     a cell that fails its checks becomes error(<exception name>)."""
     spec, i0 = cell
     try:
-        profile, data = cfg.build_problem(spec)
-        data = scale_data_to_i0(data, profile, i0)
+        profile, data, unit = _unit_problem(_linear(spec))
+        data = scale_data_to_i0(data, profile, i0, unit)
         run_config = replace(cfg.run_config_from_spec(spec, profile, data), history=False)
         return classify_outcome(solver.run(run_config, Recorder(profile, None, data, None)),
                                 spec.time.t_end)
@@ -189,15 +215,21 @@ def semilinear_sweep(
     construction) raises ConfigError/HypothesisError before any cell runs;
     a cell's own fault (p <= 1, a bad I0) becomes an error(<exception
     name>) token and never aborts the sweep. workers must be >= 1
-    (ConfigError otherwise); more than one maps the cells in order over a
-    process pool of at most one worker per cell, one maps them in process."""
+    (ConfigError otherwise) and counts the processes that march cells,
+    this one included, at most one per cell. With more than one, a pool
+    of workers - 1 processes takes the cells from the front and this
+    process takes from the back every cell no pool process has started;
+    a cell that raises first cancels every cell not started. With one,
+    the cells are mapped in process."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if spec.potential.beta is None:
         raise ConfigError(f"a sweep needs a potential with beta, got {spec.potential.family!r}")
-    profile, data = cfg.build_problem(spec)
+    linear = _linear(spec)
+    # built here, before the pool forks, so a pool process inherits it
+    profile, data, _ = _unit_problem(linear)
     solver.check_semilinear_support(data, profile)
-    cfg.run_config_from_spec(replace(spec, nonlinearity=cfg.NonlinearitySpec()), profile, data)
+    cfg.run_config_from_spec(linear, profile, data)
     cells = [(replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p)), i0)
              for p in p_values for i0 in I0_values]
     workers = min(workers, len(cells))
@@ -206,8 +238,15 @@ def semilinear_sweep(
         # a pooled sweep uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_sweep_cell, cells))
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(_sweep_cell, cell) for cell in cells]
+            try:  # from the back, every cell no pool process has started
+                mine = {i: _sweep_cell(cells[i])
+                        for i in reversed(range(len(cells))) if futures[i].cancel()}
+                flat = [mine[i] if i in mine else f.result() for i, f in enumerate(futures)]
+            finally:  # as Executor.map: a raising cell cancels the cells not started
+                for f in futures:
+                    f.cancel()
     else:
         flat = list(map(_sweep_cell, cells))
     m = len(I0_values)

@@ -26,7 +26,9 @@ output directory may be set with the DAMPEDWAVE_OUT environment variable.
 
 A sweep is a base RunSpec built from its flags, each (p, I0) cell built as
 `run` builds a config; its manifest holds the base as config text
-(base_config), so the manifest alone reruns it.
+(base_config), so the manifest alone reruns it. --workers N has N
+processes march the cells, this one included: a pool of N - 1 and this
+process, which takes the cells no pool process has started.
 """
 
 from __future__ import annotations
@@ -342,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps1", type=float, default=1.0)
     s.add_argument("--t-end", type=float, default=40.0)
     s.add_argument("--dx", type=float, default=0.05)
-    s.add_argument("--workers", type=int, default=2)
+    s.add_argument("--workers", type=int, default=2,
+                   help="processes that march cells, this one included (default 2)")
     s.add_argument("--out", default=None)
     s.add_argument("--name", default="sweep")
     s.set_defaults(func=cmd_sweep)

@@ -91,9 +91,14 @@ the screen gets the exact max/min test.
 Negligible forcing. The same sq decides whether the next step needs its
 forcing. With M = max|u^k| and cf_max the largest cf, the forcing at
 node i is at most cf_max M^(p-1) |u^k_i|. When sq proves that factor at
-most FORCING_FLOOR = 2^-60 (a threshold on sq set once per march, so a
-step pays one comparison), step k+1 runs step()'s linear path, cf =
-None; first() always keeps the forcing. The dropped term is below half
+most FORCING_FLOOR = 2^-60 (a threshold sq_floor on M^2 set once per
+march, so a step pays one comparison), step k+1 runs step()'s linear
+path, cf = None; first() always keeps the forcing. sq bounds M^2 loosely
+when u is spread: sq <= m M^2 over the block's m nodes. So a level with
+sq_floor < sq <= m sq_floor (1 + 1e-6), where M^2 may still be at most
+sq_floor, computes M exactly as max(max u, -min u) and skips the next
+step's forcing when M^2 <= sq_floor; above that band the exact test
+cannot pass, so it is not run. The dropped term is below half
 an ulp of u^(k+1)_i (at least 2^-54 |u^(k+1)_i|) unless |u^(k+1)_i| <
 |u^k_i| / 64, so the march is bit-identical to the forced one except at
 nodes that shrink 64x in one step, which it moves by at most one
@@ -431,9 +436,11 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
 
     kernel = _StepKernel(profile, dt, config.p)
     result = RunResult(dt=dt, n_steps=n_steps, mirrored=mirrored)
-    # a level with dot(u, u) <= sq_floor makes the next step linear
-    # (Negligible forcing); a linear run has no forcing to skip
-    sq = sq_floor = -math.inf
+    # a level with dot(u, u) <= sq_floor, or with max|u|^2 <= sq_floor where
+    # dot(u, u) <= sq_gate, makes the next step linear (Negligible forcing);
+    # a linear run has no forcing to skip
+    sq_floor = sq_gate = -math.inf
+    negligible = False
     if config.p is not None:
         sq_floor = _negligible_forcing_sq(float(np.max(kernel.cf)), config.p)
         result.forcing_skipped_steps = 0
@@ -518,6 +525,9 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             if lo < blo or hi > bhi:  # a new block: build its views (Buffers)
                 blo, bhi = max(lo - BLOCK, 0), min(hi + BLOCK, n)
                 nodes, e = slice(max(blo, half, 1), min(bhi, n - 1)), slice(max(blo, half), bhi)
+                # dot(u, u) over the block's m nodes is at most m max|u|^2;
+                # m >= 1 keeps a linear run's gate at -inf when e is empty
+                sq_gate = max(e.stop - e.start, 1) * sq_floor * (1.0 + _DOT_MARGIN)
                 # by k % 4: step()'s with and without the forcing, u^k,
                 # u^(k-1), u^(k-2), v^k, v^(k-1), d
                 phases = []
@@ -530,7 +540,7 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             steps, linear, u_new, u_c, u_p, h = phases[k % 4]
             if steps and k == 1:
                 kernel.first(*steps[:4], data.u1[nodes], nodes)
-            elif steps and sq <= sq_floor:  # level k-1's forcing is negligible
+            elif steps and negligible:  # level k-1's forcing is negligible
                 kernel.step(*linear)
                 result.forcing_skipped_steps += 1
             elif steps:
@@ -545,6 +555,8 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
                 result.termination = Termination(kind, time=k * dt)
                 result.final_state = state_at(max(k - 2, 0), prev_lo, prev_hi)
                 return result
+            negligible = sq <= sq_gate and (
+                sq <= sq_floor or max(u_new.max(), -u_new.min()) ** 2 <= sq_floor)
             if history:
                 v_new, v_prev, d = h
                 np.multiply(np.add(u_c, u_new, out=v_new), half_dt, out=v_new)

@@ -205,6 +205,48 @@ class TestDataScaling:
             scale_data_to_i0(data, profile, target)
 
 
+class StandInFuture:
+    """A stand-in pool's future: a cell a pool process has started, or one
+    the caller may cancel; reading it runs the cell in process."""
+
+    def __init__(self, fn, cell, started):
+        self.fn, self.cell, self.started = fn, cell, started
+        self.cancelled = self.read = False
+
+    def cancel(self):
+        self.cancelled = self.cancelled or not self.started
+        return self.cancelled
+
+    def result(self):
+        assert not self.cancelled
+        self.read = True
+        return self.fn(self.cell)
+
+
+def stand_in_pool(monkeypatch, started=0):
+    """Replace ProcessPoolExecutor by an in-process stand-in whose first
+    `started` submitted cells a pool process has started; returns the
+    list of pool sizes it is built with and the list of its futures."""
+    sizes, futures = [], []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, cell):
+            futures.append(StandInFuture(fn, cell, len(futures) < started))
+            return futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes, futures
+
+
 class TestSweep:
     def test_outcome_matrix_structure(self):
         base = sweep_spec(t_end=20.0, dx=0.1)
@@ -231,29 +273,52 @@ class TestSweep:
         with pytest.raises(ConfigError, match="workers must be >= 1"):
             dw.semilinear_sweep(sweep_spec(t_end=5.0), [11.0], [1e-3], workers=workers)
 
-    @pytest.mark.parametrize("workers, pool_size", [(8, 3), (2, 2)])
+    def test_pool_of_two_and_the_caller_match_serial(self):
+        base = sweep_spec(t_end=10.0, dx=0.1)
+        p_values, i0_values = [3.0, 11.0], [1e-4, 10.0]
+        serial = dw.semilinear_sweep(base, p_values, i0_values, workers=1)
+        assert dw.semilinear_sweep(base, p_values, i0_values, workers=3) == serial
+
+    @pytest.mark.parametrize("workers, pool_size", [(8, 2), (2, 1)])
     def test_pool_is_capped_at_the_cell_count(self, workers, pool_size, monkeypatch):
-        # a stand-in pool that records its size and runs the cells in process
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells):
-                return map(fn, cells)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        # the caller marches cells too: the pool has one process fewer
+        sizes, _futures = stand_in_pool(monkeypatch)
         outcomes = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0],
                                        [0.0, 1e-4, 1e-3], workers=workers)
         assert sizes == [pool_size]
         assert all(o in ("decayed_at_rate", "bounded") for o in outcomes[0])
+
+    @pytest.mark.parametrize("started", [0, 2, 6])
+    def test_tokens_come_back_in_cell_order(self, started, monkeypatch):
+        # the caller marches the cells not started from the back; the pool's
+        # are read in order after it
+        _sizes, futures = stand_in_pool(monkeypatch, started)
+        marched = []
+        monkeypatch.setattr(analysis, "_sweep_cell", lambda cell: marched.append(
+            cell) or f"{cell[0].nonlinearity.p}:{cell[1]}")
+        base = sweep_spec(t_end=2.0, dx=0.1)
+        outcomes = dw.semilinear_sweep(base, [3.0, 11.0], [1e-4, 1e-3, 1e-2], workers=2)
+        assert outcomes == (("3.0:0.0001", "3.0:0.001", "3.0:0.01"),
+                            ("11.0:0.0001", "11.0:0.001", "11.0:0.01"))
+        cells = [f.cell for f in futures]
+        assert marched == cells[started:][::-1] + cells[:started]
+        assert [f.cancelled for f in futures] == [i >= started for i in range(6)]
+
+    def test_a_cell_raising_in_the_caller_cancels_the_cells_not_started(self, monkeypatch):
+        _sizes, futures = stand_in_pool(monkeypatch, started=1)
+
+        def cell_token(cell):
+            if cell[1] == 1e-3:
+                raise RuntimeError("cell failed")
+            return "bounded"
+
+        monkeypatch.setattr(analysis, "_sweep_cell", cell_token)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [3.0, 11.0],
+                                [1e-4, 1e-3, 1e-2], workers=2)
+        # the caller marched cells 5 and 4 (raising); 1-3 were never run
+        assert [f.cancelled for f in futures] == [False] + [True] * 5
+        assert not any(f.read for f in futures)
 
     def test_one_cell_runs_without_a_pool(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -307,13 +372,30 @@ class TestSweep:
             dw.semilinear_sweep(base, [11.0], [1e-3])
 
     def test_each_cell_is_built_from_the_base_with_its_power(self, monkeypatch):
-        built = []
-        build = analysis.cfg.build_problem
+        # one problem and one data norm per process, from the base without
+        # its power; each cell's RunConfig from the base with its power
+        built, normed, configured = [], [], []
+        build, norms = analysis.cfg.build_problem, analysis.compute_data_norms
+        configure = analysis.cfg.run_config_from_spec
         monkeypatch.setattr(analysis.cfg, "build_problem",
                             lambda spec: built.append(spec) or build(spec))
+        monkeypatch.setattr(analysis, "compute_data_norms",
+                            lambda *args: normed.append(args) or norms(*args))
+        monkeypatch.setattr(analysis.cfg, "run_config_from_spec",
+                            lambda spec, *args: configured.append(spec) or configure(spec, *args))
+        analysis._unit_problem.cache_clear()
         base = sweep_spec(t_end=2.0, dx=0.1)
-        dw.semilinear_sweep(base, [3.0, 11.0], [1e-4], workers=1)
-        assert built == [base] + [power(base, p) for p in (3.0, 11.0)]
+        dw.semilinear_sweep(power(base, 5.0), [3.0, 11.0], [1e-4, 1e-3], workers=1)
+        assert built == [base]
+        assert len(normed) == 1
+        assert configured == [base] + [power(base, p) for p in (3.0, 3.0, 11.0, 11.0)]
+
+    def test_data_norm_undefined_fails_only_the_scaled_cells(self):
+        # V underflows to 0 away from the core: I0 cannot be rescaled, but
+        # zero data still marches
+        base = sweep_spec(V0=5e-324, t_end=2.0, dx=0.1)
+        assert dw.semilinear_sweep(base, [3.0], [0.0, 1e-3]) == (
+            ("bounded", "error(HypothesisError)"),)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
     def test_non_finite_beta_raises_before_marching(self, beta, monkeypatch):

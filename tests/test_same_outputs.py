@@ -98,15 +98,16 @@ def test_sweep_command_comes_from_the_benchmark():
     derived = [Path("/cfg/off.cfg"), Path("/cfg/toggle.cfg")]
     argv = same_outputs.commands(ROOT, Path("/out"), sweep, derived)
     assert [a[0] for a in argv] == ["run"] * (len(CONFIG_PATHS) + 2) + [
-        "validate"] * (len(CONFIG_PATHS) + 2) + ["sweep"] * 2
+        "validate"] * (len(CONFIG_PATHS) + 2) + ["sweep"] * 3
     assert argv[len(CONFIG_PATHS):len(CONFIG_PATHS) + 2] == [
         ["run", str(path), "--out", "/out"] for path in derived]
     assert [a for a in argv if a[0] == "validate"] == [
         ["validate", str(path), "--json"] for path in CONFIG_PATHS + derived]
     options = ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
                "--dx", "0.02", "--t-end", "40"]
-    assert argv[-2:] == [
+    assert argv[-3:] == [
         [*options, "--workers", "2", "--out", "/out", "--name", "sweep_pxI0"],
+        [*options, "--workers", "3", "--out", "/out", "--name", "sweep_pxI0_workers3"],
         [*options, "--workers", "1", "--out", "/out", "--name", "sweep_pxI0_workers1"]]
 
 

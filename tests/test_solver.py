@@ -756,6 +756,8 @@ FORCING_CASES = {
     "semilinear_demo-t20": lambda: semilinear_demo_config(t_end=20.0),
     "semilinear_demo-amplitude-0.12": lambda: semilinear_demo_config(amplitude=0.12),
     "sweep-p2-I0-1e-8-every-level": lambda: sweep_cell_config(2.0, 1e-8, record_every=1),
+    # dot(u, u) never proves the floor here; the exact max|u| does
+    "sweep-p7-I0-0.1-exact-max": lambda: sweep_cell_config(7.0, 0.1),
 }
 
 
@@ -777,6 +779,8 @@ class TestNegligibleForcing:
             assert skipped == lean.n_steps - 1
         elif case.startswith("semilinear_demo-amplitude"):  # forced, then linear
             assert 0 < skipped < lean.n_steps - 1
+        elif case.endswith("exact-max"):
+            assert skipped > 0
 
     @pytest.mark.parametrize("p, i0", [(1.5, 1.0), (13.0, 30.0)])
     def test_blowup_cells_skip_nothing(self, p, i0):

@@ -12,8 +12,10 @@ stem>.validate.txt):
 - semilinear_toggle.cfg, semilinear_demo.cfg with u0_amplitude = 0.12,
   keeps |u|^p until t ~ 25 and skips it as negligible after that.
 Then it runs the sweep_pxI0 command line of the change's bench/common.py
-twice: with --workers 2 (the process pool, outputs named sweep_pxI0) and
-with --workers 1 (the in-process map, sweep_pxI0_workers1).
+three times: with --workers 2 (one pool process and the calling process,
+outputs named sweep_pxI0), with --workers 3 (two pool processes and the
+calling process, sweep_pxI0_workers3) and with --workers 1 (the
+in-process map, sweep_pxI0_workers1).
 It prints one line per output file: "identical" when the bytes agree;
 for a CSV that differs, the column with the largest relative difference
 and the number of cells that differ; for a JSON file (and the JSON
@@ -41,9 +43,10 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 SWEEP_WORKLOAD = "sweep_pxI0"
-# the benchmark sweep's --workers values and output names: the process pool
-# and the in-process map
-SWEEPS = {"2": SWEEP_WORKLOAD, "1": f"{SWEEP_WORKLOAD}_workers1"}
+# the benchmark sweep's --workers values and output names: the calling
+# process with a pool of one and of two processes, and the in-process map
+SWEEPS = {"2": SWEEP_WORKLOAD, "3": f"{SWEEP_WORKLOAD}_workers3",
+          "1": f"{SWEEP_WORKLOAD}_workers1"}
 # copies of a committed config with one line changed, by file name: the
 # config, the key and its new value
 DERIVED = {
