@@ -214,6 +214,9 @@ def _read_csv(path: Path) -> dict[str, np.ndarray]:
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if rows.size == 0:
         return {name: np.array([]) for name in header}
+    if rows.shape[1] != len(header):
+        raise ValueError(f"{path}: the header names {len(header)} columns, "
+                         f"the rows have {rows.shape[1]}")
     return {name: rows[:, i] for i, name in enumerate(header)}
 
 

@@ -11,7 +11,7 @@ snapshots:
       P0 = gamma0 - 4 L eps1 ||a||_inf / k,
       eta0 = min(eps1/4, P0, 2 alpha),
   with k the smallest weight satisfying k >= 2,
-      k > alpha/eps + alpha eps / V_L + L eps1   (eps = eps1/2 by default),
+      k > alpha/eps + alpha eps / V_L + L eps1   (eps = eps1/2),
       k > 4 L eps1 ||a||_inf / gamma0,
   times a 1.05 safety factor,
 * the dissipation identity E_u(t) + int_0^t int a u_s^2 = E_u(0),
@@ -26,8 +26,8 @@ snapshots:
 Spatial derivatives use centered differences (second-order one-sided at
 the domain ends); all space integrals are trapezoidal, taken over the
 state's support (solver.WaveState.support) widened to the gradient
-stencil, by one formula per functional (_Quadrature), which the Recorder
-evaluates. Diagnostics are pure over immutable snapshots. Runs whose
+stencil, by one formula per functional, all in the Recorder.
+Diagnostics are pure over immutable snapshots. Runs whose
 coefficients fail the hypotheses (e.g. free waves) still get records,
 with the functionals that need the multiplier constants or a positive
 potential set to NaN; so do marches without history
@@ -120,128 +120,6 @@ def _stencil_window(support: tuple[int, int] | None, n: int) -> slice:
     return slice(lo - 1 if lo > 2 else 0, hi + 1 if hi < n - 2 else n)
 
 
-class _Sums:
-    """The trapezoid integrals of one state that the functionals read."""
-
-    __slots__ = ("kinetic", "gradient", "potential", "mass", "local_mass",
-                 "damped_mass", "cross", "pairing", "vx_sq", "vv_sq", "forcing_v")
-
-    @property
-    def energy(self) -> float:
-        """E_u = (||u_t||^2 + ||u_x||^2 + ||sqrt(V) u||^2) / 2."""
-        return 0.5 * (self.kinetic + self.gradient + self.potential)
-
-    @property
-    def energy_norm(self) -> float:
-        """||u_t|| + ||u_x|| + ||sqrt(V) u||, the semilinear bootstrap norm."""
-        root_v = math.sqrt(self.potential) if self.potential >= 0.0 else math.nan  # V < 0
-        return math.sqrt(self.kinetic) + math.sqrt(self.gradient) + root_v
-
-    def g_k(self, mc: MultiplierConfig) -> float:
-        """G_k = int u_t phi x u_x + alpha (u_t, u) + (alpha/2) int a u^2 + k E_u."""
-        return (self.cross + mc.alpha * self.pairing + 0.5 * mc.alpha * self.damped_mass
-                + mc.k * self.energy)
-
-    def lemma25(self, u0_sq: float, au2_cum: float,
-                bound_denom: float | None) -> tuple[float, float, float, float]:
-        """(lhs, rhs, relative residual) of the accumulated-field identity
-        and the L2-bound ratio (||u||^2 + au2_cum) / bound_denom, where
-        bound_denom = ||u0||^2 + ||(u1 + a u0)/sqrt(V)||^2; without a
-        positive bound_denom the ratio is 0 for a zero numerator, else NaN."""
-        lhs = 0.5 * self.mass + 0.5 * self.vx_sq + 0.5 * self.vv_sq + au2_cum
-        rhs = 0.5 * u0_sq + self.forcing_v
-        residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        if bound_denom and bound_denom > 0:
-            ratio = (self.mass + au2_cum) / bound_denom
-        else:
-            ratio = 0.0 if self.mass == 0.0 and au2_cum == 0.0 else float("nan")
-        return lhs, rhs, residual, ratio
-
-
-class _Quadrature:
-    """Trapezoid integrals of a state's fields over its support.
-
-    The weights are folded with the coefficients for the state at hand. A
-    mirrored state (solver.WaveState.mirrored) is even: it is summed over
-    x >= 0 with weights doubled off the centre, where u_x = 0. Per state,
-    each product of fields is formed once in a preallocated buffer and
-    feeds dot products over the support widened to the gradient stencil
-    (_stencil_window); everything outside vanishes. u_x and v_x use
-    np.gradient's formulas (central differences, second-order one-sided
-    at the grid ends), so they are bit-identical to it on the window.
-    """
-
-    def __init__(self, profile: CoefficientProfile, data: InitialData | None = None):
-        grid = profile.grid
-        self.profile, self.data = profile, data
-        self.n = grid.n_nodes
-        self.centre = self.n // 2
-        self.two_dx = 2.0 * grid.dx
-        self.left = (-1.5 / grid.dx, 2.0 / grid.dx, -0.5 / grid.dx)
-        self.right = (0.5 / grid.dx, -2.0 / grid.dx, 1.5 / grid.dx)
-        self._fold: tuple[bool, bool] | None = None  # _refold's arguments
-        self._grad, self._u_sq, self._prod = np.empty((3, self.n))
-
-    def _refold(self, mirrored: bool, lemma25: bool) -> None:
-        """Fold the weights for a state: w, w V, w a, w on the core, w phi x
-        and, once lemma25 asks, w (u1 + a u0)."""
-        if self._fold in ((mirrored, True), (mirrored, lemma25)):
-            return
-        p, w, data = self.profile, self.profile.grid.weights, self.data
-        folded = [w.copy() if mirrored else w, w * p.V, w * p.a, inner_cell_weights(p.grid, p.L),
-                  w * p.phi * p.grid.x, w * (data.u1 + p.a * data.u0) if lemma25 else None]
-        if mirrored:  # a node at x > 0 stands for both halves; doubling is exact
-            for f in folded[:5 + lemma25]:
-                f[self.centre + 1:] *= 2.0
-        self.w, self.w_V, self.w_a, self.w_inner, self.w_phi_x, self.w_forcing = folded
-        self._fold = mirrored, lemma25
-
-    def _gradient(self, f: np.ndarray, s: slice) -> np.ndarray:
-        """np.gradient(f, dx, edge_order=2) on the nodes s."""
-        out, n = self._grad, self.n
-        i0, i1 = max(s.start, 1), min(s.stop, n - 1)
-        np.subtract(f[i0 + 1:i1 + 1], f[i0 - 1:i1 - 1], out=out[i0:i1])
-        np.divide(out[i0:i1], self.two_dx, out=out[i0:i1])
-        if s.start == 0:
-            a, b, c = self.left
-            out[0] = a * f[0] + b * f[1] + c * f[2]
-        if s.stop == n:
-            a, b, c = self.right
-            out[-1] = a * f[-3] + b * f[-2] + c * f[-1]
-        return out[s]
-
-    def sums(self, state: WaveState, multiplier: bool = False,
-             lemma25: bool = False) -> _Sums:
-        """The energy integrals, plus G_k's (multiplier) and the
-        accumulated-field identity's (lemma25, needs data and state.v)
-        when asked."""
-        s = _stencil_window(state.support, self.n)
-        if state.mirrored:
-            s = slice(max(s.start, self.centre), s.stop)
-        self._refold(state.mirrored, lemma25)
-        w, prod = self.w[s], self._prod[s]
-        u, u_t = state.u[s], state.u_t[s]
-        ux = self._gradient(state.u, s)
-        u_sq = np.multiply(u, u, out=self._u_sq[s])
-        out = _Sums()
-        out.kinetic = float(w @ np.multiply(u_t, u_t, out=prod))
-        out.gradient = float(w @ np.multiply(ux, ux, out=prod))
-        out.potential = float(self.w_V[s] @ u_sq)
-        out.mass = float(w @ u_sq)
-        out.local_mass = float(self.w_inner[s] @ u_sq)
-        if multiplier:
-            out.damped_mass = float(self.w_a[s] @ u_sq)
-            out.cross = float(self.w_phi_x[s] @ np.multiply(u_t, ux, out=prod))
-            out.pairing = float(w @ np.multiply(u, u_t, out=prod))
-        if lemma25:
-            v = state.v[s]
-            vx = self._gradient(state.v, s)
-            out.vx_sq = float(w @ np.multiply(vx, vx, out=prod))
-            out.vv_sq = float(self.w_V[s] @ np.multiply(v, v, out=prod))
-            out.forcing_v = float(self.w_forcing[s] @ v)
-        return out
-
-
 @dataclass(frozen=True)
 class EnergyRecord:
     t: float
@@ -267,8 +145,18 @@ class Recorder:
     the constants cannot give is NaN: G_k without mc, the Lemma 2.5 pair
     without a positive V or without history (v None, as in a
     RunConfig.history = False march, whose dissipation_cum, au2_cum and
-    identity_residual are NaN too). The pair's ||u0||^2 and weights are
-    computed on the first state with history."""
+    identity_residual are NaN too).
+
+    The integrals are trapezoid sums over the state's support, with the
+    weights folded with the coefficients once per evenness. A mirrored
+    state (solver.WaveState.mirrored) is even: it is summed over x >= 0
+    with weights doubled off the centre, where u_x = 0. Per state, each
+    product of fields is formed once in a preallocated buffer and feeds
+    dot products over the support widened to the gradient stencil
+    (_stencil_window); everything outside vanishes. u_x and v_x use
+    np.gradient's formulas (central differences, second-order one-sided
+    at the grid ends), so they are bit-identical to it on the window.
+    """
 
     def __init__(
         self,
@@ -281,40 +169,107 @@ class Recorder:
         self.mc = mc
         self.data = data
         self.norms = norms
-        self._quad = _Quadrature(profile, data)
+        grid = profile.grid
+        self.n = grid.n_nodes
+        self.centre = self.n // 2
+        self.two_dx = 2.0 * grid.dx
+        self.left = (-1.5 / grid.dx, 2.0 / grid.dx, -0.5 / grid.dx)
+        self.right = (0.5 / grid.dx, -2.0 / grid.dx, 1.5 / grid.dx)
+        self._grad, self._u_sq, self._prod = np.empty((3, self.n))
         self._v_positive = bool(np.all(profile.V > 0.0))
+        self._mirrored: bool | None = None  # the evenness the weights are folded for
         self._e0: float | None = None
 
-    def _lemma25(self, sums: _Sums, state: WaveState) -> tuple[float, float, float, float]:
-        """_Sums.lemma25 where V > 0 everywhere and the state has history,
-        else NaN throughout."""
-        if not self._v_positive or state.v is None:
-            return (float("nan"),) * 4
-        u0_sq = self._u0_sq
-        bound_denom = None if self.norms is None else u0_sq + self.norms.weighted_norm**2
-        return sums.lemma25(u0_sq, state.au2_cum, bound_denom)
+    def _fold(self, mirrored: bool) -> None:
+        """Fold the weights for a state: w, w V, w a, w on the core, w phi x
+        and, where V > 0, w (u1 + a u0)."""
+        p, w, data = self.profile, self.profile.grid.weights, self.data
+        folded = [w.copy() if mirrored else w, w * p.V, w * p.a, inner_cell_weights(p.grid, p.L),
+                  w * p.phi * p.grid.x]
+        if self._v_positive:
+            folded.append(w * (data.u1 + p.a * data.u0))
+        if mirrored:  # a node at x > 0 stands for both halves; doubling is exact
+            for f in folded:
+                f[self.centre + 1:] *= 2.0
+        self.w, self.w_V, self.w_a, self.w_inner, self.w_phi_x = folded[:5]
+        self.w_forcing = folded[5] if self._v_positive else None
+        self._mirrored = mirrored
+
+    def _gradient(self, f: np.ndarray, s: slice) -> np.ndarray:
+        """np.gradient(f, dx, edge_order=2) on the nodes s."""
+        out, n = self._grad, self.n
+        i0, i1 = max(s.start, 1), min(s.stop, n - 1)
+        np.subtract(f[i0 + 1:i1 + 1], f[i0 - 1:i1 - 1], out=out[i0:i1])
+        np.divide(out[i0:i1], self.two_dx, out=out[i0:i1])
+        if s.start == 0:
+            a, b, c = self.left
+            out[0] = a * f[0] + b * f[1] + c * f[2]
+        if s.stop == n:
+            a, b, c = self.right
+            out[-1] = a * f[-3] + b * f[-2] + c * f[-1]
+        return out[s]
 
     @cached_property
     def _u0_sq(self) -> float:
         return self.profile.grid.integrate(self.data.u0**2)
 
     def __call__(self, state: WaveState) -> EnergyRecord:
-        mc, dissipation_cum, au2_cum = self.mc, state.dissipation_cum, state.au2_cum
-        sums = self._quad.sums(state, multiplier=mc is not None,
-                               lemma25=self._v_positive and state.v is not None)
-        e_u = sums.energy
+        mc, nan = self.mc, float("nan")
+        s = _stencil_window(state.support, self.n)
+        if state.mirrored:
+            s = slice(max(s.start, self.centre), s.stop)
+        if state.mirrored != self._mirrored:
+            self._fold(state.mirrored)
+        w, prod = self.w[s], self._prod[s]
+        u, u_t = state.u[s], state.u_t[s]
+        ux = self._gradient(state.u, s)
+        u_sq = np.multiply(u, u, out=self._u_sq[s])
+        kinetic = float(w @ np.multiply(u_t, u_t, out=prod))
+        gradient = float(w @ np.multiply(ux, ux, out=prod))
+        potential = float(self.w_V[s] @ u_sq)
+        mass = float(w @ u_sq)
+        e_u = 0.5 * (kinetic + gradient + potential)
         if self._e0 is None:
             self._e0 = e_u
-        _lhs, _rhs, residual, ratio = self._lemma25(sums, state)
+        root_v = math.sqrt(potential) if potential >= 0.0 else nan  # V < 0
+
+        g_k = nan
+        if mc is not None:
+            damped_mass = float(self.w_a[s] @ u_sq)
+            cross = float(self.w_phi_x[s] @ np.multiply(u_t, ux, out=prod))
+            pairing = float(w @ np.multiply(u, u_t, out=prod))
+            g_k = cross + mc.alpha * pairing + 0.5 * mc.alpha * damped_mass + mc.k * e_u
+
+        # the accumulated-field identity's relative residual and the L2-bound
+        # ratio (||u||^2 + au2_cum) / (||u0||^2 + ||(u1 + a u0)/sqrt(V)||^2);
+        # without a positive denominator the ratio is 0 for a zero numerator
+        residual = ratio = nan
+        au2_cum = state.au2_cum
+        if self._v_positive and state.v is not None:
+            v = state.v[s]
+            vx = self._gradient(state.v, s)
+            vx_sq = float(w @ np.multiply(vx, vx, out=prod))
+            vv_sq = float(self.w_V[s] @ np.multiply(v, v, out=prod))
+            forcing_v = float(self.w_forcing[s] @ v)
+            u0_sq = self._u0_sq
+            lhs = 0.5 * mass + 0.5 * vx_sq + 0.5 * vv_sq + au2_cum
+            rhs = 0.5 * u0_sq + forcing_v
+            residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+            bound_denom = None if self.norms is None else u0_sq + self.norms.weighted_norm**2
+            if bound_denom and bound_denom > 0:
+                ratio = (mass + au2_cum) / bound_denom
+            else:
+                ratio = 0.0 if mass == 0.0 and au2_cum == 0.0 else nan
+
         return EnergyRecord(
             t=state.t,
             E_u=e_u,
-            energy_norm=sums.energy_norm,
-            l2_u=math.sqrt(sums.mass),
-            l2_local=sums.local_mass,
-            dissipation_cum=dissipation_cum,
-            G_k=sums.g_k(mc) if mc is not None else float("nan"),
-            identity_residual=e_u + dissipation_cum - self._e0,
+            energy_norm=math.sqrt(kinetic) + math.sqrt(gradient) + root_v,
+            l2_u=math.sqrt(mass),
+            l2_local=float(self.w_inner[s] @ u_sq),
+            dissipation_cum=state.dissipation_cum,
+            G_k=g_k,
+            identity_residual=e_u + state.dissipation_cum - self._e0,
             lemma25_residual=residual,
             lemma25_ratio=ratio,
             au2_cum=au2_cum,

@@ -84,6 +84,14 @@ def abs_power(u, p, out=None):
         return solver._abs_power(u, p, solver._exponent(p), out, np.empty_like(u))
 
 
+def check(report, name):
+    """The HypothesisCheck of a ValidationReport with the given name."""
+    for c in report.checks:
+        if c.name == name:
+            return c
+    raise KeyError(name)
+
+
 def max_identity_residual(records):
     """Largest |identity_residual| over a run's records relative to E_u(0)
     (absolute where E_u(0) = 0)."""

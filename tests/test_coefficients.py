@@ -13,7 +13,7 @@ from dampedwave.coefficients import (
 )
 from dampedwave.errors import GridDomainError, HypothesisError
 
-from helpers import example1_profile
+from helpers import check, example1_profile
 
 
 class TestGrid:
@@ -102,8 +102,8 @@ class TestPotentialExample1:
         g = dw.Grid(-50.0, 50.0, 4096)
         profile = example1_profile(g)
         report = dw.validate_hypotheses(profile)
-        assert report.check("V2_potential_monotone").passed
-        assert report.check("V1_potential_positive").passed
+        assert check(report, "V2_potential_monotone").passed
+        assert check(report, "V1_potential_positive").passed
 
     @settings(max_examples=40, derandomize=True)
     @given(
@@ -149,8 +149,8 @@ class TestPotentialGaussian:
             dw.build_damping_plateau(1.0, 1.0, "sharp", g), 1.0, 1.0)
         report = dw.validate_hypotheses(profile)
         # V'(x) x = -2 nu x^2 V <= 0 everywhere, so the monotone scan passes
-        assert report.check("V1_potential_positive").passed
-        assert report.check("V2_potential_monotone").passed
+        assert check(report, "V1_potential_positive").passed
+        assert check(report, "V2_potential_monotone").passed
 
     def test_rejects_nonpositive_parameters(self):
         g = dw.Grid(-10.0, 10.0, 100)
@@ -216,7 +216,10 @@ class TestValidation:
         c_star = dw.estimate_c_star(dw.poincare_problem(g, 1.0)).c_star
         report = dw.validate_hypotheses(profile, c_star)
         assert report.passed
-        assert report.check("smallness_V0").margin > 0.0
+        assert check(report, "smallness_V0").margin > 0.0
+        # a NumPy scalar C* still gives a bool, which the manifest's JSON needs
+        numpy_report = dw.validate_hypotheses(profile, np.float64(c_star))
+        assert check(numpy_report, "smallness_V0").passed is True and numpy_report.passed
 
     def test_increasing_interior_fails_v2(self):
         g = dw.Grid(-10.0, 10.0, 1000)
@@ -225,7 +228,7 @@ class TestValidation:
         a = dw.build_damping_plateau(1.0, 1.0, "sharp", g)
         profile = dw.make_profile(g, V, a, 1.0, 1.0)
         report = dw.validate_hypotheses(profile)
-        assert not report.check("V2_potential_monotone").passed
+        assert not check(report, "V2_potential_monotone").passed
         assert not report.passed
 
     def test_oversized_potential_fails_smallness(self):
@@ -235,21 +238,21 @@ class TestValidation:
         a = dw.build_damping_plateau(1.0, 1.0, "sharp", g)
         profile = dw.make_profile(g, V, a, 1.0, 1.0)
         report = dw.validate_hypotheses(profile, c_star)
-        check = report.check("smallness_V0")
-        assert not check.passed
-        assert check.margin < 0.0
+        smallness = check(report, "smallness_V0")
+        assert not smallness.passed
+        assert smallness.margin < 0.0
 
     def test_free_wave_fails_but_reports(self):
         g = dw.Grid(-10.0, 10.0, 200)
         report = dw.validate_hypotheses(free_space_profile(g))
         assert not report.passed
-        assert not report.check("V1_potential_positive").passed
-        assert not report.check("A2_damping_floor").passed
+        assert not check(report, "V1_potential_positive").passed
+        assert not check(report, "A2_damping_floor").passed
 
     def test_skipped_smallness_without_cstar(self):
         g = dw.Grid(-10.0, 10.0, 500)
         report = dw.validate_hypotheses(example1_profile(g))
-        assert report.check("smallness_V0").passed is None
+        assert check(report, "smallness_V0").passed is None
         assert not report.passed  # unevaluated check blocks a clean pass
 
     def test_v_bounds_attained_at_core_edge(self):
@@ -285,7 +288,7 @@ class TestCoreSets:
         a = np.where(outer, 1.0, 0.0)
         a[np.flatnonzero(outer)[np.argmin(np.abs(grid.x[outer]))]] = 0.5
         report = dw.validate_hypotheses(dw.make_profile(grid, V, a, L, 1.0))
-        assert report.check("A2_damping_floor").margin == -0.5
+        assert check(report, "A2_damping_floor").margin == -0.5
         dw.poincare_problem(grid, L)
 
     @pytest.mark.parametrize("L, has_node", [(0.005, True), (0.005 - 2e-12, False),

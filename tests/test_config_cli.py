@@ -543,6 +543,17 @@ class TestUnreadableInput:
         out = capsys.readouterr()
         assert out.out == "" and "no column 't'" in out.err
 
+    @pytest.mark.parametrize("text", ["t,E_u,extra\n1,2\n2,3\n", "t\n1,2\n2,3\n"],
+                             ids=["header_wider", "rows_wider"])
+    def test_fit_csv_header_and_rows_of_different_width_exits_1(self, text, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text(text)
+        assert cli.main(["fit", str(path), "--quantity", "extra"]) == cli.EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("cannot read series: ")
+        assert "the header names" in out.err
+
     @pytest.mark.parametrize("command, message", [("fit", "cannot read series: ")])
     @pytest.mark.parametrize("text", ['{"coefficients": {}}', "[1, 2]", "not json"],
                              ids=["no_files", "not_an_object", "not_json"])

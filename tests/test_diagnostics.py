@@ -1,14 +1,14 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import dampedwave as dw
-from dampedwave import diagnostics, runner, solver
+from dampedwave import runner, solver
 from dampedwave.coefficients import inner_cell_weights
 from dampedwave.coefficients import free_space_profile
-from dampedwave.diagnostics import CSV_COLUMNS, _Quadrature
+from dampedwave.diagnostics import CSV_COLUMNS
 from dampedwave.errors import ConfigError
 
 from helpers import (HISTORY_COLUMNS, NORM_COLUMNS, cumulative_energy, example1_profile,
@@ -39,6 +39,11 @@ def coarse_mc(coarse_profile):
 def make_state(grid, u, u_t, v=None, t=0.0, dissipation_cum=0.0, au2_cum=0.0):
     return solver.WaveState(t=t, u=u, u_t=u_t, v=v if v is not None else np.zeros_like(u),
                             dissipation_cum=dissipation_cum, au2_cum=au2_cum)
+
+
+def record(profile, state, mc=None):
+    """A fresh Recorder's record of a state, with the state's fields as the data."""
+    return dw.Recorder(profile, mc, dw.InitialData(state.u, state.u_t, None), None)(state)
 
 
 class TestMultiplierConfig:
@@ -83,14 +88,14 @@ class TestEnergy:
     def test_zero_state(self, coarse_profile):
         z = np.zeros(coarse_profile.grid.n_nodes)
         state = make_state(coarse_profile.grid, z, z)
-        assert _Quadrature(coarse_profile).sums(state).energy == 0.0
+        assert record(coarse_profile, state).E_u == 0.0
 
     def test_velocity_only_state(self, coarse_profile):
         grid = coarse_profile.grid
         g = dw.gaussian_bump(grid, 1.0, 0.5)
         state = make_state(grid, np.zeros(grid.n_nodes), g)
         expected = 0.5 * grid.integrate(g**2)
-        energy = _Quadrature(coarse_profile).sums(state).energy
+        energy = record(coarse_profile, state).E_u
         assert energy == pytest.approx(expected, rel=1e-14)
 
     def test_standing_bump_matches_closed_form(self):
@@ -101,21 +106,21 @@ class TestEnergy:
         u0 = dw.gaussian_bump(grid, 1.0, sigma)
         state = make_state(grid, u0, np.zeros_like(u0))
         exact = 0.5 * np.sqrt(np.pi) / (2.0 * sigma)
-        assert _Quadrature(profile).sums(state).energy == pytest.approx(exact, rel=2e-4)
+        assert record(profile, state).E_u == pytest.approx(exact, rel=2e-4)
 
 
 class TestGk:
     def test_zero_state(self, coarse_profile, coarse_mc):
         z = np.zeros(coarse_profile.grid.n_nodes)
         state = make_state(coarse_profile.grid, z, z)
-        assert _Quadrature(coarse_profile).sums(state, multiplier=True).g_k(coarse_mc) == 0.0
+        assert record(coarse_profile, state, coarse_mc).G_k == 0.0
 
     def test_velocity_only_state_reduces_to_k_energy(self, coarse_profile, coarse_mc):
         grid = coarse_profile.grid
         g = dw.gaussian_bump(grid, 1.0, 0.5)
         state = make_state(grid, np.zeros(grid.n_nodes), g)
         expected = coarse_mc.k * 0.5 * grid.integrate(g**2)
-        value = _Quadrature(coarse_profile).sums(state, multiplier=True).g_k(coarse_mc)
+        value = record(coarse_profile, state, coarse_mc).G_k
         assert value == pytest.approx(expected, rel=1e-14)
         assert value >= 0.0
 
@@ -170,12 +175,10 @@ class TestLemma25:
         u0 = dw.gaussian_bump(grid, 1e-3, 1.0)
         data = dw.make_initial_data(grid, u0, np.zeros(grid.n_nodes))
         state = make_state(grid, u0.copy(), np.zeros(grid.n_nodes))
-        sums = _Quadrature(coarse_profile, data).sums(state, lemma25=True)
-        lhs, rhs, residual, _ratio = sums.lemma25(grid.integrate(data.u0**2), 0.0, None)
-        half = 0.5 * grid.integrate(u0**2)
-        assert lhs == pytest.approx(half, rel=1e-12)
-        assert rhs == pytest.approx(half, rel=1e-12)
-        assert residual < 1e-12
+        # v = 0 and au2_cum = 0: both sides are ||u0||^2 / 2
+        rec = dw.Recorder(coarse_profile, None, data, None)(state)
+        assert rec.l2_u**2 == pytest.approx(grid.integrate(u0**2), rel=1e-12)
+        assert rec.lemma25_residual < 1e-12
 
     def test_residual_small_on_reference_run(self, medium_lab):
         res = np.array([r.lemma25_residual for r in medium_lab.records])
@@ -433,13 +436,19 @@ class TestRecorderOracle:
         result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=3.0, p=3.0,
                                              record_every=3), states.append)
         assert result.mirrored and all(state.mirrored for state in states)
-        quad = diagnostics._Quadrature(profile, data)
+        c_star = dw.estimate_c_star(dw.poincare_problem(grid, profile.L)).c_star
+        mc = dw.derive_multiplier_config(profile, c_star)
+        # one Recorder, refolding its weights at every switch of evenness
+        recorder = dw.Recorder(profile, mc, data, dw.compute_data_norms(data, profile))
+        e0 = recorder(states[0]).E_u
         for state in states:
-            half = quad.sums(state, multiplier=True, lemma25=True)
-            whole = quad.sums(replace(state, mirrored=False), multiplier=True, lemma25=True)
-            for name in diagnostics._Sums.__slots__:
+            half, whole = recorder(state), recorder(replace(state, mirrored=False))
+            for name in (f.name for f in fields(half)):
                 a, b = getattr(half, name), getattr(whole, name)
-                assert abs(a - b) <= 1e-13 * max(abs(a), abs(b)), (name, state.t)
+                # the residuals are differences: absolute, in their units
+                scale = {"identity_residual": e0, "lemma25_residual": 1.0}.get(
+                    name, max(abs(a), abs(b)))
+                assert abs(a - b) <= 1e-13 * scale, (name, state.t)
 
     def test_hand_built_state_integrates_the_whole_grid(self):
         grid = dw.Grid(-5.0, 5.0, 100)
@@ -452,9 +461,8 @@ class TestRecorderOracle:
         def whole_grid_energy(u):
             ux = np.gradient(u, grid.dx, edge_order=2)
             return 0.5 * grid.integrate(u**2 + ux**2 + profile.V * u**2)
-        quad = _Quadrature(profile)
-        assert quad.sums(state).energy == pytest.approx(whole_grid_energy(lopsided),
-                                                        rel=1e-13)
+        assert record(profile, state).E_u == pytest.approx(whole_grid_energy(lopsided),
+                                                           rel=1e-13)
         # flagged even, the same fields count their right half twice
-        assert quad.sums(replace(state, mirrored=True)).energy == pytest.approx(
+        assert record(profile, replace(state, mirrored=True)).E_u == pytest.approx(
             whole_grid_energy(left + right), rel=1e-13)
