@@ -34,7 +34,6 @@ process, which takes the cells no pool process has started.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -71,6 +70,10 @@ def _out_dir(arg: str | None) -> Path:
 
 
 def _config_hash(raw: bytes) -> str:
+    # deferred: hashlib loads OpenSSL's libcrypto, which only a run's
+    # manifest needs
+    import hashlib
+
     return hashlib.sha256(raw).hexdigest()
 
 

@@ -58,6 +58,9 @@ class Grid:
             raise GridDomainError(f"grid [{self.x_min}, {self.x_max}] is wider than a float")
         if self.n_cells >= (limit := np.iinfo(np.intp).max // 8):
             raise GridDomainError(f"grid has more nodes than numpy can address ({limit} cells)")
+        # stored as Python floats, so dx and all built on it (C*) are too
+        object.__setattr__(self, "x_min", float(self.x_min))
+        object.__setattr__(self, "x_max", float(self.x_max))
 
     @property
     def dx(self) -> float:

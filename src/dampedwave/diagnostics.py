@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy import divide, dot, multiply, subtract  # bound once, as in solver
 
 from .coefficients import (
     CoefficientProfile,
@@ -199,8 +200,8 @@ class Recorder:
         """np.gradient(f, dx, edge_order=2) on the nodes s."""
         out, n = self._grad, self.n
         i0, i1 = max(s.start, 1), min(s.stop, n - 1)
-        np.subtract(f[i0 + 1:i1 + 1], f[i0 - 1:i1 - 1], out=out[i0:i1])
-        np.divide(out[i0:i1], self.two_dx, out=out[i0:i1])
+        subtract(f[i0 + 1:i1 + 1], f[i0 - 1:i1 - 1], out[i0:i1])
+        divide(out[i0:i1], self.two_dx, out[i0:i1])
         if s.start == 0:
             a, b, c = self.left
             out[0] = a * f[0] + b * f[1] + c * f[2]
@@ -223,11 +224,11 @@ class Recorder:
         w, prod = self.w[s], self._prod[s]
         u, u_t = state.u[s], state.u_t[s]
         ux = self._gradient(state.u, s)
-        u_sq = np.multiply(u, u, out=self._u_sq[s])
-        kinetic = float(w @ np.multiply(u_t, u_t, out=prod))
-        gradient = float(w @ np.multiply(ux, ux, out=prod))
-        potential = float(self.w_V[s] @ u_sq)
-        mass = float(w @ u_sq)
+        u_sq = multiply(u, u, self._u_sq[s])
+        kinetic = float(dot(w, multiply(u_t, u_t, prod)))
+        gradient = float(dot(w, multiply(ux, ux, prod)))
+        potential = float(dot(self.w_V[s], u_sq))
+        mass = float(dot(w, u_sq))
         e_u = 0.5 * (kinetic + gradient + potential)
         if self._e0 is None:
             self._e0 = e_u
@@ -235,9 +236,9 @@ class Recorder:
 
         g_k = nan
         if mc is not None:
-            damped_mass = float(self.w_a[s] @ u_sq)
-            cross = float(self.w_phi_x[s] @ np.multiply(u_t, ux, out=prod))
-            pairing = float(w @ np.multiply(u, u_t, out=prod))
+            damped_mass = float(dot(self.w_a[s], u_sq))
+            cross = float(dot(self.w_phi_x[s], multiply(u_t, ux, prod)))
+            pairing = float(dot(w, multiply(u, u_t, prod)))
             g_k = cross + mc.alpha * pairing + 0.5 * mc.alpha * damped_mass + mc.k * e_u
 
         # the accumulated-field identity's relative residual and the L2-bound
@@ -248,9 +249,9 @@ class Recorder:
         if self._v_positive and state.v is not None:
             v = state.v[s]
             vx = self._gradient(state.v, s)
-            vx_sq = float(w @ np.multiply(vx, vx, out=prod))
-            vv_sq = float(self.w_V[s] @ np.multiply(v, v, out=prod))
-            forcing_v = float(self.w_forcing[s] @ v)
+            vx_sq = float(dot(w, multiply(vx, vx, prod)))
+            vv_sq = float(dot(self.w_V[s], multiply(v, v, prod)))
+            forcing_v = float(dot(self.w_forcing[s], v))
             u0_sq = self._u0_sq
             lhs = 0.5 * mass + 0.5 * vx_sq + 0.5 * vv_sq + au2_cum
             rhs = 0.5 * u0_sq + forcing_v
@@ -266,7 +267,7 @@ class Recorder:
             E_u=e_u,
             energy_norm=math.sqrt(kinetic) + math.sqrt(gradient) + root_v,
             l2_u=math.sqrt(mass),
-            l2_local=float(self.w_inner[s] @ u_sq),
+            l2_local=float(dot(self.w_inner[s], u_sq)),
             dissipation_cum=state.dissipation_cum,
             G_k=g_k,
             identity_residual=e_u + state.dissipation_cum - self._e0,

@@ -143,6 +143,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+# the march's numpy calls, bound once and given out positionally: on a
+# narrow window call overhead is most of a step, and np.<name> and out=
+# add to it on every call
+from numpy import absolute, add, divide, dot, multiply, power, square, subtract
 
 from .coefficients import CoefficientProfile, Grid, InitialData
 from .errors import ConfigError
@@ -271,16 +275,16 @@ def _abs_power(u, p, e, out, work):
     uses np.power. inf and nan pass through.
     """
     if e is None:
-        return np.power(np.abs(u, out=work), p, out=out)
-    np.abs(u, out=out)
+        return power(absolute(u, work), p, out)
+    absolute(u, out)
     while not e & 1:  # out becomes the lowest set bit's factor
-        np.multiply(out, out, out=out)
+        multiply(out, out, out)
         e >>= 1
-    square = out
+    squared = out
     while e := e >> 1:
-        square = np.multiply(square, square, out=work)
+        squared = multiply(squared, squared, work)
         if e & 1:
-            np.multiply(out, work, out=out)
+            multiply(out, work, out)
     return out
 
 
@@ -331,38 +335,38 @@ class _StepKernel:
 
     def step(self, out, um, uc, up, u_prev, cn, cu, cp, cf, t, work) -> None:
         """u^(n+1) into out from u^n (neighbour views) and u^(n-1)."""
-        np.multiply(uc, 2.0, out=t)
-        np.subtract(um, t, out=t)
-        np.add(t, up, out=t)
-        np.multiply(t, cn, out=t)
-        np.multiply(cu, uc, out=out)
-        np.add(out, t, out=out)
-        np.multiply(cp, u_prev, out=work)
-        np.subtract(out, work, out=out)
+        add(uc, uc, t)  # 2u, exactly as 2.0 * u
+        subtract(um, t, t)
+        add(t, up, t)
+        multiply(t, cn, t)
+        multiply(cu, uc, out)
+        add(out, t, out)
+        multiply(cp, u_prev, work)
+        subtract(out, work, out)
         if cf is not None:
             f = _abs_power(uc, self.p, self.exponent, work, t)
-            np.multiply(f, cf, out=f)
-            np.add(out, f, out=out)
+            multiply(f, cf, f)
+            add(out, f, out)
 
     def first(self, out, um, uc, up, u1, s: slice) -> None:
         """Taylor start u^1 = u0 + dt u1 + dt^2/2 ((lap - V u0) - a u1 + f),
         lap = ((u[i-1] - 2u[i]) + u[i+1]) / dx^2."""
         m = uc.shape[0]
         acc, work = (b[:m] for b in self._scratch)
-        np.multiply(uc, 2.0, out=work)
-        np.subtract(um, work, out=acc)
-        np.add(acc, up, out=acc)
-        np.divide(acc, self.dx2, out=acc)
-        np.multiply(self.V[s], uc, out=work)
-        np.subtract(acc, work, out=acc)
-        np.multiply(self.a[s], u1, out=work)
-        np.subtract(acc, work, out=acc)
+        add(uc, uc, work)
+        subtract(um, work, acc)
+        add(acc, up, acc)
+        divide(acc, self.dx2, acc)
+        multiply(self.V[s], uc, work)
+        subtract(acc, work, acc)
+        multiply(self.a[s], u1, work)
+        subtract(acc, work, acc)
         if self.p is not None:
-            np.add(acc, _abs_power(uc, self.p, self.exponent, out, work), out=acc)
-        np.multiply(acc, self.half_dt2, out=acc)
-        np.multiply(u1, self.dt, out=out)
-        np.add(uc, out, out=out)
-        np.add(out, acc, out=out)
+            add(acc, _abs_power(uc, self.p, self.exponent, out, work), acc)
+        multiply(acc, self.half_dt2, acc)
+        multiply(u1, self.dt, out)
+        add(uc, out, out)
+        add(out, acc, out)
 
 
 def check_semilinear_support(data: InitialData, profile: CoefficientProfile) -> None:
@@ -471,7 +475,7 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     caller_errstate = np.geterr()
 
     def a_norm2(x: np.ndarray, w: slice) -> float:
-        return float(np.dot(a_weights[w], np.square(x[w], out=scratch[w])))
+        return float(dot(a_weights[w], square(x[w], scratch[w])))
 
     def advance(i_now: float, j_now: float) -> None:
         # one trapezoid panel per level; sum a w u_t^2 and sum a w u^2 at it
@@ -486,7 +490,7 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
             return data.u1.copy()
         u_t, back = np.zeros(n), us[(level - 1) % 4][w]
         if level < n_steps:
-            u_t[w] = (us[(level + 1) % 4][w] - back) / two_dt
+            divide(subtract(us[(level + 1) % 4][w], back, u_t[w]), two_dt, u_t[w])
         elif n_steps >= 2:
             u_t[w] = (3.0 * us[level % 4][w] - 4.0 * back + us[(level - 2) % 4][w]) / two_dt
         else:  # a single-step run cannot do one-sided second order
@@ -549,7 +553,7 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
                 us[0][0] = us[0][-1] = 0.0
             if mirrored:
                 us[k % 4][half - 1] = us[k % 4][half + 1]
-            sq = float(np.dot(u_new, u_new))
+            sq = float(dot(u_new, u_new))
             if _window_bad(u_new, sq):
                 kind = BLOWUP if config.p is not None else INSTABILITY
                 result.termination = Termination(kind, time=k * dt)
@@ -559,14 +563,14 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
                 sq <= sq_floor or max(u_new.max(), -u_new.min()) ** 2 <= sq_floor)
             if history:
                 v_new, v_prev, d = h
-                np.multiply(np.add(u_c, u_new, out=v_new), half_dt, out=v_new)
-                np.add(v_prev, v_new, out=v_new)
+                multiply(add(u_c, u_new, v_new), half_dt, v_new)
+                add(v_prev, v_new, v_new)
                 if k >= 2:
                     w = part(lo, hi)
-                    np.square(np.subtract(u_new, u_p, out=d), out=d)
-                    i_now = float(np.dot(a_weights[w], scratch[w])) / (two_dt * two_dt)
-                    np.square(u_c, out=d)
-                    advance(i_now, float(np.dot(a_weights[w], scratch[w])))
+                    square(subtract(u_new, u_p, d), d)
+                    i_now = float(dot(a_weights[w], scratch[w])) / (two_dt * two_dt)
+                    square(u_c, d)
+                    advance(i_now, float(dot(a_weights[w], scratch[w])))
             if k >= 2 and diagnostics_hook is not None and (k - 1) % record_every == 0:
                 record(state_at(k - 1, lo, hi))
 

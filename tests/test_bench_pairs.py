@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,47 @@ def test_pairs_alternate_which_side_runs_first():
     assert calls == [("parent", 100), ("change", 100), ("change", 101), ("parent", 101),
                      ("parent", 102), ("change", 102), ("change", 103), ("parent", 103)]
     assert [p["parent"]["speed"]["value"] for p in pairs] == [100.0, 101.0, 102.0, 103.0]
+
+
+def test_several_workloads_give_one_table_each_and_fail_on_a_bound(tmp_path, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    # "steady" gains on both metrics; "slower" takes 1.3x the parent's time
+    factors = {"steady": (1.5, 0.9), "slower": (1.0, 1.3)}
+    seen = []
+
+    def runner(checkouts, workload, seconds):
+        assert set(checkouts) == {"parent", "change"} and seconds == 2.0
+
+        def run_one(side, seed):
+            seen.append((workload, side, seed))
+            speed, time = factors[workload] if side == "change" else (1.0, 1.0)
+            return {"speed": {"value": speed * (10.0 + seed)},
+                    "time": {"value": time * (1.0 + 0.01 * seed)}}
+        return run_one
+
+    def main(workloads, out):
+        return bench_pairs.main(["--parent", str(tmp_path), "--change", str(change),
+                                 "--workload", workloads, "--pairs", "3", "--seconds", "2",
+                                 "--seed", "7", "--json", str(out)], runner=runner)
+
+    assert main("steady,slower", tmp_path / "both.json") == 1
+    assert [s for w, _, s in seen if w == "steady"] == [s for w, _, s in seen if w == "slower"]
+    assert [w for w, _, _ in seen] == ["steady"] * 6 + ["slower"] * 6
+    lines = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(lines) if "alternating pairs" in line]
+    assert [lines[i].split(":")[0] for i in heads] == ["steady", "slower"]
+    assert heads[1] - heads[0] == 4  # a heading, a header row and one row per metric
+    assert "WORSE BEYOND BOUND" not in "".join(lines[:heads[1]])
+    assert "WORSE BEYOND BOUND" in lines[-1] and lines[-1].startswith("time")
+    saved = json.loads((tmp_path / "both.json").read_text())
+    assert list(saved) == ["steady", "slower"]
+    for result in saved.values():
+        assert set(result) == {"pairs", "summary"} and len(result["pairs"]) == 3
+        assert set(result["summary"]) == {"speed", "time"}
+    assert saved["steady"]["summary"]["speed"]["claim_met"]
+    assert saved["slower"]["summary"]["time"]["beyond_bound"]
+
+    assert main("steady", tmp_path / "steady.json") == 0
+    assert list(json.loads((tmp_path / "steady.json").read_text())) == ["steady"]

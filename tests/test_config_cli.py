@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import math
 import os
@@ -211,7 +212,7 @@ class TestCli:
         assert manifest["termination"]["kind"] == "completed"
         assert manifest["files"]["csv"] == "demo.csv"
         assert manifest["derived_constants"]["k"] > 2.0
-        assert len(manifest["config_hash"]) == 64
+        assert manifest["config_hash"] == hashlib.sha256(demo_config.read_bytes()).hexdigest()
         assert manifest["time"]["mirrored"] is True  # centred data on [-60, 60]
         assert manifest["time"]["forcing_skipped_steps"] is None  # a linear run
 

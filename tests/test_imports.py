@@ -1,6 +1,8 @@
 """Import footprint of `dampedwave` processes: no module of the package
-loads SciPy; a fresh `import dampedwave.cli` loads no multiprocessing
-either, and the `validate`, `run` and `poincare` commands load no SciPy."""
+loads SciPy; a fresh `import dampedwave.cli` loads no multiprocessing and
+no OpenSSL (`_hashlib`) either; the `validate`, `run` and `poincare`
+commands load no SciPy, and of the commands only `run`, whose manifest
+hashes its config, loads OpenSSL."""
 
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CFG = str(ROOT / "configs" / "semilinear_demo.cfg")
+LINEAR_CFG = str(ROOT / "configs" / "linear_demo.cfg")
 MARKER = "--- modules ---"
 
 
@@ -42,7 +45,7 @@ def test_cli_import_leaves_unused_scipy_unloaded():
     loaded = loaded_modules("import sys, dampedwave.cli")
     assert "dampedwave.cli" in loaded
     assert not scipy_modules(loaded), scipy_modules(loaded)
-    unwanted = {"multiprocessing", "concurrent.futures"}
+    unwanted = {"multiprocessing", "concurrent.futures", "_hashlib"}
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
@@ -58,3 +61,30 @@ def test_commands_load_no_scipy(argv, tmp_path):
         f"assert cli.main({argv!r}) == cli.EXIT_OK"
     )
     assert not scipy_modules(loaded), scipy_modules(loaded)
+
+
+@pytest.fixture(scope="module")
+def run_csv(tmp_path_factory):
+    """A run's CSV, written in this process."""
+    from dampedwave import cli
+
+    out = tmp_path_factory.mktemp("run")
+    assert cli.main(["run", LINEAR_CFG, "--out", str(out)]) == cli.EXIT_OK
+    return out / "linear_demo.csv"
+
+
+@pytest.mark.parametrize("argv, openssl", [
+    (["validate", DEMO_CFG], False),
+    (["poincare", "--L", "1", "--domain", "20", "--nodes", "1000"], False),
+    (["fit", "{csv}", "--window", "10", "200"], False),
+    (["sweep", "--p", "3,11", "--i0", "1,30", "--dx", "0.05", "--t-end", "5",
+      "--workers", "1", "--out", "{out}"], False),
+    (["run", DEMO_CFG, "--out", "{out}"], True),
+], ids=["validate", "poincare", "fit", "sweep", "run"])
+def test_only_run_loads_openssl(argv, openssl, run_csv, tmp_path):
+    argv = [arg.format(out=tmp_path, csv=run_csv) for arg in argv]
+    loaded = loaded_modules(
+        "import sys\nfrom dampedwave import cli\n"
+        f"assert cli.main({argv!r}) == cli.EXIT_OK"
+    )
+    assert ("_hashlib" in loaded) is openssl

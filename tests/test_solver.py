@@ -579,6 +579,111 @@ class TestFusedKernel:
         assert 0.0 < worst  # the forms differ in rounding, so the test bites
 
 
+# values on which a rewritten ufunc sequence could round or propagate
+# differently: signed zeros, subnormals, infinities and NaNs of both signs
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, np.inf, -np.inf,
+                    np.nan, -np.nan, 1e300, -1e-200, 1.0, -3.5, 0.7])
+
+
+def keyword_abs_power(u, p, e, out, work):
+    """_abs_power as written with np.<name> and out= keywords."""
+    if e is None:
+        return np.power(np.abs(u, out=work), p, out=out)
+    np.abs(u, out=out)
+    while not e & 1:
+        np.multiply(out, out, out=out)
+        e >>= 1
+    square = out
+    while e := e >> 1:
+        square = np.multiply(square, square, out=work)
+        if e & 1:
+            np.multiply(out, work, out=out)
+    return out
+
+
+def keyword_step(kernel, out, um, uc, up, u_prev, cn, cu, cp, cf, t, work):
+    """_StepKernel.step as written with 2.0 * u and out= keywords."""
+    np.multiply(uc, 2.0, out=t)
+    np.subtract(um, t, out=t)
+    np.add(t, up, out=t)
+    np.multiply(t, cn, out=t)
+    np.multiply(cu, uc, out=out)
+    np.add(out, t, out=out)
+    np.multiply(cp, u_prev, out=work)
+    np.subtract(out, work, out=out)
+    if cf is not None:
+        f = keyword_abs_power(uc, kernel.p, kernel.exponent, work, t)
+        np.multiply(f, cf, out=f)
+        np.add(out, f, out=out)
+
+
+def keyword_first(kernel, out, um, uc, up, u1, s):
+    """_StepKernel.first as written with 2.0 * u and out= keywords."""
+    acc, work = np.empty_like(uc), np.empty_like(uc)
+    np.multiply(uc, 2.0, out=work)
+    np.subtract(um, work, out=acc)
+    np.add(acc, up, out=acc)
+    np.divide(acc, kernel.dx2, out=acc)
+    np.multiply(kernel.V[s], uc, out=work)
+    np.subtract(acc, work, out=acc)
+    np.multiply(kernel.a[s], u1, out=work)
+    np.subtract(acc, work, out=acc)
+    if kernel.p is not None:
+        np.add(acc, keyword_abs_power(uc, kernel.p, kernel.exponent, out, work), out=acc)
+    np.multiply(acc, kernel.half_dt2, out=acc)
+    np.multiply(u1, kernel.dt, out=out)
+    np.add(uc, out, out=out)
+    np.add(out, acc, out=out)
+
+
+class TestKernelBits:
+    """The kernel's ufunc calls give the bits of the plain keyword-out
+    formulas, on every double, special values included."""
+
+    @staticmethod
+    def fields(seed):
+        rng = np.random.default_rng(seed)
+        n = 4 * SPECIAL.size
+        return [np.concatenate([rng.permutation(SPECIAL), rng.normal(size=n - SPECIAL.size)])
+                for _ in range(3)]
+
+    @staticmethod
+    def assert_same_bits(got, ref):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("p", [None, 1.5, 2.0, 11.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_step_and_first(self, p, seed):
+        u, u_prev, u1 = self.fields(seed)
+        n = u.size
+        profile = example1_profile(dw.Grid(-5.0, 5.0, n - 1))
+        kernel = solver._StepKernel(profile, 0.9 * profile.grid.dx, p)
+        s = slice(1, n - 1)
+        with np.errstate(**solver._QUIET):
+            for forced in (True, False):
+                got, ref = np.zeros(n), np.zeros(n)
+                args, ref_args = (kernel.views(out, u, u_prev, s) for out in (got, ref))
+                if not forced:  # the linear path, as run() takes it
+                    args, ref_args = ((*a[:8], None, *a[9:]) for a in (args, ref_args))
+                kernel.step(*args)
+                keyword_step(kernel, *ref_args)
+                self.assert_same_bits(got, ref)
+            got, ref = np.zeros(n), np.zeros(n)
+            kernel.first(got[s], *solver._stencil(u, 1, n - 1), u1[s], s)
+            keyword_first(kernel, ref[s], *solver._stencil(u, 1, n - 1), u1[s], s)
+        self.assert_same_bits(got, ref)
+        assert np.isnan(got).any() and (got == 0.0).any()  # the special values reach out
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 11.0])
+    def test_abs_power(self, p):
+        u = np.concatenate([SPECIAL, -SPECIAL, np.linspace(-2.0, 2.0, 41)])
+        e = solver._exponent(p)
+        with np.errstate(**solver._QUIET):
+            got = solver._abs_power(u, p, e, np.empty_like(u), np.empty_like(u))
+            ref = keyword_abs_power(u, p, e, np.empty_like(u), np.empty_like(u))
+        self.assert_same_bits(got, ref)
+
+
 class RecordingRecorder(dw.Recorder):
     """A Recorder that also keeps what it was called with."""
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import dampedwave as dw
+from dampedwave import solver
 from dampedwave.errors import GridDomainError
 from dampedwave.spectral import quadratic_forms, rayleigh_ratio
 
@@ -87,6 +90,16 @@ class TestEstimate:
     def test_precision_loss_is_reported_not_rejected(self):
         estimate = dw.estimate_c_star(dw.poincare_problem(dw.Grid(-1e20, 1e20, 10), 1.0))
         assert 0.0 < estimate.lambda_min < np.inf and np.isfinite(estimate.residual)
+
+    def test_grid_from_numpy_scalars_gives_python_floats(self):
+        # the acceptance semilinear grid, its radius computed by NumPy and by math
+        estimates = [
+            dw.estimate_c_star(dw.poincare_problem(
+                solver.domain_for_radius(0.75 * sqrt(2 * log(1e14)), 100, 0.02, 3), 1.0))
+            for sqrt, log in ((np.sqrt, np.log), (math.sqrt, math.log))]
+        for estimate in estimates:
+            assert type(estimate.c_star) is float and type(estimate.lambda_min) is float
+        assert estimates[0].c_star.hex() == estimates[1].c_star.hex()
 
 
 class TestClosedForm:

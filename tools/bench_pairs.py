@@ -1,19 +1,21 @@
 """Paired benchmark runs of two checkouts, and the summary a speed claim needs.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME[,NAME...] \
         [--pairs 10] [--seconds 50] [--seed 101] [--json FILE]
 
 Runs `python3 bench/run.py --workload NAME --seed N --seconds S` in each
 checkout (each benchmarks its own src/), once per side for every pair,
 and alternates which side goes first so that host drift hits both alike.
-Pair i uses seed N + i on both sides. Then, for every end-to-end metric
-BENCHMARK.json names, it prints each side's median and quartiles, the
-change's win count (the direction is the metric's "better"), the median
-gap against the parent's interquartile range and the claim verdict: the
-change wins at least nine pairs in ten and its median beats the parent's
-by more than that range. A median worse than the parent's by more than
-the metric's bound is flagged. --json saves the samples and the summary.
-Standard library only.
+Pair i uses seed N + i on both sides. The workloads of a comma-separated
+list run one after the other, each with the same seeds. Then, for every
+workload, it prints a table: for every end-to-end metric BENCHMARK.json
+names, each side's median and quartiles, the change's win count (the
+direction is the metric's "better"), the median gap against the parent's
+interquartile range and the claim verdict: the change wins at least nine
+pairs in ten and its median beats the parent's by more than that range.
+A median worse than the parent's by more than the metric's bound is
+flagged, and then the exit status is 1. --json saves
+{workload: {pairs, summary}}. Standard library only.
 """
 
 from __future__ import annotations
@@ -119,11 +121,12 @@ def bench_runner(checkouts: dict[str, Path], workload: str, seconds: float):
     return run_one
 
 
-def main(argv=None) -> int:
+def main(argv=None, runner=bench_runner) -> int:
+    """runner(checkouts, workload, seconds) gives the run_one of a workload."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="comma-separated names")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--seed", type=int, default=101)
@@ -132,15 +135,17 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    pairs = run_pairs(args.pairs, bench_runner(checkouts, args.workload, args.seconds),
-                      args.seed)
-    summary = summarize(pairs, spec)
-    print(f"{args.workload}: {args.pairs} alternating pairs, --seconds {args.seconds:g}")
-    print("\n".join(format_summary(summary)))
+    results = {}
+    for workload in args.workload.split(","):
+        pairs = run_pairs(args.pairs, runner(checkouts, workload, args.seconds), args.seed)
+        results[workload] = {"pairs": pairs, "summary": summarize(pairs, spec)}
+    for workload, result in results.items():
+        print(f"{workload}: {args.pairs} alternating pairs, --seconds {args.seconds:g}")
+        print("\n".join(format_summary(result["summary"])))
     if args.json:
-        args.json.write_text(json.dumps({"workload": args.workload, "pairs": pairs,
-                                         "summary": summary}, indent=1) + "\n")
-    return 0
+        args.json.write_text(json.dumps(results, indent=1) + "\n")
+    worse = any(s["beyond_bound"] for r in results.values() for s in r["summary"].values())
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":
