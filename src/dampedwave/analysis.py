@@ -9,12 +9,12 @@ against log(1+t) over a window (transients are skipped by starting
 windows at t = 10).
 
 A semilinear sweep is a base RunSpec and a cell is a (spec, I0) pair:
-the base with |u|^p, built by config.build_problem as for `dampedwave
-run`, its data rescaled to I0. The power does not enter the problem, so
-each process builds the base's profile and data, and the data's I0,
-once. The cells are mapped in order, p-major, and the sweep returns
-their outcome tokens as a matrix, one row per p. With N workers, a pool
-of N - 1 processes takes cells from the front while the calling process
+the base with |u|^p, its data rescaled to I0. The power does not enter
+the problem, so each process builds the base's linear RunConfig once,
+as `dampedwave run` does, and a cell replaces its data and its power.
+The cells are mapped in order, p-major, and the sweep returns their
+outcome tokens as a matrix, one row per p. With N workers, a pool of
+N - 1 processes takes cells from the front while the calling process
 marches, from the back, every cell no pool process has started. A
 cell's outcome reads only ||u|| and the energy norm, so it marches
 without history (solver.RunConfig.history = False) under the Recorder
@@ -125,18 +125,17 @@ DECAY_EXPONENT_GATE = -0.4
 
 
 def scale_data_to_i0(
-    data: InitialData, profile: CoefficientProfile, target_i0: float,
-    unit_i0: float | None = None,
+    data: InitialData, profile: CoefficientProfile, target_i0: float
 ) -> InitialData:
     """Rescale both data fields so the combined norm I0 hits the target
-    (I0 is 1-homogeneous in the data); unit_i0 is the data's own I0 when
-    the caller has it."""
+    (I0 is 1-homogeneous in the data); HypothesisError where the data's
+    own I0 is zero or undefined (V vanishes on the grid) and target > 0."""
     if not 0.0 <= target_i0 < math.inf:
         raise HypothesisError(f"target I0 must be finite and nonnegative, got {target_i0}")
     if target_i0 == 0.0:
         zeros = np.zeros_like(data.u0)
         return InitialData(zeros, zeros, data.support_radius)
-    unit = compute_data_norms(data, profile).I0 if unit_i0 is None else unit_i0
+    unit = compute_data_norms(data, profile).I0
     if unit == 0.0:
         raise HypothesisError("cannot rescale identically zero data to a positive I0")
     s = target_i0 / unit
@@ -170,23 +169,13 @@ def classify_outcome(result: solver.RunResult, t_end: float) -> str:
     return "decayed_at_rate" if fit.exponent <= DECAY_EXPONENT_GATE else "bounded"
 
 
-def _linear(spec: cfg.RunSpec) -> cfg.RunSpec:
-    return replace(spec, nonlinearity=cfg.NonlinearitySpec())
-
-
 @lru_cache(maxsize=1)
-def _unit_problem(
-    linear: cfg.RunSpec,
-) -> tuple[CoefficientProfile, InitialData, float | None]:
-    """The profile, data and data I0 of a spec without its power, which
-    every cell of a sweep shares (the arrays are read-only). I0 is None
-    where V vanishes on the grid: a cell with I0 > 0 then raises."""
+def _base_run(linear: cfg.RunSpec) -> solver.RunConfig:
+    """A sweep's base: the RunConfig, without history, of its spec without
+    the power; each cell is this config with its own data and power."""
     profile, data = cfg.build_problem(linear)
-    try:
-        unit = compute_data_norms(data, profile).I0
-    except HypothesisError:
-        unit = None
-    return profile, data, unit
+    solver.check_semilinear_support(data, profile)
+    return replace(cfg.run_config_from_spec(linear, profile, data), history=False)
 
 
 def _sweep_cell(cell: tuple[cfg.RunSpec, float]) -> str:
@@ -194,10 +183,10 @@ def _sweep_cell(cell: tuple[cfg.RunSpec, float]) -> str:
     a cell that fails its checks becomes error(<exception name>)."""
     spec, i0 = cell
     try:
-        profile, data, unit = _unit_problem(_linear(spec))
-        data = scale_data_to_i0(data, profile, i0, unit)
-        run_config = replace(cfg.run_config_from_spec(spec, profile, data), history=False)
-        return classify_outcome(solver.run(run_config, Recorder(profile, None, data, None)),
+        base = _base_run(replace(spec, nonlinearity=cfg.NonlinearitySpec()))
+        data = scale_data_to_i0(base.data, base.profile, i0)
+        run_config = replace(base, data=data, p=spec.nonlinearity.p)
+        return classify_outcome(solver.run(run_config, Recorder(base.profile, None, data, None)),
                                 spec.time.t_end)
     except (ConfigError, HypothesisError) as exc:
         return f"error({type(exc).__name__})"
@@ -225,11 +214,8 @@ def semilinear_sweep(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if spec.potential.beta is None:
         raise ConfigError(f"a sweep needs a potential with beta, got {spec.potential.family!r}")
-    linear = _linear(spec)
     # built here, before the pool forks, so a pool process inherits it
-    profile, data, _ = _unit_problem(linear)
-    solver.check_semilinear_support(data, profile)
-    cfg.run_config_from_spec(linear, profile, data)
+    _base_run(replace(spec, nonlinearity=cfg.NonlinearitySpec()))
     cells = [(replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p)), i0)
              for p in p_values for i0 in I0_values]
     workers = min(workers, len(cells))

@@ -124,7 +124,7 @@ def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict
         "time": {"dt": lab.result.dt, "n_steps": lab.result.n_steps,
                  "t_end": run.t_end,
                  "record_every": run.record_every,
-                 "mirrored": lab.result.mirrored,
+                 "mirrored": run.mirrored,
                  "forcing_skipped_steps": lab.result.forcing_skipped_steps},
         "coefficients": {
             "L": profile.L, "eps1": profile.eps1,
@@ -214,9 +214,9 @@ def cmd_poincare(args) -> int:
 def _read_csv(path: Path) -> dict[str, np.ndarray]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if rows.size == 0:
-        return {name: np.array([]) for name in header}
+        lines = [line for line in fh if line.strip()]
+    # loadtxt warns on input without rows
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(header)))
     if rows.shape[1] != len(header):
         raise ValueError(f"{path}: the header names {len(header)} columns, "
                          f"the rows have {rows.shape[1]}")

@@ -17,6 +17,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -183,6 +184,14 @@ class CoefficientProfile:
         return float(np.max(self.a))
 
 
+def _power_or_inf(x: float, y: float) -> float:
+    """x ** y, inf where it overflows a float."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def build_potential_example1(V0: float, beta: float, L: float, grid: Grid) -> np.ndarray:
     """Short-range potential, flat-topped inside |x| <= L.
 
@@ -197,12 +206,15 @@ def build_potential_example1(V0: float, beta: float, L: float, grid: Grid) -> np
         raise HypothesisError(f"potential decay power beta must exceed 1, got {beta}")
     if V0 <= 0 or L <= 0:
         raise HypothesisError("potential requires V0 > 0 and L > 0")
+    L_2beta = _power_or_inf(L, 2.0 * beta)
+    if not 0.0 < L_2beta < math.inf:
+        raise HypothesisError(f"potential needs L^(2 beta) in float range, got L={L}, beta={beta}")
     if grid.x_min > -L or grid.x_max < L:
         raise GridDomainError(
             f"grid [{grid.x_min}, {grid.x_max}] does not cover the core radius +-{L}"
         )
     r = np.abs(grid.x)
-    inner = 2.0 * V0 / L**beta - (V0 / L ** (2.0 * beta)) * r**beta
+    inner = 2.0 * V0 / L**beta - (V0 / L_2beta) * r**beta
     with np.errstate(divide="ignore"):
         outer = V0 * np.where(r > 0, r, 1.0) ** (-beta)
     return np.where(r <= L, inner, outer)
@@ -394,9 +406,11 @@ class InitialData:
 
 
 def gaussian_bump(grid: Grid, amplitude: float, width: float, center: float = 0.0) -> np.ndarray:
-    if width <= 0:
-        raise HypothesisError("gaussian bump needs width > 0")
-    return amplitude * np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
+    two_width_sq = 2.0 * _power_or_inf(width, 2)
+    if not (width > 0 and 0.0 < two_width_sq < math.inf):
+        raise HypothesisError(f"gaussian bump needs width > 0 and 2 width^2 in float range, "
+                              f"got width = {width}")
+    return amplitude * np.exp(-((grid.x - center) ** 2) / two_width_sq)
 
 
 def polynomial_bump(

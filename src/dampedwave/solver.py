@@ -74,7 +74,7 @@ u[c-1] is set to u[c+1], which the stencil at c reads. The two
 per-level integrals are taken over [c, hi) with a w doubled off the
 centre (doubling is exact). Its states are whole, the left half the
 mirror of the right, and carry WaveState.mirrored, so the diagnostics
-sum them over x >= 0 alone; RunResult.mirrored tells which march ran.
+sum them over x >= 0 alone; RunConfig.mirrored tells which march ran.
 A whole-grid march is not bitwise even (the stencil adds terms left to
 right, so a mirrored node sums in the other order); an even run's u,
 u_t and v are bit-identical to the whole-grid march that overwrites the
@@ -230,7 +230,6 @@ class RunResult:
     termination: Termination = Termination(COMPLETED)
     dt: float = 0.0
     n_steps: int = 0
-    mirrored: bool = False  # marched only x >= 0 (see Mirror symmetry)
     # step() calls that left out the forcing (Negligible forcing); None: linear
     forcing_skipped_steps: int | None = None
 
@@ -439,7 +438,7 @@ def run(config: RunConfig, diagnostics_hook: Callable | None = None) -> RunResul
     half_dt, two_dt = 0.5 * dt, 2.0 * dt
 
     kernel = _StepKernel(profile, dt, config.p)
-    result = RunResult(dt=dt, n_steps=n_steps, mirrored=mirrored)
+    result = RunResult(dt=dt, n_steps=n_steps)
     # a level with dot(u, u) <= sq_floor, or with max|u|^2 <= sq_floor where
     # dot(u, u) <= sq_gate, makes the next step linear (Negligible forcing);
     # a linear run has no forcing to skip

@@ -372,23 +372,30 @@ class TestSweep:
             dw.semilinear_sweep(base, [11.0], [1e-3])
 
     def test_each_cell_is_built_from_the_base_with_its_power(self, monkeypatch):
-        # one problem and one data norm per process, from the base without
-        # its power; each cell's RunConfig from the base with its power
-        built, normed, configured = [], [], []
-        build, norms = analysis.cfg.build_problem, analysis.compute_data_norms
-        configure = analysis.cfg.run_config_from_spec
+        # one problem and one RunConfig per process, from the base without
+        # its power; each cell replaces its data and power in that config,
+        # which checks itself once per cell
+        built, configured, checked, marched = [], [], [], []
+        build, configure = analysis.cfg.build_problem, analysis.cfg.run_config_from_spec
+        check, march = analysis.solver.RunConfig.__post_init__, analysis.solver.run
         monkeypatch.setattr(analysis.cfg, "build_problem",
                             lambda spec: built.append(spec) or build(spec))
-        monkeypatch.setattr(analysis, "compute_data_norms",
-                            lambda *args: normed.append(args) or norms(*args))
         monkeypatch.setattr(analysis.cfg, "run_config_from_spec",
                             lambda spec, *args: configured.append(spec) or configure(spec, *args))
-        analysis._unit_problem.cache_clear()
+        monkeypatch.setattr(analysis.solver.RunConfig, "__post_init__",
+                            lambda self: checked.append(self.p) or check(self))
+        monkeypatch.setattr(analysis.solver, "run",
+                            lambda config, hook: marched.append(config) or march(config, hook))
+        analysis._base_run.cache_clear()
         base = sweep_spec(t_end=2.0, dx=0.1)
         dw.semilinear_sweep(power(base, 5.0), [3.0, 11.0], [1e-4, 1e-3], workers=1)
-        assert built == [base]
-        assert len(normed) == 1
-        assert configured == [base] + [power(base, p) for p in (3.0, 3.0, 11.0, 11.0)]
+        assert built == [base] and configured == [base]
+        assert checked == [None, None, 3.0, 3.0, 11.0, 11.0]
+        profile = analysis._base_run(base).profile
+        assert all(config.profile is profile and not config.history for config in marched)
+        assert [config.p for config in marched] == [3.0, 3.0, 11.0, 11.0]
+        peaks = [config.data.u0.max() for config in marched]
+        assert peaks[0] == pytest.approx(0.1 * peaks[1], rel=1e-12) and peaks[2:] == peaks[:2]
 
     def test_data_norm_undefined_fails_only_the_scaled_cells(self):
         # V underflows to 0 away from the core: I0 cannot be rescaled, but

@@ -132,6 +132,10 @@ class TestPotentialExample1:
             dw.build_potential_example1(-0.01, 2.0, 1.0, g)
         with pytest.raises(GridDomainError):
             dw.build_potential_example1(0.01, 2.0, 15.0, g)
+        # L^(2 beta) underflows to 0 or overflows float range
+        for beta, L in ((2.0, 1e-100), (1000.0, 2.0)):
+            with pytest.raises(HypothesisError, match="float range"):
+                dw.build_potential_example1(0.01, beta, L, g)
 
 
 class TestPotentialGaussian:
@@ -319,6 +323,12 @@ class TestInitialData:
         R = data.support_radius
         assert R is not None and 5.0 < R < 10.0
         assert np.all(data.u0[np.abs(g.x) > R] == 0.0)
+
+    @pytest.mark.parametrize("width", [1e300, 1e-300])
+    def test_gaussian_width_beyond_float_range(self, width):
+        # 2 width^2 overflows or underflows: no OverflowError, no NaN centre
+        with pytest.raises(HypothesisError, match="float range"):
+            dw.gaussian_bump(dw.Grid(-10.0, 10.0, 100), 1.0, width)
 
     def test_explicit_radius_enforced(self):
         g = dw.Grid(-10.0, 10.0, 1000)

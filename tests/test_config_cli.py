@@ -365,7 +365,8 @@ class TestCli:
                                        ["--i0", "1e-3,inf"], ["--p", "11,-inf"],
                                        ["--beta", "nan"], ["--L", "nan"], ["--dx", "nan"],
                                        ["--t-end", "inf"], ["--V0", "nan"], ["--eps1", "inf"],
-                                       ["--p", "3,11", "--i0", "1", "--t-end", "1e-170"]])
+                                       ["--p", "3,11", "--i0", "1", "--t-end", "1e-170"],
+                                       ["--L", "1e-100"], ["--beta", "1000", "--L", "2"]])
     def test_sweep_invalid_for_every_cell_exits_2(self, extra, tmp_path, capsys):
         code = cli.main(["sweep", "--p", "11", "--i0", "1e-3", "--t-end", "5", *extra,
                          "--workers", "1", "--out", str(tmp_path)])
@@ -397,6 +398,16 @@ class TestCli:
         path.write_text("\n".join(rows) + "\n")
         assert cli.main(["fit", str(path), "--quantity", "G_k", "--window", "10", "30"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_fit_header_only_csv_exits_1_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(cli.CSV_COLUMNS) + "\n")
+        assert cli.main(["fit", str(path), "--quantity", "E_u",
+                         "--window", "0", "10"]) == cli.EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "cannot fit: window [0.0, 10.0] holds 0 records; need 10\n"
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_fit_non_finite_claimed_rate_exits_1(self, rate, tmp_path, capsys):
@@ -484,8 +495,9 @@ class TestCli:
         ({"p": "1.0"}, "power nonlinearity needs p > 1"),
         ({"u0_kind": "bump", "u0_width": "0.5"},
          "semilinear runs require support radius R > L"),
-        ({"t_end": "1e-150"}, "t_end = 1e-150 is below 1e-08 of the CFL step")],
-        ids=["p=0.5", "p=1", "bump_inside_core", "t_end=1e-150"])
+        ({"t_end": "1e-150"}, "t_end = 1e-150 is below 1e-08 of the CFL step"),
+        ({"u0_width": "1e-300"}, "gaussian bump needs width > 0 and 2 width^2 in float range")],
+        ids=["p=0.5", "p=1", "bump_inside_core", "t_end=1e-150", "width=1e-300"])
     def test_validate_refuses_what_run_refuses(self, edits, message, tmp_path, capsys):
         config = edited_config(tmp_path, "semilinear_demo", **edits)
         assert cli.main(["validate", str(config)]) == cli.EXIT_VALIDATION

@@ -44,7 +44,7 @@ class TestWhichRunsMirror:
         spec, _raw = cfg.load_config(str(path))
         problem, result, _states = march(spec, t_end=2.0)
         assert_even_problem(*problem)
-        assert result.mirrored
+        assert result.final_state.mirrored
 
     def test_benchmark_sweep_base_marches_mirrored(self):
         # the grid and data of `dampedwave sweep --dx 0.02 --t-end 40`,
@@ -56,7 +56,7 @@ class TestWhichRunsMirror:
         config = solver.RunConfig(profile=profile, data=data, t_end=0.5, p=11.0,
                                   record_every=base.time.record_every, history=False)
         result = solver.run(config, dw.Recorder(profile, None, data, None))
-        assert result.mirrored and result.termination.kind == solver.COMPLETED
+        assert result.final_state.mirrored and result.termination.kind == solver.COMPLETED
 
     @pytest.mark.parametrize("center, mirrored", [(0.0, True), (0.5, False)])
     def test_even_runs_step_only_the_right_half(self, center, mirrored, monkeypatch):
@@ -76,7 +76,7 @@ class TestWhichRunsMirror:
                                     np.zeros(grid.n_nodes))
         result = solver.run(solver.RunConfig(profile=example1_profile(grid), data=data,
                                              t_end=2.0))
-        assert result.mirrored is mirrored
+        assert result.final_state.mirrored is mirrored
         assert len(starts) == result.n_steps
         assert (min(starts) == grid.n_nodes // 2) is mirrored
 
@@ -85,7 +85,7 @@ class TestWhichRunsMirror:
         u0 = dataclasses.replace(spec.data.u0, center=0.5)
         spec = dataclasses.replace(spec, data=dataclasses.replace(spec.data, u0=u0))
         _problem, result, _states = march(spec, t_end=1.0)
-        assert not result.mirrored
+        assert not result.final_state.mirrored
 
     def test_odd_velocity_marches_the_whole_line(self):
         grid = dw.Grid(-20.0, 20.0, 800)
@@ -93,7 +93,7 @@ class TestWhichRunsMirror:
         data = dw.make_initial_data(grid, bump, bump * grid.x)
         result = solver.run(solver.RunConfig(profile=example1_profile(grid), data=data,
                                              t_end=1.0))
-        assert not result.mirrored
+        assert not result.final_state.mirrored
 
     def test_palindromes_off_a_mirror_grid_march_the_whole_line(self):
         # V = a = 0 and data symmetric about the middle node x = 5 are
@@ -104,7 +104,7 @@ class TestWhichRunsMirror:
         assert grid.n_nodes % 2 == 1 and is_palindrome(data.u0) and data.u0.any()
         result = solver.run(solver.RunConfig(profile=free_space_profile(grid), data=data,
                                              t_end=1.0))
-        assert not result.mirrored and not result.final_state.mirrored
+        assert not result.final_state.mirrored
 
     @pytest.mark.parametrize("x_min, x_max, n_cells", [(-50.0, 60.0, 1100),
                                                        (-60.0, 60.0, 1201)],
@@ -114,7 +114,7 @@ class TestWhichRunsMirror:
         spec = dataclasses.replace(spec, grid=dataclasses.replace(
             spec.grid, x_min=x_min, x_max=x_max))
         _problem, result, _states = march(spec, t_end=1.0)
-        assert not result.mirrored
+        assert not result.final_state.mirrored
 
 
 class TestMirrorProperty:
@@ -123,7 +123,7 @@ class TestMirrorProperty:
     def test_centred_specs_sample_and_march_bitwise_even(self, spec):
         (grid, profile, data), result, states = march(spec, spec.time.t_end)
         assert_even_problem(grid, profile, data)
-        assert result.mirrored
+        assert result.final_state.mirrored
         n = grid.n_nodes
         for state in states:
             lo, hi = state.support

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from dampedwave import cli
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
 _spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
 same_outputs = importlib.util.module_from_spec(_spec)
@@ -98,17 +100,28 @@ def test_sweep_command_comes_from_the_benchmark():
     derived = [Path("/cfg/off.cfg"), Path("/cfg/toggle.cfg")]
     argv = same_outputs.commands(ROOT, Path("/out"), sweep, derived)
     assert [a[0] for a in argv] == ["run"] * (len(CONFIG_PATHS) + 2) + [
-        "validate"] * (len(CONFIG_PATHS) + 2) + ["sweep"] * 3
+        "validate"] * (len(CONFIG_PATHS) + 2) + ["sweep"] * 4
     assert argv[len(CONFIG_PATHS):len(CONFIG_PATHS) + 2] == [
         ["run", str(path), "--out", "/out"] for path in derived]
     assert [a for a in argv if a[0] == "validate"] == [
         ["validate", str(path), "--json"] for path in CONFIG_PATHS + derived]
     options = ["sweep", "--p", "1.5,2,3,5,7,9,11,13", "--i0", "0.1,1,3,10,30",
                "--dx", "0.02", "--t-end", "40"]
-    assert argv[-3:] == [
+    assert argv[-4:] == [
         [*options, "--workers", "2", "--out", "/out", "--name", "sweep_pxI0"],
         [*options, "--workers", "3", "--out", "/out", "--name", "sweep_pxI0_workers3"],
-        [*options, "--workers", "1", "--out", "/out", "--name", "sweep_pxI0_workers1"]]
+        [*options, "--workers", "1", "--out", "/out", "--name", "sweep_pxI0_workers1"],
+        ["sweep", "--p", "0.5,3", "--i0", "0,1e-3", "--V0", "5e-324", "--dx", "0.1",
+         "--t-end", "2", "--workers", "2", "--out", "/out", "--name", "sweep_errors"]]
+
+
+def test_error_sweep_reaches_every_cell_error(tmp_path):
+    # a power refused and a data norm undefined, next to a cell that marches
+    options, name = same_outputs.ERROR_SWEEP
+    assert cli.main(["sweep", *options, "--out", str(tmp_path), "--name", name]) == 0
+    assert (tmp_path / f"{name}.csv").read_text() == (
+        "p\\I0,0,0.001\n0.5,error(ConfigError),error(HypothesisError)\n"
+        "3,bounded,error(HypothesisError)\n")
 
 
 def test_validate_stdout_and_exit_status_are_kept(tmp_path, monkeypatch):

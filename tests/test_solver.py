@@ -186,7 +186,7 @@ class TestRunControl:
             patch.setattr(solver, "cfl_timestep", recomputed)
             patch.setattr(solver, "_is_even", recomputed)
             result = solver.run(config)
-        assert (result.dt, result.n_steps, result.mirrored) == (config.dt, config.n_steps, True)
+        assert (result.dt, result.n_steps) == (config.dt, config.n_steps)
         longer = dataclasses.replace(config, t_end=6.0, record_every=1)
         assert longer.n_steps == math.ceil(6.0 / solver.cfl_timestep(config.profile, 0.9))
         assert longer.dt == 6.0 / longer.n_steps
@@ -384,7 +384,7 @@ def blowup_config(record_every, center=0.0):
 def check_final_state(config, mirrored):
     result = solver.run(config)
     assert result.termination.kind == solver.COMPLETED
-    assert result.mirrored is mirrored
+    assert config.mirrored is mirrored
     levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
     assert_state_matches(result.final_state, levels, result.dt, config, final=True,
                          mirrored=mirrored)
@@ -395,7 +395,7 @@ def check_final_state(config, mirrored):
 def check_blowup_state(config, mirrored):
     result = solver.run(config)
     assert result.termination.kind == solver.BLOWUP
-    assert result.mirrored is mirrored
+    assert config.mirrored is mirrored
     k = round(result.termination.time / result.dt)
     state = result.final_state
     assert round(state.t / result.dt) == k - 2
@@ -409,7 +409,7 @@ def check_blowup_record_levels(config, mirrored):
     # by 2 dt for its record before the blowup state rebuilds it
     kept = []
     result = solver.run(config, lambda state: kept.append(state))
-    assert result.mirrored is mirrored
+    assert config.mirrored is mirrored
     k = round(result.termination.time / result.dt)
     assert round(kept[-1].t / result.dt) == round(result.final_state.t / result.dt) == k - 2
     levels = oracle_levels(config, result.dt, k - 1, mirrored)
@@ -423,7 +423,7 @@ def check_kept_states(config, mirrored, march=solver.run):
     kept = []
     result = march(config, lambda state: kept.append(state))
     assert len(kept) == result.n_steps + 1
-    assert result.mirrored is mirrored
+    assert config.mirrored is mirrored
     levels = oracle_levels(config, result.dt, result.n_steps, mirrored)
     for state in kept[:-1]:
         assert_state_matches(state, levels, result.dt, config, mirrored=mirrored)
@@ -717,7 +717,7 @@ class TestNoHistory:
         ref = solver.run(config, full)
 
         assert result.termination == ref.termination
-        assert result.mirrored == ref.mirrored
+        assert result.final_state.mirrored == ref.final_state.mirrored
         assert len(result.records) == len(ref.records) == len(lean.calls) == len(full.calls)
         for rec, ref_rec in zip(result.records, ref.records):
             for name in NORM_COLUMNS:

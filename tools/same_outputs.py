@@ -15,7 +15,10 @@ Then it runs the sweep_pxI0 command line of the change's bench/common.py
 three times: with --workers 2 (one pool process and the calling process,
 outputs named sweep_pxI0), with --workers 3 (two pool processes and the
 calling process, sweep_pxI0_workers3) and with --workers 1 (the
-in-process map, sweep_pxI0_workers1).
+in-process map, sweep_pxI0_workers1). Last it runs ERROR_SWEEP, a small
+sweep whose cells end in error tokens (outputs named sweep_errors): its
+p = 0.5 row fails the power check, and its V0 = 5e-324 leaves V zero
+off the core, so no data there can be scaled to a positive I0.
 It prints one line per output file: "identical" when the bytes agree;
 for a CSV that differs, the column with the largest relative difference
 and the number of cells that differ; for a JSON file (and the JSON
@@ -47,6 +50,10 @@ SWEEP_WORKLOAD = "sweep_pxI0"
 # process with a pool of one and of two processes, and the in-process map
 SWEEPS = {"2": SWEEP_WORKLOAD, "3": f"{SWEEP_WORKLOAD}_workers3",
           "1": f"{SWEEP_WORKLOAD}_workers1"}
+# dampedwave sweep options whose cells give error(ConfigError),
+# error(HypothesisError) and bounded tokens, and the outputs' name
+ERROR_SWEEP = (["--p", "0.5,3", "--i0", "0,1e-3", "--V0", "5e-324", "--dx", "0.1",
+                "--t-end", "2", "--workers", "2"], "sweep_errors")
 # copies of a committed config with one line changed, by file name: the
 # config, the key and its new value
 DERIVED = {
@@ -82,15 +89,16 @@ def derived_configs(checkout: Path, directory: Path) -> list[Path]:
 def commands(checkout: Path, out_dir: Path, sweep: list[str],
              derived: list[Path]) -> list[list[str]]:
     """dampedwave argument lists: one run per config and derived config,
-    one validate --json per config and derived config, then one sweep per
-    SWEEPS entry."""
+    one validate --json per config and derived config, one sweep per
+    SWEEPS entry, then ERROR_SWEEP."""
     out = ["--out", str(out_dir)]
     configs = sorted((checkout / "configs").glob("*.cfg")) + derived
     runs = [["run", str(path), *out] for path in configs]
     validates = [["validate", str(path), "--json"] for path in configs]
     sweeps = [["sweep", *sweep, "--workers", workers, *out, "--name", name]
               for workers, name in SWEEPS.items()]
-    return runs + validates + sweeps
+    options, name = ERROR_SWEEP
+    return runs + validates + sweeps + [["sweep", *options, *out, "--name", name]]
 
 
 def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, int]:
