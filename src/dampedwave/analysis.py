@@ -129,9 +129,12 @@ def scale_data_to_i0(
 ) -> InitialData:
     """Rescale both data fields so the combined norm I0 hits the target
     (I0 is 1-homogeneous in the data); HypothesisError where the data's
-    own I0 is zero or undefined (V vanishes on the grid) and target > 0."""
-    if not 0.0 <= target_i0 < math.inf:
-        raise HypothesisError(f"target I0 must be finite and nonnegative, got {target_i0}")
+    own I0 is zero or undefined (V vanishes on the grid) and target > 0,
+    and where target^2 leaves float range (the scaled data's squared
+    norms, and so E_u, would too)."""
+    if not (0.0 <= target_i0 and target_i0 * target_i0 < math.inf):
+        raise HypothesisError(f"target I0 must be nonnegative with its square in float range, "
+                              f"got {target_i0}")
     if target_i0 == 0.0:
         zeros = np.zeros_like(data.u0)
         return InitialData(zeros, zeros, data.support_radius)

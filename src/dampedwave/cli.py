@@ -70,11 +70,17 @@ def _out_dir(arg: str | None) -> Path:
 
 
 def _config_hash(raw: bytes) -> str:
-    # deferred: hashlib loads OpenSSL's libcrypto, which only a run's
-    # manifest needs
-    import hashlib
-
-    return hashlib.sha256(raw).hexdigest()
+    # CPython's built-in SHA-256, what hashlib falls back to without
+    # OpenSSL: hashlib would load libcrypto, about 3 MiB of a run's peak
+    # RSS, for this one digest. Some builds keep only blake2 built in.
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(raw).hexdigest()
 
 
 def write_csv(path: Path, records) -> None:

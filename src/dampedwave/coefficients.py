@@ -476,13 +476,17 @@ def compute_data_norms(data: InitialData, profile: CoefficientProfile) -> DataNo
         raise HypothesisError(
             "potential vanishes somewhere on the grid; weighted data norm undefined"
         )
-    du0 = np.gradient(data.u0, grid.dx, edge_order=2)
-    h1_sq = grid.integrate(data.u0**2) + grid.integrate(du0**2)
-    l2_sq = grid.integrate(data.u1**2)
-    forcing = data.u1 + profile.a * data.u0
-    weighted_sq = grid.integrate(forcing**2 / profile.V)
-    return DataNorms(
-        h1_norm_u0=float(np.sqrt(h1_sq)),
-        l2_norm_u1=float(np.sqrt(l2_sq)),
-        weighted_norm=float(np.sqrt(weighted_sq)),
-    )
+    # data near float range overflow these squares: quiet, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        du0 = np.gradient(data.u0, grid.dx, edge_order=2)
+        forcing = data.u1 + profile.a * data.u0
+        squares = {
+            "h1_norm_u0": grid.integrate(data.u0**2) + grid.integrate(du0**2),
+            "l2_norm_u1": grid.integrate(data.u1**2),
+            "weighted_norm": grid.integrate(forcing**2 / profile.V),
+        }
+    for name, sq in squares.items():
+        if not math.isfinite(sq):
+            raise HypothesisError(f"initial data's {name} needs its square in float range, "
+                                  f"got {sq}")
+    return DataNorms(**{name: float(np.sqrt(sq)) for name, sq in squares.items()})

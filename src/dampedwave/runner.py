@@ -63,7 +63,8 @@ def prepare_constants(
 ) -> tuple[ValidationReport, PoincareEstimate | None, MultiplierConfig | None,
            DataNorms | None]:
     """Estimate C* and derive the multiplier constants where the
-    hypotheses allow it; never raises on a hypothesis failure."""
+    hypotheses allow it; never raises on a failed hypothesis check, only
+    (HypothesisError) on data whose squared norms leave float range."""
     report = validate_hypotheses(profile)
     estimate = None
     mc = None

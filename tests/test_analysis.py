@@ -341,6 +341,7 @@ class TestSweep:
         assert _sweep_cell((power(base, 3.0), -1.0)) == "error(HypothesisError)"
         assert _sweep_cell((power(base, math.nan), 1e-3)) == "error(ConfigError)"
         assert _sweep_cell((power(base, 3.0), math.inf)) == "error(HypothesisError)"
+        assert _sweep_cell((power(base, 3.0), 1e300)) == "error(HypothesisError)"
 
     def test_mixed_sweep_keeps_valid_cells(self):
         outcomes = dw.semilinear_sweep(sweep_spec(t_end=5.0, dx=0.1), [0.5, 11.0], [1e-4])

@@ -369,6 +369,19 @@ class TestDataNorms:
         assert norms.weighted_norm**2 == pytest.approx(2 * b, rel=2e-3)
         assert norms.h1_norm_u0 == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u0, u1, name", [
+        (1e300, 0.0, "h1_norm_u0"), (0.0, 1e300, "l2_norm_u1"), (0.0, 1e153, "weighted_norm")])
+    def test_square_beyond_float_range_is_named(self, u0, u1, name):
+        # V <= 0.02 here, so u1 = 1e153 keeps its L2 square finite and
+        # overflows only the weighted one
+        g = dw.Grid(-20.0, 20.0, 800)
+        profile = example1_profile(g)
+        data = dw.InitialData(np.full(g.n_nodes, u0), np.full(g.n_nodes, u1), 20.0)
+        with pytest.raises(HypothesisError,
+                           match=f"initial data's {name} needs its square in float range"):
+            dw.compute_data_norms(data, profile)
+
     def test_division_guard(self):
         g = dw.Grid(-10.0, 10.0, 100)
         profile = free_space_profile(g)

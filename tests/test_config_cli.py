@@ -508,6 +508,17 @@ class TestCli:
         assert validated.out == "INVALID: " + ran.err.removeprefix("invalid run configuration: ")
         assert list(tmp_path.glob("*.csv")) == []
 
+    @pytest.mark.filterwarnings("error")
+    def test_data_norms_beyond_float_range_exit_2(self, tmp_path, capsys):
+        # semilinear_demo's auto domain already refuses this amplitude
+        config = edited_config(tmp_path, "linear_demo", u0_amplitude="1e300")
+        message = "initial data's h1_norm_u0 needs its square in float range, got inf\n"
+        assert cli.main(["validate", str(config)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().out == f"INVALID: {message}"
+        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"invalid run configuration: {message}"
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_closed_stdout_exits_1_quietly(self, demo_config, tmp_path, monkeypatch, capsys):
         # `dampedwave validate --json cfg | head -c 10`: the reader leaves
         # early, so writes to stdout raise BrokenPipeError

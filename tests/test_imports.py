@@ -1,9 +1,11 @@
 """Import footprint of `dampedwave` processes: no module of the package
 loads SciPy; a fresh `import dampedwave.cli` loads no multiprocessing and
 no OpenSSL (`_hashlib`) either; the `validate`, `run` and `poincare`
-commands load no SciPy, and of the commands only `run`, whose manifest
-hashes its config, loads OpenSSL."""
+commands load no SciPy, and no command loads `hashlib` or OpenSSL: `run`
+hashes its config with CPython's built-in SHA-256, whose digest is
+hashlib's."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -73,18 +75,31 @@ def run_csv(tmp_path_factory):
     return out / "linear_demo.csv"
 
 
-@pytest.mark.parametrize("argv, openssl", [
-    (["validate", DEMO_CFG], False),
-    (["poincare", "--L", "1", "--domain", "20", "--nodes", "1000"], False),
-    (["fit", "{csv}", "--window", "10", "200"], False),
-    (["sweep", "--p", "3,11", "--i0", "1,30", "--dx", "0.05", "--t-end", "5",
-      "--workers", "1", "--out", "{out}"], False),
-    (["run", DEMO_CFG, "--out", "{out}"], True),
+@pytest.mark.parametrize("argv", [
+    ["validate", DEMO_CFG],
+    ["poincare", "--L", "1", "--domain", "20", "--nodes", "1000"],
+    ["fit", "{csv}", "--window", "10", "200"],
+    ["sweep", "--p", "3,11", "--i0", "1,30", "--dx", "0.05", "--t-end", "5",
+     "--workers", "1", "--out", "{out}"],
+    ["run", DEMO_CFG, "--out", "{out}"],
 ], ids=["validate", "poincare", "fit", "sweep", "run"])
-def test_only_run_loads_openssl(argv, openssl, run_csv, tmp_path):
+def test_no_command_loads_openssl(argv, run_csv, tmp_path):
     argv = [arg.format(out=tmp_path, csv=run_csv) for arg in argv]
     loaded = loaded_modules(
         "import sys\nfrom dampedwave import cli\n"
         f"assert cli.main({argv!r}) == cli.EXIT_OK"
     )
-    assert ("_hashlib" in loaded) is openssl
+    openssl = loaded & {"hashlib", "_hashlib"}
+    assert not openssl, sorted(openssl)
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib_fallback"])
+def test_config_hash_is_sha256(builtin, monkeypatch):
+    from dampedwave import cli
+
+    if not builtin:  # a build without a built-in SHA-256
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    for path in sorted((ROOT / "configs").glob("*.cfg")):
+        raw = path.read_bytes()
+        assert cli._config_hash(raw) == hashlib.sha256(raw).hexdigest(), path.name
