@@ -12,18 +12,24 @@ A semilinear sweep is a base RunSpec and a cell is a (spec, I0) pair:
 the base with |u|^p, its data rescaled to I0. The power does not enter
 the problem, so each process builds the base's linear RunConfig once,
 as `dampedwave run` does, and a cell replaces its data and its power.
-The cells are mapped in order, p-major, and the sweep returns their
-outcome tokens as a matrix, one row per p. With N workers, a pool of
-N - 1 processes takes cells from the front while the calling process
-marches, from the back, every cell no pool process has started. A
-cell's outcome reads only ||u|| and the energy norm, so it marches
-without history (solver.RunConfig.history = False) under the Recorder
-`dampedwave run` uses; the columns that need history are NaN.
+The cells are ordered p-major, and the sweep returns their outcome
+tokens as a matrix, one row per p. With N workers, the calling process
+forks N - 1 processes after building its base, and all N take cells
+from one pipe of tickets, each ticket a 4-byte index of a block of
+consecutive cells (one cell per ticket up to TICKETS cells); the
+kernel's pipe lock hands a ticket to one reader only. A forked process
+sends back its tokens, or the exception a cell raised, pickled through
+a pipe of its own. A cell's outcome reads only ||u|| and the energy
+norm, so it marches without history (solver.RunConfig.history = False)
+under the Recorder `dampedwave run` uses; the columns that need history
+are NaN.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -38,6 +44,9 @@ from .errors import ConfigError, FitError, HypothesisError
 
 QUANTITY_FLOOR = 1e-300
 MIN_FIT_RECORDS = 10
+# at most this many 4-byte sweep tickets: 2 KiB, written to the ticket pipe
+# at once, is within PIPE_BUF (4 KiB on Linux), so the write never blocks
+TICKETS = 512
 
 
 @dataclass(frozen=True)
@@ -195,6 +204,74 @@ def _sweep_cell(cell: tuple[cfg.RunSpec, float]) -> str:
         return f"error({type(exc).__name__})"
 
 
+def _forked_map(fn, cells: list, workers: int) -> list:
+    """[fn(cell) for cell in cells] on this process and workers - 1 forked
+    ones, which share one pipe of tickets (module docstring). A cell that
+    raises drains the pipe, so no process starts another cell, and its
+    exception reaches the caller; a forked process that ends without its
+    tokens, or with a nonzero status, raises RuntimeError. Every forked
+    process is waited for before this returns or raises."""
+    block = -(-len(cells) // TICKETS)  # cells per ticket
+    tickets, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(-(-len(cells) // block))))
+    os.close(feed)
+
+    def march() -> dict[int, str]:
+        done = {}
+        while ticket := os.read(tickets, 4):
+            start = int.from_bytes(ticket, "little") * block
+            for i in range(start, min(start + block, len(cells))):
+                done[i] = fn(cells[i])
+        return done
+
+    def drain() -> None:  # no process starts another cell
+        while os.read(tickets, 4096):
+            pass
+
+    children = []  # (pid, its result pipe's read end as a file)
+    try:
+        for _ in range(workers - 1):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # never returns: no stdio flush, no caller's stack
+                status = 1
+                try:
+                    os.close(reader)
+                    for _pid, other in children:
+                        other.close()
+                    try:
+                        payload = march()
+                    except BaseException as exc:
+                        drain()
+                        payload = exc
+                    with os.fdopen(writer, "wb") as out:
+                        out.write(pickle.dumps(payload))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(writer)
+            children.append((pid, os.fdopen(reader, "rb")))
+        done = march()
+        payloads = [results.read() for _pid, results in children]
+    finally:
+        drain()
+        os.close(tickets)
+        codes = []
+        for pid, results in children:
+            results.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _results), payload, code in zip(children, payloads, codes):
+        if code or not payload:
+            end = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"sweep process {pid} ended with {end}"
+                               + ("" if payload else " and no tokens"))
+        payload = pickle.loads(payload)
+        if isinstance(payload, BaseException):
+            raise payload
+        done.update(payload)
+    return [done[i] for i in range(len(cells))]
+
+
 def semilinear_sweep(
     spec: cfg.RunSpec,
     p_values: list[float],
@@ -208,34 +285,23 @@ def semilinear_sweep(
     a cell's own fault (p <= 1, a bad I0) becomes an error(<exception
     name>) token and never aborts the sweep. workers must be >= 1
     (ConfigError otherwise) and counts the processes that march cells,
-    this one included, at most one per cell. With more than one, a pool
-    of workers - 1 processes takes the cells from the front and this
-    process takes from the back every cell no pool process has started;
-    a cell that raises first cancels every cell not started. With one,
-    the cells are mapped in process."""
+    this one included, at most one per cell. With more than one, this
+    process forks workers - 1 processes and all take the cells from one
+    pipe of tickets (module docstring); a cell that raises in any process
+    cancels every cell not started, and its exception reaches the caller.
+    With one, or on a platform without os.fork, the cells are mapped in
+    process."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if spec.potential.beta is None:
         raise ConfigError(f"a sweep needs a potential with beta, got {spec.potential.family!r}")
-    # built here, before the pool forks, so a pool process inherits it
+    # built here, before the fork, so a forked process inherits it
     _base_run(replace(spec, nonlinearity=cfg.NonlinearitySpec()))
     cells = [(replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p)), i0)
              for p in p_values for i0 in I0_values]
     workers = min(workers, len(cells))
-    if workers > 1:
-        # deferred: concurrent.futures loads multiprocessing, which only
-        # a pooled sweep uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [pool.submit(_sweep_cell, cell) for cell in cells]
-            try:  # from the back, every cell no pool process has started
-                mine = {i: _sweep_cell(cells[i])
-                        for i in reversed(range(len(cells))) if futures[i].cancel()}
-                flat = [mine[i] if i in mine else f.result() for i, f in enumerate(futures)]
-            finally:  # as Executor.map: a raising cell cancels the cells not started
-                for f in futures:
-                    f.cancel()
+    if workers > 1 and hasattr(os, "fork"):
+        flat = _forked_map(_sweep_cell, cells, workers)
     else:
         flat = list(map(_sweep_cell, cells))
     m = len(I0_values)

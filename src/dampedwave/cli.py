@@ -27,8 +27,9 @@ output directory may be set with the DAMPEDWAVE_OUT environment variable.
 A sweep is a base RunSpec built from its flags, each (p, I0) cell built as
 `run` builds a config; its manifest holds the base as config text
 (base_config), so the manifest alone reruns it. --workers N has N
-processes march the cells, this one included: a pool of N - 1 and this
-process, which takes the cells no pool process has started.
+processes march the cells, this one included: it forks N - 1 and all N
+take the cells one ticket at a time from one pipe (analysis). The output
+directory of run and sweep is made before the march.
 """
 
 from __future__ import annotations
@@ -181,12 +182,13 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     try:
         spec, raw = cfg.load_config(args.config)
-        lab = runner.execute(cfg.run_config_from_spec(spec, *cfg.build_problem(spec)))
+        run_config = cfg.run_config_from_spec(spec, *cfg.build_problem(spec))
+        out = _out_dir(args.out)  # an unusable --out fails before the march
+        lab = runner.execute(run_config)
     except _VALIDATION_ERRORS as exc:
         print(f"invalid run configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out = _out_dir(args.out)
     name = args.name or Path(args.config).stem
     csv_path = out / f"{name}.csv"
     write_csv(csv_path, lab.records)
@@ -279,12 +281,12 @@ def cmd_sweep(args) -> int:
         data=cfg.DataSpec(u0=cfg.FieldSpec("gaussian", amplitude=1.0, width=0.75)),
         time=cfg.TimeSpec(t_end=args.t_end),
     )
+    out = _out_dir(args.out)  # an unusable --out fails before the cells
     try:
         outcomes = analysis.semilinear_sweep(spec, p_values, i0_values, workers=args.workers)
     except _VALIDATION_ERRORS as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = _out_dir(args.out)
     path = out / f"{args.name}.csv"
     header = "p\\I0," + ",".join(_fmt(v) for v in i0_values)
     lines = [header]

@@ -86,7 +86,8 @@ or one beyond BLOWUP_THRESHOLD in magnitude. run() first computes
 sq = dot(u, u) over the block, which bounds max|u|^2 by sq (1 + 1e-6)
 (the margin covers the dot product's rounding): sq <= 1e16 (1 - 1e-6)
 proves max|u| <= 1e8, and nan or inf fail it. Only a block that fails
-the screen gets the exact max/min test.
+the screen gets the exact max/min test. Level 0 is not screened:
+RunConfig refuses u0 beyond BLOWUP_THRESHOLD instead.
 
 Negligible forcing. The same sq decides whether the next step needs its
 forcing. With M = max|u^k| and cf_max the largest cf, the forcing at
@@ -200,6 +201,10 @@ class RunConfig:
             raise ConfigError("potential and damping must be finite on the grid")
         if not 0.0 < self.t_end < math.inf:
             raise ConfigError("t_end must be positive and finite")
+        peak = max(float(self.data.u0.max()), -float(self.data.u0.min()))
+        if peak > BLOWUP_THRESHOLD:
+            raise ConfigError(f"initial data max|u0| = {peak:.6g} exceeds the blowup "
+                              f"threshold {BLOWUP_THRESHOLD:g}")
         dt0 = cfl_timestep(self.profile, self.cfl)
         if self.t_end < MIN_T_END_CFL_FRACTION * dt0:
             raise ConfigError(f"t_end = {self.t_end:.6g} is below {MIN_T_END_CFL_FRACTION:g} "

@@ -1,6 +1,7 @@
-import concurrent.futures
 import dataclasses
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -205,46 +206,54 @@ class TestDataScaling:
             scale_data_to_i0(data, profile, target)
 
 
-class StandInFuture:
-    """A stand-in pool's future: a cell a pool process has started, or one
-    the caller may cancel; reading it runs the cell in process."""
-
-    def __init__(self, fn, cell, started):
-        self.fn, self.cell, self.started = fn, cell, started
-        self.cancelled = self.read = False
-
-    def cancel(self):
-        self.cancelled = self.cancelled or not self.started
-        return self.cancelled
-
-    def result(self):
-        assert not self.cancelled
-        self.read = True
-        return self.fn(self.cell)
+class CellFailed(Exception):
+    """A cell's own exception type, raised by a stand-in cell."""
 
 
-def stand_in_pool(monkeypatch, started=0):
-    """Replace ProcessPoolExecutor by an in-process stand-in whose first
-    `started` submitted cells a pool process has started; returns the
-    list of pool sizes it is built with and the list of its futures."""
-    sizes, futures = [], []
+def cell_fails():
+    raise CellFailed("cell failed")
 
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+def stand_in_cells(monkeypatch, log, fail=None, everywhere=False, caller_ends_last=0):
+    """Replace the sweep's cell by a stand-in that appends "<pid> <p>:<I0>"
+    to the log file, then calls fail() in a forked process (in every
+    process with everywhere) and returns "<p>:<I0>". With
+    caller_ends_last = n, a forked process's cell goes on only once the
+    calling process has logged a cell, and a cell of the calling process
+    returns only once the log holds n cells (each wait 10 s at most): the
+    caller marches one cell, which ends last. Returns the caller's pid."""
+    caller = os.getpid()
 
-        def __exit__(self, *exc):
-            return False
+    def cell_token(cell):
+        token = f"{cell[0].nonlinearity.p}:{cell[1]}"
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {token}\n")
+        mine = os.getpid() == caller
+        deadline = time.monotonic() + 10.0
+        while caller_ends_last and time.monotonic() < deadline:
+            pids = [pid for pid, _token in marched(log)]
+            if (len(pids) >= caller_ends_last) if mine else (caller in pids):
+                break
+            time.sleep(0.01)
+        if fail is not None and (everywhere or not mine):
+            fail()
+        return token
 
-        def submit(self, fn, cell):
-            futures.append(StandInFuture(fn, cell, len(futures) < started))
-            return futures[-1]
+    monkeypatch.setattr(analysis, "_sweep_cell", cell_token)
+    return caller
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    return sizes, futures
+
+def marched(log):
+    """The (pid, token) pairs a stand-in cell logged."""
+    if not os.path.exists(log):
+        return []
+    with open(log) as fh:
+        return [(int(pid), token) for pid, token in (line.split() for line in fh)]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweep:
@@ -281,48 +290,94 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers, pool_size", [(8, 2), (2, 1)])
     def test_pool_is_capped_at_the_cell_count(self, workers, pool_size, monkeypatch):
-        # the caller marches cells too: the pool has one process fewer
-        sizes, _futures = stand_in_pool(monkeypatch)
+        # the caller marches cells too: it forks one process fewer
+        fork, forked = os.fork, []
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
         outcomes = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0],
                                        [0.0, 1e-4, 1e-3], workers=workers)
-        assert sizes == [pool_size]
+        assert len(forked) == pool_size
         assert all(o in ("decayed_at_rate", "bounded") for o in outcomes[0])
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("started", [0, 2, 6])
-    def test_tokens_come_back_in_cell_order(self, started, monkeypatch):
-        # the caller marches the cells not started from the back; the pool's
-        # are read in order after it
-        _sizes, futures = stand_in_pool(monkeypatch, started)
-        marched = []
-        monkeypatch.setattr(analysis, "_sweep_cell", lambda cell: marched.append(
-            cell) or f"{cell[0].nonlinearity.p}:{cell[1]}")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_tokens_come_back_in_cell_order(self, workers, tmp_path, monkeypatch):
+        # the caller's cell ends after the forked processes have marched
+        # every other cell; each cell is marched once
+        log = tmp_path / "cells.log"
+        caller = stand_in_cells(monkeypatch, log, caller_ends_last=6)
         base = sweep_spec(t_end=2.0, dx=0.1)
-        outcomes = dw.semilinear_sweep(base, [3.0, 11.0], [1e-4, 1e-3, 1e-2], workers=2)
-        assert outcomes == (("3.0:0.0001", "3.0:0.001", "3.0:0.01"),
-                            ("11.0:0.0001", "11.0:0.001", "11.0:0.01"))
-        cells = [f.cell for f in futures]
-        assert marched == cells[started:][::-1] + cells[:started]
-        assert [f.cancelled for f in futures] == [i >= started for i in range(6)]
+        outcomes = dw.semilinear_sweep(base, [3.0, 11.0], [1e-4, 1e-3, 1e-2], workers=workers)
+        tokens = (("3.0:0.0001", "3.0:0.001", "3.0:0.01"),
+                  ("11.0:0.0001", "11.0:0.001", "11.0:0.01"))
+        assert outcomes == tokens
+        cells = marched(log)
+        assert sorted(token for _pid, token in cells) == sorted(tokens[0] + tokens[1])
+        assert [pid for pid, _token in cells].count(caller) == 1
+        assert 2 <= len({pid for pid, _token in cells}) <= workers
+        assert_no_child_left()
 
-    def test_a_cell_raising_in_the_caller_cancels_the_cells_not_started(self, monkeypatch):
-        _sizes, futures = stand_in_pool(monkeypatch, started=1)
+    def test_each_cell_of_a_shared_ticket_is_marched_once(self, tmp_path, monkeypatch):
+        # 1,030 cells on 3 processes (more than the 2 cores of the lab's
+        # host): beyond TICKETS cells a ticket covers 3; the last, 1
+        log = tmp_path / "cells.log"
+        stand_in_cells(monkeypatch, log)
+        i0_values = [i * 1e-6 for i in range(1, 1031)]
+        outcomes = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [3.0], i0_values,
+                                       workers=3)
+        tokens = tuple(f"3.0:{i0}" for i0 in i0_values)
+        assert outcomes == (tokens,)
+        assert sorted(token for _pid, token in marched(log)) == sorted(tokens)
+        assert_no_child_left()
 
-        def cell_token(cell):
-            if cell[1] == 1e-3:
-                raise RuntimeError("cell failed")
-            return "bounded"
-
-        monkeypatch.setattr(analysis, "_sweep_cell", cell_token)
-        with pytest.raises(RuntimeError, match="cell failed"):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_raising_cell_cancels_the_cells_not_started(self, workers, tmp_path,
+                                                          monkeypatch):
+        # every cell raises: each process marches at most one, and the
+        # cell's own exception type reaches the caller
+        log = tmp_path / "cells.log"
+        stand_in_cells(monkeypatch, log, fail=cell_fails, everywhere=True)
+        with pytest.raises(CellFailed):
             dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [3.0, 11.0],
-                                [1e-4, 1e-3, 1e-2], workers=2)
-        # the caller marched cells 5 and 4 (raising); 1-3 were never run
-        assert [f.cancelled for f in futures] == [False] + [True] * 5
-        assert not any(f.read for f in futures)
+                                [1e-4, 1e-3, 1e-2], workers=workers)
+        assert 1 <= len(marched(log)) <= workers
+        assert_no_child_left()
+
+    def test_a_cell_raising_in_a_forked_process_reaches_the_caller(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        # with its own type: a MemoryError is still "cannot allocate", exit 1
+        from dampedwave import cli
+
+        def out_of_memory():
+            raise MemoryError("Unable to allocate 1.57 TiB for an array")
+
+        log = tmp_path / "cells.log"
+        caller = stand_in_cells(monkeypatch, log, fail=out_of_memory, caller_ends_last=2)
+        argv = ["sweep", "--p", "3", "--i0", "1e-4,1e-3", "--dx", "0.1", "--t-end", "2",
+                "--workers", "2", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "cannot allocate: Unable to allocate 1.57 TiB for an array\n")
+        assert not (tmp_path / "sweep.csv").exists()
+        assert sorted(pid == caller for pid, _token in marched(log)) == [False, True]
+        assert_no_child_left()
+
+    def test_a_forked_process_ending_without_tokens_raises(self, tmp_path, monkeypatch):
+        stand_in_cells(monkeypatch, tmp_path / "cells.log", fail=lambda: os._exit(3),
+                       caller_ends_last=2)
+        with pytest.raises(RuntimeError, match=r"^sweep process \d+ ended with exit status 3 "
+                                               r"and no tokens$"):
+            dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [3.0], [1e-4, 1e-3], workers=2)
+        assert_no_child_left()
 
     def test_one_cell_runs_without_a_pool(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda *a, **k: pytest.fail("pool started"))
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         outcomes = dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [11.0], [1e-4], workers=4)
         assert len(outcomes[0]) == 1
 
@@ -358,7 +413,7 @@ class TestSweep:
         def never(*args, **kwargs):
             raise AssertionError("a cell was dispatched")
         monkeypatch.setattr(analysis.solver, "run", never)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(os, "fork", never)
         with pytest.raises(ConfigError):
             dw.semilinear_sweep(base, [11.0], [1e-3], workers=2)
 

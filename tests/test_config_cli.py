@@ -510,14 +510,43 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")
     def test_data_norms_beyond_float_range_exit_2(self, tmp_path, capsys):
-        # semilinear_demo's auto domain already refuses this amplitude
-        config = edited_config(tmp_path, "linear_demo", u0_amplitude="1e300")
-        message = "initial data's h1_norm_u0 needs its square in float range, got inf\n"
+        # u1 = 1e300: a u0 that large is beyond the blowup threshold
+        # already, and semilinear_demo's auto domain refuses it too
+        config = edited_config(tmp_path, "linear_demo",
+                               u1_kind="gaussian\nu1_amplitude = 1e300\nu1_width = 1.5")
+        message = "initial data's l2_norm_u1 needs its square in float range, got inf\n"
         assert cli.main(["validate", str(config)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().out == f"INVALID: {message}"
         assert cli.main(["run", str(config), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"invalid run configuration: {message}"
         assert list(tmp_path.glob("*.csv")) == []
+
+    def test_data_beyond_the_blowup_threshold_exits_2(self, tmp_path, capsys):
+        # level 0 is never screened: such data would stop the march at once
+        config = edited_config(tmp_path, "linear_demo", u0_amplitude="1e9")
+        message = "initial data max|u0| = 1e+09 exceeds the blowup threshold 1e+08\n"
+        assert cli.main(["validate", str(config)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().out == f"INVALID: {message}"
+        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"invalid run configuration: {message}"
+        assert list(tmp_path.glob("*.csv")) == []
+        argv = ["sweep", "--p", "3", "--i0", "1,1e12", "--dx", "0.1", "--t-end", "2",
+                "--workers", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert (tmp_path / "sweep.csv").read_text() == (
+            "p\\I0,1,1000000000000\n3,bounded,error(ConfigError)\n")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_dir_is_checked_before_the_march(self, command, demo_config, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(cli.solver, "run", lambda *a, **k: pytest.fail("marched"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = {"run": ["run", str(demo_config)],
+                "sweep": ["sweep", "--p", "3", "--i0", "1", "--dx", "0.1", "--t-end", "2",
+                          "--workers", "1"]}[command]
+        assert cli.main([*argv, "--out", str(taken)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"cannot access {taken}: File exists\n"
 
     def test_closed_stdout_exits_1_quietly(self, demo_config, tmp_path, monkeypatch, capsys):
         # `dampedwave validate --json cfg | head -c 10`: the reader leaves

@@ -1,9 +1,10 @@
 """Import footprint of `dampedwave` processes: no module of the package
 loads SciPy; a fresh `import dampedwave.cli` loads no multiprocessing and
 no OpenSSL (`_hashlib`) either; the `validate`, `run` and `poincare`
-commands load no SciPy, and no command loads `hashlib` or OpenSSL: `run`
+commands load no SciPy; no command loads `hashlib` or OpenSSL: `run`
 hashes its config with CPython's built-in SHA-256, whose digest is
-hashlib's."""
+hashlib's; and a sweep on more than one process forks them itself,
+without `concurrent.futures` or `multiprocessing`."""
 
 import hashlib
 import os
@@ -91,6 +92,17 @@ def test_no_command_loads_openssl(argv, run_csv, tmp_path):
     )
     openssl = loaded & {"hashlib", "_hashlib"}
     assert not openssl, sorted(openssl)
+
+
+def test_forked_sweep_loads_no_process_pool(tmp_path):
+    argv = ["sweep", "--p", "3,11", "--i0", "1,30", "--dx", "0.1", "--t-end", "2",
+            "--workers", "2", "--out", str(tmp_path)]
+    loaded = loaded_modules(
+        "import sys\nfrom dampedwave import cli\n"
+        f"assert cli.main({argv!r}) == cli.EXIT_OK"
+    )
+    pools = {m for m in loaded if m.split(".")[0] in ("concurrent", "multiprocessing")}
+    assert not pools, sorted(pools)
 
 
 @pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib_fallback"])

@@ -12,10 +12,11 @@ stem>.validate.txt):
 - semilinear_toggle.cfg, semilinear_demo.cfg with u0_amplitude = 0.12,
   keeps |u|^p until t ~ 25 and skips it as negligible after that.
 Then it runs the sweep_pxI0 command line of the change's bench/common.py
-three times: with --workers 2 (one pool process and the calling process,
-outputs named sweep_pxI0), with --workers 3 (two pool processes and the
-calling process, sweep_pxI0_workers3) and with --workers 1 (the
-in-process map, sweep_pxI0_workers1). Last it runs ERROR_SWEEP, a small
+three times: with --workers 2 (the calling process and one it forks,
+sharing the ticket pipe of cells; outputs named sweep_pxI0), with
+--workers 3 (the calling process and two forked ones,
+sweep_pxI0_workers3) and with --workers 1 (the in-process map,
+sweep_pxI0_workers1). Last it runs ERROR_SWEEP, a small
 sweep whose cells end in error tokens (outputs named sweep_errors): its
 p = 0.5 row fails the power check, and its V0 = 5e-324 leaves V zero
 off the core, so no data there can be scaled to a positive I0.
@@ -47,7 +48,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 SWEEP_WORKLOAD = "sweep_pxI0"
 # the benchmark sweep's --workers values and output names: the calling
-# process with a pool of one and of two processes, and the in-process map
+# process with one and with two forked processes, and the in-process map
 SWEEPS = {"2": SWEEP_WORKLOAD, "3": f"{SWEEP_WORKLOAD}_workers3",
           "1": f"{SWEEP_WORKLOAD}_workers1"}
 # dampedwave sweep options whose cells give error(ConfigError),
