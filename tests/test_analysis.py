@@ -306,21 +306,26 @@ class TestSweep:
         assert all(o in ("decayed_at_rate", "bounded") for o in outcomes[0])
         assert_no_child_left()
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_tokens_come_back_in_cell_order(self, workers, tmp_path, monkeypatch):
-        # the caller's cell ends after the forked processes have marched
-        # every other cell; each cell is marched once
+    @pytest.mark.parametrize("ends_last", [0, 2, 6])
+    def test_tokens_come_back_in_cell_order(self, ends_last, tmp_path, monkeypatch):
+        # on 3 processes, a cell of the caller returns only once ends_last
+        # cells are logged (0: no wait; 6: the caller's one cell ends last);
+        # each cell is marched once, whichever process ends first
         log = tmp_path / "cells.log"
-        caller = stand_in_cells(monkeypatch, log, caller_ends_last=6)
+        caller = stand_in_cells(monkeypatch, log, caller_ends_last=ends_last)
         base = sweep_spec(t_end=2.0, dx=0.1)
-        outcomes = dw.semilinear_sweep(base, [3.0, 11.0], [1e-4, 1e-3, 1e-2], workers=workers)
+        outcomes = dw.semilinear_sweep(base, [3.0, 11.0], [1e-4, 1e-3, 1e-2], workers=3)
         tokens = (("3.0:0.0001", "3.0:0.001", "3.0:0.01"),
                   ("11.0:0.0001", "11.0:0.001", "11.0:0.01"))
         assert outcomes == tokens
         cells = marched(log)
         assert sorted(token for _pid, token in cells) == sorted(tokens[0] + tokens[1])
-        assert [pid for pid, _token in cells].count(caller) == 1
-        assert 2 <= len({pid for pid, _token in cells}) <= workers
+        pids = [pid for pid, _token in cells]
+        assert len(set(pids)) <= 3
+        if ends_last:
+            assert caller in pids and len(set(pids)) >= 2
+        if ends_last == 6:
+            assert pids.count(caller) == 1
         assert_no_child_left()
 
     def test_each_cell_of_a_shared_ticket_is_marched_once(self, tmp_path, monkeypatch):
