@@ -10,19 +10,19 @@ windows at t = 10).
 
 A semilinear sweep is a base RunSpec and a cell is a (spec, I0) pair:
 the base with |u|^p, its data rescaled to I0. The power does not enter
-the problem, so each process builds the base's linear RunConfig once,
-as `dampedwave run` does, and a cell replaces its data and its power.
-The cells are ordered p-major, and the sweep returns their outcome
-tokens as a matrix, one row per p. With N workers, the calling process
-forks N - 1 processes after building its base, and all N take cells
-from one pipe of tickets, each ticket a 4-byte index of a block of
-consecutive cells (one cell per ticket up to TICKETS cells); the
-kernel's pipe lock hands a ticket to one reader only. A forked process
-sends back its tokens, or the exception a cell raised, pickled through
-a pipe of its own. A cell's outcome reads only ||u|| and the energy
-norm, so it marches without history (solver.RunConfig.history = False)
-under the Recorder `dampedwave run` uses; the columns that need history
-are NaN.
+the problem, so each process builds the base's linear RunConfig once, as
+`dampedwave run` does, and a cell replaces its power and its data,
+scaled by the base's norms. The cells are ordered p-major, and the sweep
+returns their outcome tokens as a matrix, one row per p. With N workers,
+the calling process forks N - 1 processes after building its base, and
+all N take cells from one pipe of tickets, each ticket a 4-byte index of
+a block of consecutive cells (one cell per ticket up to TICKETS cells);
+the kernel's pipe lock hands a ticket to one reader only. A forked
+process sends back its tokens, or the exception a cell raised and its
+traceback's text, pickled through a pipe of its own. A cell's outcome
+reads only ||u|| and the energy norm, so it marches without history
+(solver.RunConfig.history = False) under the Recorder `dampedwave run`
+uses; the columns that need history are NaN.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import config as cfg
 from . import solver
-from .coefficients import CoefficientProfile, InitialData, compute_data_norms
+from .coefficients import DataNorms, InitialData
 from .diagnostics import EnergyRecord, Recorder
 from .errors import ConfigError, FitError, HypothesisError
 
@@ -134,23 +134,20 @@ DECAY_EXPONENT_GATE = -0.4
 
 
 def scale_data_to_i0(
-    data: InitialData, profile: CoefficientProfile, target_i0: float
+    data: InitialData, norms: DataNorms | None, target_i0: float
 ) -> InitialData:
     """Rescale both data fields so the combined norm I0 hits the target
-    (I0 is 1-homogeneous in the data); HypothesisError where the data's
-    own I0 is zero or undefined (V vanishes on the grid) and target > 0,
-    and where target^2 leaves float range (the scaled data's squared
-    norms, and so E_u, would too)."""
+    (I0 is 1-homogeneous in the data), given the data's own norms
+    (solver.RunConfig.norms); HypothesisError where target > 0 and I0 is
+    zero or undefined (norms None), and where target^2 leaves float range
+    (the scaled data's squared norms, and so E_u, would too)."""
     if not (0.0 <= target_i0 and target_i0 * target_i0 < math.inf):
         raise HypothesisError(f"target I0 must be nonnegative with its square in float range, "
                               f"got {target_i0}")
-    if target_i0 == 0.0:
-        zeros = np.zeros_like(data.u0)
-        return InitialData(zeros, zeros, data.support_radius)
-    unit = compute_data_norms(data, profile).I0
-    if unit == 0.0:
-        raise HypothesisError("cannot rescale identically zero data to a positive I0")
-    s = target_i0 / unit
+    if target_i0 > 0.0 and (norms is None or norms.I0 == 0.0):
+        raise HypothesisError("cannot rescale data whose I0 is zero or undefined (V vanishes "
+                              "somewhere on the grid) to a positive I0")
+    s = target_i0 / norms.I0 if target_i0 > 0.0 else 0.0
     return InitialData(data.u0 * s, data.u1 * s, data.support_radius)
 
 
@@ -182,9 +179,10 @@ def classify_outcome(result: solver.RunResult, t_end: float) -> str:
 
 
 @lru_cache(maxsize=1)
-def _base_run(linear: cfg.RunSpec) -> solver.RunConfig:
+def base_run(linear: cfg.RunSpec) -> solver.RunConfig:
     """A sweep's base: the RunConfig, without history, of its spec without
-    the power; each cell is this config with its own data and power."""
+    the power; each cell is this config with its own data and power.
+    Cached, so a caller that checks the base first does not build it twice."""
     profile, data = cfg.build_problem(linear)
     solver.check_semilinear_support(data, profile)
     return replace(cfg.run_config_from_spec(linear, profile, data), history=False)
@@ -195,8 +193,8 @@ def _sweep_cell(cell: tuple[cfg.RunSpec, float]) -> str:
     a cell that fails its checks becomes error(<exception name>)."""
     spec, i0 = cell
     try:
-        base = _base_run(replace(spec, nonlinearity=cfg.NonlinearitySpec()))
-        data = scale_data_to_i0(base.data, base.profile, i0)
+        base = base_run(replace(spec, nonlinearity=cfg.NonlinearitySpec()))
+        data = scale_data_to_i0(base.data, base.norms, i0)
         run_config = replace(base, data=data, p=spec.nonlinearity.p)
         return classify_outcome(solver.run(run_config, Recorder(base.profile, None, data, None)),
                                 spec.time.t_end)
@@ -204,13 +202,19 @@ def _sweep_cell(cell: tuple[cfg.RunSpec, float]) -> str:
         return f"error({type(exc).__name__})"
 
 
+class _RemoteTraceback(Exception):
+    """The traceback of an exception raised in a forked process, as text."""
+
+
 def _forked_map(fn, cells: list, workers: int) -> list:
     """[fn(cell) for cell in cells] on this process and workers - 1 forked
     ones, which share one pipe of tickets (module docstring). A cell that
     raises drains the pipe, so no process starts another cell, and its
-    exception reaches the caller; a forked process that ends without its
-    tokens, or with a nonzero status, raises RuntimeError. Every forked
-    process is waited for before this returns or raises."""
+    exception reaches the caller; from a forked process it is chained
+    from a _RemoteTraceback holding that process's traceback. A forked
+    process that ends without its tokens, or with a nonzero status,
+    raises RuntimeError. Every forked process is waited for before this
+    returns or raises."""
     block = -(-len(cells) // TICKETS)  # cells per ticket
     tickets, feed = os.pipe()
     os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(-(-len(cells) // block))))
@@ -243,7 +247,8 @@ def _forked_map(fn, cells: list, workers: int) -> list:
                         payload = march()
                     except BaseException as exc:
                         drain()
-                        payload = exc
+                        import traceback  # only a failing process needs it
+                        payload = exc, "".join(traceback.format_exception(exc))
                     with os.fdopen(writer, "wb") as out:
                         out.write(pickle.dumps(payload))
                     status = 0
@@ -266,8 +271,8 @@ def _forked_map(fn, cells: list, workers: int) -> list:
             raise RuntimeError(f"sweep process {pid} ended with {end}"
                                + ("" if payload else " and no tokens"))
         payload = pickle.loads(payload)
-        if isinstance(payload, BaseException):
-            raise payload
+        if isinstance(payload, tuple):  # (exception, its traceback's text)
+            raise payload[0] from _RemoteTraceback(payload[1])
         done.update(payload)
     return [done[i] for i in range(len(cells))]
 
@@ -296,7 +301,7 @@ def semilinear_sweep(
     if spec.potential.beta is None:
         raise ConfigError(f"a sweep needs a potential with beta, got {spec.potential.family!r}")
     # built here, before the fork, so a forked process inherits it
-    _base_run(replace(spec, nonlinearity=cfg.NonlinearitySpec()))
+    base_run(replace(spec, nonlinearity=cfg.NonlinearitySpec()))
     cells = [(replace(spec, nonlinearity=cfg.NonlinearitySpec("power", p)), i0)
              for p in p_values for i0 in I0_values]
     workers = min(workers, len(cells))

@@ -9,8 +9,8 @@ Exit-status contract (stable for harnesses):
     2  validation failure (hypothesis or configuration problems, a
        config that is not UTF-8 text, a grid wider than a float or with
        more nodes than numpy can address, a C* solve out of float range,
-       a t_end below 1e-8 of the CFL step); validate and sweep refuse
-       every config that run refuses
+       a CFL step that rounds to 0, a t_end below 1e-8 of the CFL step);
+       validate and sweep refuse every config that run refuses
     3  runtime instability
 
 Every run emits one CSV time series (17 significant digits, columns
@@ -29,7 +29,8 @@ A sweep is a base RunSpec built from its flags, each (p, I0) cell built as
 (base_config), so the manifest alone reruns it. --workers N has N
 processes march the cells, this one included: it forks N - 1 and all N
 take the cells one ticket at a time from one pipe (analysis). The output
-directory of run and sweep is made before the march.
+directory of run and sweep is made after the config or sweep base is
+checked and before the march, so a refused one leaves no directory.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def cmd_validate(args) -> int:
     try:
         spec, _raw = cfg.load_config(args.config)
         run = cfg.run_config_from_spec(spec, *cfg.build_problem(spec))
-        report, estimate, _mc, _norms = runner.prepare_constants(run.profile, run.data)
+        report, estimate, _mc = runner.prepare_constants(run.profile)
     except _VALIDATION_ERRORS as exc:
         print(f"INVALID: {exc}")
         return EXIT_VALIDATION
@@ -281,8 +282,9 @@ def cmd_sweep(args) -> int:
         data=cfg.DataSpec(u0=cfg.FieldSpec("gaussian", amplitude=1.0, width=0.75)),
         time=cfg.TimeSpec(t_end=args.t_end),
     )
-    out = _out_dir(args.out)  # an unusable --out fails before the cells
     try:
+        analysis.base_run(spec)  # a base invalid for every cell makes no --out
+        out = _out_dir(args.out)  # an unusable --out fails before the cells
         outcomes = analysis.semilinear_sweep(spec, p_values, i0_values, workers=args.workers)
     except _VALIDATION_ERRORS as exc:
         print(f"invalid sweep configuration: {exc}", file=sys.stderr)

@@ -26,16 +26,22 @@ this order by 2.5e-10. Per step the two forms agree within a few unit
 roundoffs of the stencil's values.
 
 Stability: dt <= cfl * dx / sqrt(1 + max(V) dx^2 / 4), the leapfrog bound
-adjusted for the zeroth-order term.
+adjusted for the zeroth-order term. Decay is not uniform in dx: grid-scale
+modes stay in the undamped core. With linear_demo's coefficients on
+[-6, 6] their rate is 4.7e-2, 1.8e-2 and 7.1e-3 at dx = 0.25, 0.125 and
+0.0625, the resolved modes' 0.377 (tests/test_solver.py).
 
-Domains are sized so no signal reaches the boundary before t_end
-(unit propagation speed), making homogeneous Dirichlet truncation exact
-to machine precision for compactly supported data.
+Auto grids (domain_for_radius) keep signals off the boundary before t_end,
+so Dirichlet truncation is exact for compact data; linear_demo's explicit
+[-60, 60] window reaches its ends at t = 44.4.
 
-Validity. A RunConfig is valid by construction: building one raises
-ConfigError on any input run() could not march, so run() checks nothing.
-Building it also derives the march's dt and n_steps and whether it is
-even (Mirror symmetry), which run() reads.
+Validity. A RunConfig is valid by construction, so run() checks nothing:
+building one raises ConfigError on data off the grid, V or a not finite,
+t_end not in (0, inf), u0 or u1 not finite or beyond BLOWUP_THRESHOLD, cfl
+not in (0, 1), a CFL step of 0 or above t_end / MIN_T_END_CFL_FRACTION,
+record_every < 1, p not in (1, inf) or p with data not beyond the core,
+and HypothesisError on data norms beyond float range. It derives dt,
+n_steps, mirrored and the data norms I0 (None unless V > 0 on every node).
 
 History. The accumulated field v = int_0^t u ds and the cumulative
 integrals int_0^t int a u_t^2 (dissipation_cum) and int_0^t int a u^2
@@ -87,7 +93,7 @@ sq = dot(u, u) over the block, which bounds max|u|^2 by sq (1 + 1e-6)
 (the margin covers the dot product's rounding): sq <= 1e16 (1 - 1e-6)
 proves max|u| <= 1e8, and nan or inf fail it. Only a block that fails
 the screen gets the exact max/min test. Level 0 is not screened:
-RunConfig refuses u0 beyond BLOWUP_THRESHOLD instead.
+RunConfig refuses u0 and u1 beyond BLOWUP_THRESHOLD instead.
 
 Negligible forcing. The same sq decides whether the next step needs its
 forcing. With M = max|u^k| and cf_max the largest cf, the forcing at
@@ -149,7 +155,7 @@ import numpy as np
 # add to it on every call
 from numpy import absolute, add, divide, dot, multiply, power, square, subtract
 
-from .coefficients import CoefficientProfile, Grid, InitialData
+from .coefficients import CoefficientProfile, DataNorms, Grid, InitialData, compute_data_norms
 from .errors import ConfigError
 
 BLOWUP_THRESHOLD = 1e8
@@ -187,11 +193,12 @@ class RunConfig:
     p: float | None = None  # power nonlinearity |u|^p; None = linear
     record_every: int = 10
     history: bool = True  # keep v and the cumulative integrals (History)
-    # derived once by __post_init__: the march's step and length, and
-    # whether it marches only x >= 0 (Mirror symmetry)
+    # derived once by __post_init__ (Validity): the march's step and length,
+    # whether it marches only x >= 0, and the data norms (None unless V > 0)
     dt: float = field(init=False)
     n_steps: int = field(init=False)
     mirrored: bool = field(init=False)
+    norms: DataNorms | None = field(init=False)
 
     def __post_init__(self):
         # conformity and finiteness first: a NaN V never reaches cfl_timestep
@@ -201,10 +208,12 @@ class RunConfig:
             raise ConfigError("potential and damping must be finite on the grid")
         if not 0.0 < self.t_end < math.inf:
             raise ConfigError("t_end must be positive and finite")
-        peak = max(float(self.data.u0.max()), -float(self.data.u0.min()))
-        if peak > BLOWUP_THRESHOLD:
-            raise ConfigError(f"initial data max|u0| = {peak:.6g} exceeds the blowup "
-                              f"threshold {BLOWUP_THRESHOLD:g}")
+        for name, f in (("u0", self.data.u0), ("u1", self.data.u1)):
+            peak = max(float(f.max()), -float(f.min()))  # NaN if f holds one
+            if not peak <= BLOWUP_THRESHOLD:
+                raise ConfigError(f"initial data max|{name}| = {peak:.6g} " + (
+                    "is not a number" if math.isnan(peak)
+                    else f"exceeds the blowup threshold {BLOWUP_THRESHOLD:g}"))
         dt0 = cfl_timestep(self.profile, self.cfl)
         if self.t_end < MIN_T_END_CFL_FRACTION * dt0:
             raise ConfigError(f"t_end = {self.t_end:.6g} is below {MIN_T_END_CFL_FRACTION:g} "
@@ -220,6 +229,8 @@ class RunConfig:
         object.__setattr__(self, "n_steps", n_steps)
         object.__setattr__(self, "dt", self.t_end / n_steps)
         object.__setattr__(self, "mirrored", _is_even(self))
+        object.__setattr__(self, "norms", compute_data_norms(self.data, self.profile)
+                           if np.all(self.profile.V > 0.0) else None)
 
 
 @dataclass(frozen=True)
@@ -256,7 +267,10 @@ def cfl_timestep(profile: CoefficientProfile, cfl: float) -> float:
         raise ConfigError(f"Courant factor must lie in (0, 1), got {cfl}")
     dx = profile.grid.dx
     vmax = float(np.max(profile.V))
-    return cfl * dx / math.sqrt(1.0 + vmax * dx * dx / 4.0)
+    dt = cfl * dx / math.sqrt(1.0 + vmax * dx * dx / 4.0)
+    if not dt > 0.0:  # max(V) dx^2 overflows
+        raise ConfigError(f"the CFL step rounds to {dt:g}: dx = {dx:g} with max V = {vmax:g}")
+    return dt
 
 
 # Floating-point errors the march lets pass: |u|^p may overflow to inf,

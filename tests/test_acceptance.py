@@ -68,7 +68,7 @@ def semilinear_lab(t_end):
     profile = example1_profile(grid)
     data = dw.make_initial_data(grid, dw.gaussian_bump(grid, 1.0, 0.75),
                                 np.zeros(grid.n_nodes))
-    data = analysis.scale_data_to_i0(data, profile, 9e-4)
+    data = analysis.scale_data_to_i0(data, dw.compute_data_norms(data, profile), 9e-4)
     config = solver.RunConfig(profile=profile, data=data, t_end=t_end,
                               cfl=0.9, p=11.0, record_every=10)
     return runner.execute(config)

@@ -178,7 +178,7 @@ class TestDataScaling:
         grid = profile.grid
         data = dw.make_initial_data(grid, dw.gaussian_bump(grid, 1.0, 0.75),
                                     np.zeros(grid.n_nodes))
-        scaled = scale_data_to_i0(data, profile, 9e-4)
+        scaled = scale_data_to_i0(data, dw.compute_data_norms(data, profile), 9e-4)
         assert dw.compute_data_norms(scaled, profile).I0 == pytest.approx(9e-4, rel=1e-12)
 
     def test_zero_target(self):
@@ -186,7 +186,7 @@ class TestDataScaling:
         grid = profile.grid
         data = dw.make_initial_data(grid, dw.gaussian_bump(grid, 1.0, 0.75),
                                     np.zeros(grid.n_nodes))
-        z = scale_data_to_i0(data, profile, 0.0)
+        z = scale_data_to_i0(data, dw.compute_data_norms(data, profile), 0.0)
         assert np.all(z.u0 == 0.0) and np.all(z.u1 == 0.0)
 
     def test_zero_data_cannot_reach_positive_target(self):
@@ -194,7 +194,7 @@ class TestDataScaling:
         grid = profile.grid
         data = dw.make_initial_data(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes))
         with pytest.raises(HypothesisError):
-            scale_data_to_i0(data, profile, 1e-3)
+            scale_data_to_i0(data, dw.compute_data_norms(data, profile), 1e-3)
 
     @pytest.mark.parametrize("target", [math.nan, math.inf])
     def test_non_finite_target_rejected(self, target):
@@ -203,7 +203,7 @@ class TestDataScaling:
         data = dw.make_initial_data(grid, dw.gaussian_bump(grid, 1.0, 0.75),
                                     np.zeros(grid.n_nodes))
         with pytest.raises(HypothesisError):
-            scale_data_to_i0(data, profile, target)
+            scale_data_to_i0(data, dw.compute_data_norms(data, profile), target)
 
 
 class CellFailed(Exception):
@@ -373,6 +373,22 @@ class TestSweep:
         assert sorted(pid == caller for pid, _token in marched(log)) == [False, True]
         assert_no_child_left()
 
+    def test_a_forked_cell_exception_carries_its_traceback(self, tmp_path, monkeypatch):
+        # the caller re-raises the cell's KeyError chained from the text of
+        # the forked process's traceback, which names the raising line
+        def key_missing():
+            raise KeyError("only in a forked process")
+
+        stand_in_cells(monkeypatch, tmp_path / "cells.log", fail=key_missing,
+                       caller_ends_last=2)
+        with pytest.raises(KeyError, match="only in a forked process") as raised:
+            dw.semilinear_sweep(sweep_spec(t_end=2.0, dx=0.1), [3.0], [1e-4, 1e-3], workers=2)
+        cause = raised.value.__cause__
+        assert type(cause) is analysis._RemoteTraceback
+        assert ', in key_missing\n    raise KeyError("only in a forked process")\n' in str(cause)
+        assert str(cause).endswith("KeyError: 'only in a forked process'\n")
+        assert_no_child_left()
+
     def test_a_forked_process_ending_without_tokens_raises(self, tmp_path, monkeypatch):
         stand_in_cells(monkeypatch, tmp_path / "cells.log", fail=lambda: os._exit(3),
                        caller_ends_last=2)
@@ -447,12 +463,12 @@ class TestSweep:
                             lambda self: checked.append(self.p) or check(self))
         monkeypatch.setattr(analysis.solver, "run",
                             lambda config, hook: marched.append(config) or march(config, hook))
-        analysis._base_run.cache_clear()
+        analysis.base_run.cache_clear()
         base = sweep_spec(t_end=2.0, dx=0.1)
         dw.semilinear_sweep(power(base, 5.0), [3.0, 11.0], [1e-4, 1e-3], workers=1)
         assert built == [base] and configured == [base]
         assert checked == [None, None, 3.0, 3.0, 11.0, 11.0]
-        profile = analysis._base_run(base).profile
+        profile = analysis.base_run(base).profile
         assert all(config.profile is profile and not config.history for config in marched)
         assert [config.p for config in marched] == [3.0, 3.0, 11.0, 11.0]
         peaks = [config.data.u0.max() for config in marched]

@@ -510,31 +510,57 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")
     def test_data_norms_beyond_float_range_exit_2(self, tmp_path, capsys):
-        # u1 = 1e300: a u0 that large is beyond the blowup threshold
-        # already, and semilinear_demo's auto domain refuses it too
-        config = edited_config(tmp_path, "linear_demo",
-                               u1_kind="gaussian\nu1_amplitude = 1e300\nu1_width = 1.5")
-        message = "initial data's l2_norm_u1 needs its square in float range, got inf\n"
+        # data far below the blowup threshold whose (u1 + a u0)^2 / V
+        # overflows where V ~ 1e-300: refused before --out is made
+        config = edited_config(tmp_path, "linear_demo", V0="1e-300", u0_amplitude="1e5")
+        message = "initial data's weighted_norm needs its square in float range, got inf\n"
+        out = tmp_path / "out"
         assert cli.main(["validate", str(config)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().out == f"INVALID: {message}"
-        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
+        assert cli.main(["run", str(config), "--out", str(out)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"invalid run configuration: {message}"
-        assert list(tmp_path.glob("*.csv")) == []
+        assert not out.exists()
 
     def test_data_beyond_the_blowup_threshold_exits_2(self, tmp_path, capsys):
-        # level 0 is never screened: such data would stop the march at once
-        config = edited_config(tmp_path, "linear_demo", u0_amplitude="1e9")
-        message = "initial data max|u0| = 1e+09 exceeds the blowup threshold 1e+08\n"
-        assert cli.main(["validate", str(config)]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().out == f"INVALID: {message}"
-        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == f"invalid run configuration: {message}"
-        assert list(tmp_path.glob("*.csv")) == []
+        # level 0 is never screened: such data would stop the march at once;
+        # u1 is screened by the same rule as u0
+        messages = {
+            "initial data max|u0| = 1e+09 exceeds the blowup threshold 1e+08\n":
+                {"u0_amplitude": "1e9"},
+            "initial data max|u1| = 1e+12 exceeds the blowup threshold 1e+08\n":
+                {"u1_kind": "gaussian\nu1_amplitude = 1e12\nu1_width = 1.5"}}
+        out = tmp_path / "out"
+        for message, edits in messages.items():
+            config = edited_config(tmp_path, "linear_demo", **edits)
+            assert cli.main(["validate", str(config)]) == cli.EXIT_VALIDATION
+            assert capsys.readouterr().out == f"INVALID: {message}"
+            assert cli.main(["run", str(config), "--out", str(out)]) == cli.EXIT_VALIDATION
+            assert capsys.readouterr().err == f"invalid run configuration: {message}"
+            assert not out.exists()
         argv = ["sweep", "--p", "3", "--i0", "1,1e12", "--dx", "0.1", "--t-end", "2",
                 "--workers", "1", "--out", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_OK
         assert (tmp_path / "sweep.csv").read_text() == (
             "p\\I0,1,1000000000000\n3,bounded,error(ConfigError)\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_cfl_step_that_rounds_to_0_exits_2(self, command, tmp_path, capsys):
+        # max(V) dx^2 overflows, so the CFL step is 0; the coefficient
+        # builders warn of their own overflows on such a grid
+        config = edited_config(tmp_path, "linear_demo", x_min="-1e160", x_max="1e160",
+                               n_cells="4")
+        out = tmp_path / "out"
+        argv, dx = {"validate": (["validate", str(config)], "5e+159"),
+                    "run": (["run", str(config), "--out", str(out)], "5e+159"),
+                    "sweep": (["sweep", "--p", "3", "--i0", "1", "--dx", "1e200",
+                               "--t-end", "1e200", "--workers", "1", "--out", str(out)],
+                              "1e+200")}[command]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        printed = capsys.readouterr()
+        assert (printed.out + printed.err).endswith(
+            f"the CFL step rounds to 0: dx = {dx} with max V = 0.02\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_output_dir_is_checked_before_the_march(self, command, demo_config, tmp_path,

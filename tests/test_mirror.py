@@ -51,7 +51,7 @@ class TestWhichRunsMirror:
         # marched for a short while
         base = sweep_spec(dx=0.02, t_end=40.0)
         profile, data = cfg.build_problem(base)
-        data = analysis.scale_data_to_i0(data, profile, 1.0)
+        data = analysis.scale_data_to_i0(data, dw.compute_data_norms(data, profile), 1.0)
         assert_even_problem(profile.grid, profile, data)
         config = solver.RunConfig(profile=profile, data=data, t_end=0.5, p=11.0,
                                   record_every=base.time.record_every, history=False)

@@ -158,3 +158,18 @@ def test_off_centre_copy_moves_only_the_data_centre(tmp_path):
 def test_toggle_copy_raises_only_the_amplitude(tmp_path):
     assert changed_lines(tmp_path, "semilinear_toggle.cfg") == [
         ("u0_amplitude = 0.00012", "u0_amplitude = 0.12")]
+
+
+def test_refused_copies_exit_2_and_leave_no_out(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    codes = same_outputs.probe_refusals(ROOT, out)
+    assert codes == {f"{command} {name}": 2 for name in same_outputs.REFUSED
+                     for command in ("validate", "run")}
+    for name in same_outputs.REFUSED:
+        lines = (out / f"{Path(name).stem}.refused.txt").read_text().splitlines()
+        assert [line.split(";")[0] for line in lines] == [
+            "validate: exit 2", "run: exit 2", "run --out left: no"]
+        assert "; stdout 'INVALID: " in lines[0].replace('"', "'")
+        assert "; stderr 'invalid run configuration: " in lines[1].replace('"', "'")
+    assert not (tmp_path / "out-refused").exists()

@@ -266,14 +266,31 @@ class TestRunControl:
         assert seen and all(err["over"] == "raise" for err in seen)
 
     def test_instability_signal_for_bad_linear_field(self):
+        # a NaN datum is refused; finite data just below the blowup
+        # threshold leave it in the first step, and the march says so
         grid = dw.Grid(-10.0, 10.0, 200)
         profile = example1_profile(grid)
         bad = np.zeros(grid.n_nodes)
         bad[50] = np.nan
-        data = dw.InitialData(bad, np.zeros(grid.n_nodes), 5.0)
+        for nan_data in (dw.InitialData(bad, np.zeros(grid.n_nodes), 5.0),
+                         dw.InitialData(np.zeros(grid.n_nodes), bad, 5.0)):
+            with pytest.raises(ConfigError, match=r"max\|u[01]\| = nan is not a number"):
+                solver.RunConfig(profile=profile, data=nan_data, t_end=1.0)
+        bump = dw.polynomial_bump(grid, 1.0, 3.0)
+        data = dw.make_initial_data(grid, 0.99e8 * bump, 1e8 * bump)
         result = solver.run(solver.RunConfig(profile=profile, data=data, t_end=1.0))
-        assert result.termination.kind == solver.INSTABILITY
-        assert result.termination.time is not None
+        assert result.termination == solver.Termination(solver.INSTABILITY, time=result.dt)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_run_config_holds_the_data_norms(self, path):
+        # derived once, where V > 0 on every node; freewave_demo has V = 0
+        spec, _raw = cfg.load_config(str(path))
+        profile, data = cfg.build_problem(spec)
+        norms = cfg.run_config_from_spec(spec, profile, data).norms
+        if path.stem == "freewave_demo":
+            assert norms is None
+        else:
+            assert norms == dw.compute_data_norms(data, profile)
 
 
 def oracle_levels(config, dt, n_levels, mirrored=False):
@@ -783,10 +800,48 @@ class TestDrawnSpecs:
         # the test strategy draws only specs the march accepts; the
         # rejection of R <= L itself is test_semilinear_needs_support_beyond_core
         profile, data = cfg.build_problem(spec)
-        result = solver.run(cfg.run_config_from_spec(spec, profile, data))
+        config = cfg.run_config_from_spec(spec, profile, data)
+        assert config.norms == (dw.compute_data_norms(data, profile)
+                                if np.all(profile.V > 0.0) else None)
+        result = solver.run(config)
         assert result.termination.kind in (solver.COMPLETED, solver.BLOWUP)
         final = result.final_state
         assert math.isfinite(final.dissipation_cum) and math.isfinite(final.au2_cum)
+
+
+def semi_discrete_rates(dx):
+    """-Re and |Im| of the eigenvalues of u'' + a u' + (-D2 + V) u = 0 on
+    [-6, 6] with linear_demo's coefficients, Dirichlet ends, by
+    numpy.linalg.eigvals of the first-order system."""
+    grid = dw.Grid(-6.0, 6.0, round(12.0 / dx))
+    profile = example1_profile(grid)
+    n = grid.n_nodes - 2
+    off = np.ones(n - 1)
+    stiffness = (2.0 * np.eye(n) - np.diag(off, 1) - np.diag(off, -1)) / dx**2
+    stiffness += np.diag(profile.V[1:-1])
+    system = np.block([[np.zeros((n, n)), np.eye(n)],
+                       [-stiffness, -np.diag(profile.a[1:-1])]])
+    eigenvalues = np.linalg.eigvals(system)
+    return -eigenvalues.real, np.abs(eigenvalues.imag)
+
+
+class TestTrappedGridModes:
+    """The solver docstring's Stability limitation: grid-scale modes in the
+    undamped core decay at a rate that falls with dx, resolved ones do not."""
+
+    def test_high_frequency_rate_falls_with_dx_resolved_rate_holds(self):
+        high, resolved = [], []
+        for dx in (0.25, 0.125, 0.0625):  # 47, 95 and 191 interior nodes
+            rate, frequency = semi_discrete_rates(dx)
+            high.append(rate[frequency > 1.0 / dx].min())
+            resolved.append(rate[(frequency > 1.0) & (frequency < 3.0)].min())
+        # 4.737e-2, 1.846e-2, 7.13e-3 and 0.37727, 0.37719, 0.37743
+        assert high[0] == pytest.approx(4.737e-2, rel=1e-3)
+        assert resolved[0] == pytest.approx(0.37727, rel=1e-4)
+        for coarse, fine in zip(high, high[1:]):
+            assert fine <= coarse / 2.0
+        for coarse, fine in zip(resolved, resolved[1:]):
+            assert abs(fine - coarse) < 0.01 * coarse
 
 
 def window_bad(u):
@@ -837,15 +892,15 @@ def sweep_cell_config(p, i0, record_every=10):
     spec = dataclasses.replace(sweep_spec(dx=0.02, t_end=40.0),
                                nonlinearity=cfg.NonlinearitySpec("power", p))
     profile, data = cfg.build_problem(spec)
-    data = analysis.scale_data_to_i0(data, profile, i0)
+    data = analysis.scale_data_to_i0(data, dw.compute_data_norms(data, profile), i0)
     config = cfg.run_config_from_spec(spec, profile, data)
     return dataclasses.replace(config, record_every=record_every)
 
 
 def recorded_run(config):
     """solver.run under the Recorder `dampedwave run` attaches."""
-    _report, _estimate, mc, norms = runner.prepare_constants(config.profile, config.data)
-    return solver.run(config, dw.Recorder(config.profile, mc, config.data, norms))
+    _report, _estimate, mc = runner.prepare_constants(config.profile)
+    return solver.run(config, dw.Recorder(config.profile, mc, config.data, config.norms))
 
 
 def run_bits(result):

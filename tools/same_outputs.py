@@ -19,7 +19,11 @@ sweep_pxI0_workers3) and with --workers 1 (the in-process map,
 sweep_pxI0_workers1). Last it runs ERROR_SWEEP, a small
 sweep whose cells end in error tokens (outputs named sweep_errors): its
 p = 0.5 row fails the power check, and its V0 = 5e-324 leaves V zero
-off the core, so no data there can be scaled to a positive I0.
+off the core, so no data there can be scaled to a positive I0. Then,
+for each REFUSED copy of linear_demo.cfg, it runs validate and run
+--out into a directory not made yet, and writes <copy stem>.refused.txt:
+the exit statuses, the last line each command printed to stdout and to
+stderr, and whether run left that directory behind.
 It prints one line per output file: "identical" when the bytes agree;
 for a CSV that differs, the column with the largest relative difference
 and the number of cells that differ; for a JSON file (and the JSON
@@ -55,11 +59,22 @@ SWEEPS = {"2": SWEEP_WORKLOAD, "3": f"{SWEEP_WORKLOAD}_workers3",
 # error(HypothesisError) and bounded tokens, and the outputs' name
 ERROR_SWEEP = (["--p", "0.5,3", "--i0", "0,1e-3", "--V0", "5e-324", "--dx", "0.1",
                 "--t-end", "2", "--workers", "2"], "sweep_errors")
-# copies of a committed config with one line changed, by file name: the
-# config, the key and its new value
+# copies of a committed config with lines changed, by file name: the
+# config and, by key, the new text after "key = " (a newline in it adds
+# lines after the key's)
 DERIVED = {
-    "linear_offcentre.cfg": ("linear_demo.cfg", "u0_center", "0.5"),
-    "semilinear_toggle.cfg": ("semilinear_demo.cfg", "u0_amplitude", "0.12"),
+    "linear_offcentre.cfg": ("linear_demo.cfg", {"u0_center": "0.5"}),
+    "semilinear_toggle.cfg": ("semilinear_demo.cfg", {"u0_amplitude": "0.12"}),
+}
+# copies that validate and run must refuse (exit 2) without making --out:
+# u1 beyond the blowup threshold, a weighted data norm beyond float range
+# (V ~ 1e-300), and a grid whose CFL step rounds to 0
+REFUSED = {
+    "refused_u1.cfg": ("linear_demo.cfg",
+                       {"u1_kind": "gaussian\nu1_amplitude = 1e12\nu1_width = 1.5"}),
+    "refused_weighted_norm.cfg": ("linear_demo.cfg", {"V0": "1e-300", "u0_amplitude": "1e5"}),
+    "refused_cfl.cfg": ("linear_demo.cfg", {"x_min": "-1e160", "x_max": "1e160",
+                                            "n_cells": "4"}),
 }
 
 
@@ -71,16 +86,17 @@ def sweep_args(checkout: Path) -> list[str]:
     return list(common.WORKLOADS[SWEEP_WORKLOAD]["sweep"])
 
 
-def derived_configs(checkout: Path, directory: Path) -> list[Path]:
-    """Write the DERIVED copies of the checkout's configs into directory;
-    returns their paths in DERIVED's order."""
+def derived_configs(checkout: Path, directory: Path, table: dict = DERIVED) -> list[Path]:
+    """Write the copies in table (DERIVED or REFUSED) of the checkout's
+    configs into directory; returns their paths in the table's order."""
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, (source, key, value) in DERIVED.items():
+    for name, (source, edits) in table.items():
         text = (checkout / "configs" / source).read_text()
-        text, count = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
-        if count != 1:
-            raise ValueError(f"{checkout}: {source} has {count} {key} lines, not one")
+        for key, value in edits.items():
+            text, count = re.subn(rf"(?m)^{key}\s*=.*$", f"{key} = {value}", text)
+            if count != 1:
+                raise ValueError(f"{checkout}: {source} has {count} {key} lines, not one")
         path = directory / name
         path.write_text(text)
         paths.append(path)
@@ -102,16 +118,42 @@ def commands(checkout: Path, out_dir: Path, sweep: list[str],
     return runs + validates + sweeps + [["sweep", *options, *out, "--name", name]]
 
 
-def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, int]:
-    """Run every command from checkout into out_dir; exit status by command."""
+def dampedwave(checkout: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    """`dampedwave <argv>` from checkout, with its src/ and one BLAS thread."""
     env = {k: v for k, v in os.environ.items() if k != "DAMPEDWAVE_OUT"}
     env.update(PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+
+
+def probe_refusals(checkout: Path, out_dir: Path) -> dict[str, int]:
+    """Run validate, and run with an --out that does not exist yet, on each
+    REFUSED copy; exit status by command. Writes <copy stem>.refused.txt
+    into out_dir: per command its exit status and the last lines of its
+    stdout and stderr, then whether run left its --out directory."""
+    configs = derived_configs(checkout, out_dir.with_name(f"{out_dir.name}-configs"), REFUSED)
+    codes = {}
+    for path in configs:
+        fresh = out_dir.with_name(f"{out_dir.name}-refused") / path.stem
+        lines = []
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(fresh)]):
+            proc = dampedwave(checkout, argv)
+            codes[f"{argv[0]} {path.name}"] = proc.returncode
+            last = [(text.strip().splitlines() or [""])[-1] for text in (proc.stdout, proc.stderr)]
+            lines.append(f"{argv[0]}: exit {proc.returncode}; stdout {last[0]!r}; "
+                         f"stderr {last[1]!r}")
+        lines.append(f"run --out left: {'yes' if fresh.exists() else 'no'}")
+        (out_dir / f"{path.stem}.refused.txt").write_text("\n".join(lines) + "\n")
+    return codes
+
+
+def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, int]:
+    """Run every command from checkout into out_dir; exit status by command."""
     out_dir.mkdir(parents=True, exist_ok=True)
     derived = derived_configs(checkout, out_dir.with_name(f"{out_dir.name}-configs"))
     codes = {}
     for argv in commands(checkout, out_dir, sweep, derived):
-        proc = subprocess.run([sys.executable, "-m", "dampedwave.cli", *argv], cwd=checkout,
-                              env=env, capture_output=True, text=True)
+        proc = dampedwave(checkout, argv)
         label = f"{argv[0]} {argv[-1] if argv[0] == 'sweep' else Path(argv[1]).name}"
         codes[label] = proc.returncode
         if argv[0] == "validate":  # exits 2 where a hypothesis fails
@@ -241,7 +283,8 @@ def main(argv=None) -> int:
     sweep = sweep_args(checkouts["change"])
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        codes = {side: write_outputs(checkouts[side], root / side, sweep) for side in SIDES}
+        codes = {side: write_outputs(checkouts[side], root / side, sweep)
+                 | probe_refusals(checkouts[side], root / side) for side in SIDES}
         results = compare_dirs(root / "parent", root / "change")
     failed = False
     for command in sorted(set(codes["parent"]) | set(codes["change"])):
