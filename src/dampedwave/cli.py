@@ -104,39 +104,41 @@ def _checks_json(report) -> list[dict]:
              "margin": _json_safe(c.margin)} for c in report.checks]
 
 
-def build_manifest(lab: runner.LabRun, raw_config: bytes, csv_name: str) -> dict:
-    run, estimate = lab.run_config, lab.c_star_estimate
-    profile = run.profile
+def build_manifest(lab: runner.LabRun, spec: cfg.RunSpec, raw_config: bytes,
+                   csv_name: str) -> dict:
+    run, estimate, result = lab.run_config, lab.c_star_estimate, lab.result
+    profile, norms, pot = run.profile, run.norms, spec.potential
+    c_star = estimate.c_star if estimate else None
     derived = {
-        "c_star": lab.c_star,
+        "c_star": c_star,
         "c_star_continuum": c_star_continuum(profile.L) if estimate else None,
-        "smallness_bound": (1.0 / (4.0 * lab.c_star)) if lab.c_star else None,
+        "smallness_bound": (1.0 / (4.0 * c_star)) if c_star else None,
         "c_star_iterations": estimate.iterations if estimate else None,
         "c_star_residual": estimate.residual if estimate else None,
         "c_star_edge_tail": estimate.edge_tail if estimate else None,
         "V_at_origin": profile.v_at_origin,
-        "I0": lab.norms.I0 if lab.norms else None,
-        **(asdict(lab.norms) if lab.norms else dict.fromkeys(f.name for f in fields(DataNorms))),
+        "I0": norms.I0 if norms else None,
+        **(asdict(norms) if norms else dict.fromkeys(f.name for f in fields(DataNorms))),
     }
     if lab.mc is not None:
-        derived.update(asdict(lab.mc))  # its c_star is lab.c_star
+        derived.update(asdict(lab.mc))
     grid = profile.grid
     return {
         "artifact_version": __version__,
         "config_hash": _config_hash(raw_config),
         "files": {"csv": csv_name},
-        "termination": {"kind": lab.termination.kind,
-                        "time": _json_safe(lab.termination.time)},
+        "termination": {"kind": result.termination.kind,
+                        "time": _json_safe(result.termination.time)},
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
                  "n_cells": grid.n_cells, "dx": grid.dx},
-        "time": {"dt": lab.result.dt, "n_steps": lab.result.n_steps,
+        "time": {"dt": result.dt, "n_steps": result.n_steps,
                  "t_end": run.t_end,
                  "record_every": run.record_every,
                  "mirrored": run.mirrored,
-                 "forcing_skipped_steps": lab.result.forcing_skipped_steps},
+                 "forcing_skipped_steps": result.forcing_skipped_steps},
         "coefficients": {
-            "L": profile.L, "eps1": profile.eps1,
-            "beta": _json_safe(profile.beta), "V0": _json_safe(profile.V0),
+            "L": profile.L, "eps1": profile.eps1, "beta": _json_safe(pot.beta),
+            "V0": _json_safe(pot.V0 if pot.family == "example1" else None),
             "free_wave": bool(profile.a_max == 0.0 and float(np.max(profile.V)) == 0.0),
         },
         "data": {"support_radius": _json_safe(run.data.support_radius)},
@@ -192,14 +194,15 @@ def cmd_run(args) -> int:
 
     name = args.name or Path(args.config).stem
     csv_path = out / f"{name}.csv"
-    write_csv(csv_path, lab.records)
-    manifest = build_manifest(lab, raw, csv_path.name)
+    records, termination = lab.result.records, lab.result.termination
+    write_csv(csv_path, records)
+    manifest = build_manifest(lab, spec, raw, csv_path.name)
     manifest_path = out / f"{name}.manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {csv_path} ({len(lab.records)} records) and {manifest_path}")
-    print(f"termination: {lab.termination.kind}"
-          + (f" at t = {lab.termination.time:.6g}" if lab.termination.time else ""))
-    return EXIT_INSTABILITY if lab.termination.kind == solver.INSTABILITY else EXIT_OK
+    print(f"wrote {csv_path} ({len(records)} records) and {manifest_path}")
+    print(f"termination: {termination.kind}"
+          + (f" at t = {termination.time:.6g}" if termination.time else ""))
+    return EXIT_INSTABILITY if termination.kind == solver.INSTABILITY else EXIT_OK
 
 
 def cmd_poincare(args) -> int:

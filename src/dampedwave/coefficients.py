@@ -157,10 +157,8 @@ class CoefficientProfile:
     """Sampled potential V, damping a, and multiplier weight phi on a grid.
 
     L is the radius where the damping plateau starts; eps1 the damping
-    floor outside L. beta/V0 are kept when the potential belongs to the
-    polynomial short-range family (they drive the semilinear critical
-    exponent bookkeeping). V, a and phi are read-only copies of the
-    arrays given."""
+    floor outside L. V, a and phi are read-only copies of the arrays
+    given; the family parameters that sampled V stay with its spec."""
 
     grid: Grid
     V: np.ndarray
@@ -168,8 +166,6 @@ class CoefficientProfile:
     phi: np.ndarray
     L: float
     eps1: float
-    beta: float | None = None
-    V0: float | None = None
 
     def __post_init__(self):
         for name in ("V", "a", "phi"):
@@ -213,10 +209,9 @@ def build_potential_example1(V0: float, beta: float, L: float, grid: Grid) -> np
         raise GridDomainError(
             f"grid [{grid.x_min}, {grid.x_max}] does not cover the core radius +-{L}"
         )
-    r = np.abs(grid.x)
-    inner = 2.0 * V0 / L**beta - (V0 / L_2beta) * r**beta
-    with np.errstate(divide="ignore"):
-        outer = V0 * np.where(r > 0, r, 1.0) ** (-beta)
+    r = np.abs(grid.x)  # each branch sampled on its own side of L, so neither overflows
+    inner = 2.0 * V0 / L**beta - (V0 / L_2beta) * np.minimum(r, L) ** beta
+    outer = V0 * np.maximum(r, L) ** (-beta)
     return np.where(r <= L, inner, outer)
 
 
@@ -263,22 +258,13 @@ def multiplier_weight(eps1: float, L: float, grid: Grid) -> np.ndarray:
     if L <= 0:
         raise GridDomainError("multiplier weight needs L > 0")
     r = np.abs(grid.x)
-    with np.errstate(divide="ignore"):
-        outer = L * eps1 / np.where(r > 0, r, 1.0)
-    return np.where(r <= L, eps1, outer)
+    return np.where(r <= L, eps1, L * eps1 / np.maximum(r, L))
 
 
-def make_profile(
-    grid: Grid,
-    V: np.ndarray,
-    a: np.ndarray,
-    L: float,
-    eps1: float,
-    beta: float | None = None,
-    V0: float | None = None,
-) -> CoefficientProfile:
+def make_profile(grid: Grid, V: np.ndarray, a: np.ndarray, L: float,
+                 eps1: float) -> CoefficientProfile:
     phi = multiplier_weight(eps1, L, grid) if eps1 > 0 else np.zeros(grid.n_nodes)
-    return CoefficientProfile(grid=grid, V=V, a=a, phi=phi, L=L, eps1=eps1, beta=beta, V0=V0)
+    return CoefficientProfile(grid=grid, V=V, a=a, phi=phi, L=L, eps1=eps1)
 
 
 def free_space_profile(grid: Grid) -> CoefficientProfile:
@@ -419,8 +405,8 @@ def polynomial_bump(
     """Compact C^3 bump: amplitude * (1 - ((x-c)/R)^2)^4 inside."""
     if radius <= 0:
         raise HypothesisError("polynomial bump needs radius > 0")
-    s = (grid.x - center) / radius
-    return amplitude * np.where(np.abs(s) < 1.0, (1.0 - s**2) ** 4, 0.0)
+    m = np.minimum(np.abs((grid.x - center) / radius), 1.0)  # |s| clipped where the bump is 0
+    return amplitude * np.where(m < 1.0, (1.0 - m * m) ** 4, 0.0)
 
 
 def make_initial_data(

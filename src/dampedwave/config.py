@@ -355,8 +355,7 @@ def build_profile_from_spec(spec: RunSpec, grid: Grid) -> CoefficientProfile:
         a = np.zeros(grid.n_nodes)
         L, eps1 = (pot.L if pot.L is not None else 1.0), 0.0
 
-    return make_profile(grid, V, a, L, eps1, beta=pot.beta,
-                        V0=pot.V0 if pot.family == "example1" else None)
+    return make_profile(grid, V, a, L, eps1)
 
 
 def build_problem(spec: RunSpec) -> tuple[CoefficientProfile, InitialData]:

@@ -72,7 +72,6 @@ class MultiplierConfig:
     eta0: float
     V_L: float
     V_L_prime: float
-    c_star: float
 
 
 def derive_multiplier_config(profile: CoefficientProfile, c_star: float) -> MultiplierConfig:
@@ -109,7 +108,7 @@ def derive_multiplier_config(profile: CoefficientProfile, c_star: float) -> Mult
     eta0 = min(eps1 / 4.0, P0, 2.0 * alpha)
     return MultiplierConfig(
         alpha=alpha, eps2=eps2, eps=eps, k=k, gamma0=gamma0, P0=P0, eta0=eta0,
-        V_L=v_l, V_L_prime=v_l_prime, c_star=c_star,
+        V_L=v_l, V_L_prime=v_l_prime,
     )
 
 

@@ -10,7 +10,8 @@ Validity); execute() adds the constants of the coefficients, as the
 theory is assembled: validate the coefficient hypotheses, estimate the
 Poincare-type constant C* on the run grid, check the smallness
 condition V(0) < 1/(4 C*), derive the multiplier constants, then march
-with the full diagnostics recorder attached.
+with the full diagnostics recorder attached. The LabRun it returns holds
+each value once, in the object that made it.
 Runs whose coefficients fail the hypotheses (free waves, oversized
 potentials) still execute; the constants they cannot define are left
 unset and the dependent diagnostics carry NaN.
@@ -21,37 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import solver
-from .coefficients import CoefficientProfile, DataNorms, ValidationReport, validate_hypotheses
+from .coefficients import CoefficientProfile, ValidationReport, validate_hypotheses
 from .diagnostics import MultiplierConfig, Recorder, derive_multiplier_config
 from .spectral import PoincareEstimate, estimate_c_star, poincare_problem
 
 
 @dataclass
 class LabRun:
-    """Everything one simulation produced, constants included; the
-    profile, data and data norms are run_config's."""
+    """Everything one simulation produced, constants included: the
+    profile, data and norms are run_config's, the records and termination
+    result's, C* c_star_estimate's (None where the hypotheses fail)."""
 
     validation: ValidationReport
     c_star_estimate: PoincareEstimate | None
     mc: MultiplierConfig | None
     result: solver.RunResult
     run_config: solver.RunConfig
-
-    @property
-    def c_star(self) -> float | None:
-        return None if self.c_star_estimate is None else self.c_star_estimate.c_star
-
-    @property
-    def norms(self) -> DataNorms | None:
-        return self.run_config.norms
-
-    @property
-    def records(self):
-        return self.result.records
-
-    @property
-    def termination(self) -> solver.Termination:
-        return self.result.termination
 
 
 def prepare_constants(

@@ -38,10 +38,11 @@ so Dirichlet truncation is exact for compact data; linear_demo's explicit
 Validity. A RunConfig is valid by construction, so run() checks nothing:
 building one raises ConfigError on data off the grid, V or a not finite,
 t_end not in (0, inf), u0 or u1 not finite or beyond BLOWUP_THRESHOLD, cfl
-not in (0, 1), a CFL step of 0 or above t_end / MIN_T_END_CFL_FRACTION,
-record_every < 1, p not in (1, inf) or p with data not beyond the core,
-and HypothesisError on data norms beyond float range. It derives dt,
-n_steps, mirrored and the data norms I0 (None unless V > 0 on every node).
+not in (0, 1), a CFL step undefined (1 + max(V) dx^2 / 4 <= 0), 0 or above
+t_end / MIN_T_END_CFL_FRACTION, record_every < 1, p not in (1, inf) or p
+with data not beyond the core, and HypothesisError on data norms beyond
+float range. It derives dt, n_steps, mirrored and the data norms I0 (None
+unless V > 0 on every node).
 
 History. The accumulated field v = int_0^t u ds and the cumulative
 integrals int_0^t int a u_t^2 (dissipation_cum) and int_0^t int a u^2
@@ -267,7 +268,10 @@ def cfl_timestep(profile: CoefficientProfile, cfl: float) -> float:
         raise ConfigError(f"Courant factor must lie in (0, 1), got {cfl}")
     dx = profile.grid.dx
     vmax = float(np.max(profile.V))
-    dt = cfl * dx / math.sqrt(1.0 + vmax * dx * dx / 4.0)
+    if (radicand := 1.0 + vmax * dx * dx / 4.0) <= 0.0:  # V <= -4 / dx^2 on every node
+        raise ConfigError(f"the CFL step is undefined: 1 + max(V) dx^2 / 4 = {radicand:g} <= 0 "
+                          f"with dx = {dx:g} and max V = {vmax:g}")
+    dt = cfl * dx / math.sqrt(radicand)
     if not dt > 0.0:  # max(V) dx^2 overflows
         raise ConfigError(f"the CFL step rounds to {dt:g}: dx = {dx:g} with max V = {vmax:g}")
     return dt

@@ -21,7 +21,7 @@ HISTORY_COLUMNS = ("dissipation_cum", "identity_residual", "lemma25_residual",
 def example1_profile(grid, V0=0.01, beta=2.0, L=1.0, eps1=1.0, ramp="sharp"):
     V = dw.build_potential_example1(V0, beta, L, grid)
     a = dw.build_damping_plateau(eps1, L, ramp, grid)
-    return dw.make_profile(grid, V, a, L, eps1, beta=beta, V0=V0)
+    return dw.make_profile(grid, V, a, L, eps1)
 
 
 def dense_c_star(problem):
@@ -40,12 +40,6 @@ def dense_c_star(problem):
     A = np.diag(2.0 / dx + problem.w_out[1:-1]) + np.diag(off, 1) + np.diag(off, -1)
     X = np.linalg.solve(np.linalg.cholesky(A), np.diag(np.sqrt(problem.w_in[1:-1])))
     return float(np.linalg.eigvalsh(X @ X.T)[-1])
-
-
-def reference_profile(n_cells):
-    """The linear reference setup: example-1 potential (V0=0.01, beta=2,
-    L=1) with a sharp unit damping plateau on [-60, 60]."""
-    return example1_profile(dw.Grid(-60.0, 60.0, n_cells))
 
 
 def reference_data(grid, amplitude=1e-3, width=1.5):

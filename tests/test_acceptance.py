@@ -96,9 +96,9 @@ def hypothesis_passing_labs(ref_50, ref_50_fine, ref_200, ref_400, semi_100, sem
 
 def test_criterion_01_energy_identity_residual_and_refinement(ref_50, ref_50_fine):
     lab, wall = ref_50
-    residual = max_identity_residual(lab.records)
+    residual = max_identity_residual(lab.result.records)
     assert residual < 1e-4, f"identity residual {residual:.3e} exceeds 1e-4"
-    fine = max_identity_residual(ref_50_fine.records)
+    fine = max_identity_residual(ref_50_fine.result.records)
     ratio = residual / fine
     assert 3.5 <= ratio <= 4.5, f"refinement ratio {ratio:.3f} outside [3.5, 4.5]"
     assert wall < 30.0, f"reference run took {wall:.1f} s"
@@ -108,25 +108,25 @@ def test_criterion_01_energy_identity_residual_and_refinement(ref_50, ref_50_fin
 
 def test_criterion_02_energy_decay_rate(ref_200, ref_400):
     def scaled_sup(lab, t_hi):
-        t = np.array([r.t for r in lab.records])
-        e = np.array([r.E_u for r in lab.records])
+        t = np.array([r.t for r in lab.result.records])
+        e = np.array([r.E_u for r in lab.result.records])
         sel = (t >= 10.0) & (t <= t_hi)
-        return float(np.max(e[sel] * (1.0 + t[sel]))) / lab.norms.I0**2
+        return float(np.max(e[sel] * (1.0 + t[sel]))) / lab.run_config.norms.I0**2
 
     sup_200 = scaled_sup(ref_200, 200.0)
     sup_400 = scaled_sup(ref_400, 400.0)
     assert np.isfinite(sup_200) and sup_200 > 0
     change = abs(sup_400 - sup_200) / sup_200
     assert change < 0.10, f"scaled energy sup moved {change:.1%} under doubling"
-    fit = dw.fit_decay(ref_200.records, "E_u", (10.0, 200.0))
+    fit = dw.fit_decay(ref_200.result.records, "E_u", (10.0, 200.0))
     assert fit.exponent <= -0.9, f"energy exponent {fit.exponent:.3f} shallower than -0.9"
     _announce(2, f"sup E(1+t)/I0^2 = {sup_200:.3e} (doubling change {change:.2%}), "
                  f"exponent {fit.exponent:.2f}")
 
 
 def test_criterion_03_l2_bound_stability(ref_200, ref_400):
-    m200 = max(r.l2_u for r in ref_200.records) / ref_200.norms.I0
-    m400 = max(r.l2_u for r in ref_400.records) / ref_400.norms.I0
+    m200 = max(r.l2_u for r in ref_200.result.records) / ref_200.run_config.norms.I0
+    m400 = max(r.l2_u for r in ref_400.result.records) / ref_400.run_config.norms.I0
     change = abs(m400 - m200) / m200
     assert change < 0.10, f"max ||u||/I0 moved {change:.1%} under doubling"
     _announce(3, f"max ||u||/I0 = {m200:.4f}, doubling change {change:.2%}")
@@ -139,13 +139,13 @@ def test_criterion_04_free_wave_growth():
     data = dw.make_initial_data(grid, np.zeros(grid.n_nodes),
                                 dw.gaussian_bump(grid, 1e-3, 1.0))
     lab = runner.execute(reference_run_config(profile, data, 100.0))
-    fit = dw.fit_decay(lab.records, "l2_u_sq", (10.0, 100.0))
+    fit = dw.fit_decay(lab.result.records, "l2_u_sq", (10.0, 100.0))
     assert 0.9 <= fit.exponent <= 1.1, f"free-wave ||u||^2 exponent {fit.exponent:.3f}"
     _announce(4, f"free-wave ||u||^2 exponent {fit.exponent:.3f}")
 
 
 def test_criterion_05_multiplier_functional_nonnegative(ref_200):
-    gk = np.array([r.G_k for r in ref_200.records])
+    gk = np.array([r.G_k for r in ref_200.result.records])
     floor = -1e-10 * gk[0]
     assert gk.min() >= floor, f"min G_k = {gk.min():.3e} below {floor:.3e}"
     _announce(5, f"min G_k / G_k(0) = {gk.min() / gk[0]:.3e} >= -1e-10")
@@ -155,7 +155,7 @@ def test_criterion_06_localized_norm_bound_all_runs(hypothesis_passing_labs):
     checked = 0
     for name, lab in hypothesis_passing_labs.items():
         assert lab.mc is not None, f"{name} unexpectedly failed hypotheses"
-        for rec in lab.records:
+        for rec in lab.result.records:
             assert lemma21_holds(rec, lab.mc), f"violation in {name} at t={rec.t}"
             checked += 1
     _announce(6, f"local L2 bound held at all {checked} records of "
@@ -176,10 +176,10 @@ def test_criterion_07_poincare_constant_oracle_and_samples():
 
 
 def test_criterion_08_accumulated_field_identity(ref_50, ref_200, ref_400):
-    residual = max(r.lemma25_residual for r in ref_50[0].records)
+    residual = max(r.lemma25_residual for r in ref_50[0].result.records)
     assert residual < 1e-3, f"accumulated-field residual {residual:.2e}"
-    r200 = np.nanmax([r.lemma25_ratio for r in ref_200.records])
-    r400 = np.nanmax([r.lemma25_ratio for r in ref_400.records])
+    r200 = np.nanmax([r.lemma25_ratio for r in ref_200.result.records])
+    r400 = np.nanmax([r.lemma25_ratio for r in ref_400.result.records])
     # the proof constant is 2; a divergent ratio would roughly double when
     # t_end doubles, so a 50% drift cap separates convergence from growth
     assert r200 <= 2.0 and r400 <= 2.0
@@ -200,16 +200,16 @@ def test_criterion_09_convolution_inequality():
 
 def test_criterion_10_semilinear_global_regime(semi_100, semi_200):
     lab, wall = semi_100
-    assert lab.termination.kind == solver.COMPLETED
-    assert lab.norms.I0 <= 1e-3
+    assert lab.result.termination.kind == solver.COMPLETED
+    assert lab.run_config.norms.I0 <= 1e-3
     assert wall < 60.0, f"semilinear run took {wall:.1f} s"
-    fit = dw.fit_decay(lab.records, "energy_norm", (10.0, 100.0))
+    fit = dw.fit_decay(lab.result.records, "energy_norm", (10.0, 100.0))
     assert fit.exponent <= -0.4, f"energy-norm exponent {fit.exponent:.3f}"
-    m100 = max(r.l2_u for r in lab.records) / lab.norms.I0
-    m200 = max(r.l2_u for r in semi_200.records) / semi_200.norms.I0
+    m100 = max(r.l2_u for r in lab.result.records) / lab.run_config.norms.I0
+    m200 = max(r.l2_u for r in semi_200.result.records) / semi_200.run_config.norms.I0
     change = abs(m200 - m100) / m100
     assert change < 0.10
-    assert semi_200.termination.kind == solver.COMPLETED
+    assert semi_200.result.termination.kind == solver.COMPLETED
     _announce(10, f"p=11 global, energy-norm exponent {fit.exponent:.2f}, "
                   f"||u||/I0 doubling change {change:.2%}, {wall:.1f} s")
 

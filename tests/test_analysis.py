@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dampedwave as dw
-from dampedwave import analysis
+from dampedwave import analysis, solver
 from dampedwave import config as cfg
 from dampedwave.analysis import _sweep_cell, scale_data_to_i0
 from dampedwave.diagnostics import EnergyRecord
@@ -254,6 +254,21 @@ def marched(log):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class TestClassifyOutcome:
+    T = np.linspace(0.0, 40.0, 81)
+
+    @pytest.mark.parametrize("result, token", [
+        (solver.RunResult(termination=solver.Termination(solver.BLOWUP, 2.5)), "blowup(t=2.5)"),
+        (solver.RunResult(termination=solver.Termination(solver.INSTABILITY, 2.5)), "unstable"),
+        (solver.RunResult(), "growing"),
+        (solver.RunResult(synthetic_records(lambda t: (1.0 + t) ** 2, T)), "growing"),
+        (solver.RunResult(synthetic_records(lambda t: 1.0, T)), "bounded"),
+        (solver.RunResult(synthetic_records(lambda t: (1.0 + t) ** -2, T)), "decayed_at_rate"),
+    ], ids=["blowup", "unstable", "no_records", "growing", "bounded", "decayed"])
+    def test_token_of_a_synthetic_result(self, result, token):
+        assert analysis.classify_outcome(result, 40.0) == token
 
 
 class TestSweep:

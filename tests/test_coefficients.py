@@ -408,3 +408,31 @@ class TestDataNorms:
         e3 = abs(norms[2000].I0 - truth)
         assert e1 / e2 == pytest.approx(4.0, rel=0.4)
         assert e2 / e3 == pytest.approx(4.0, rel=0.6)
+
+
+GRID = dw.Grid(-10.0, 10.0, 100)
+OTHER_GRID = dw.Grid(-10.0, 10.0, 50)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: dw.build_damping_plateau(0.0, 1.0, "sharp", GRID), HypothesisError,
+     "damping requires eps1 > 0 and L > 0"),
+    (lambda: dw.build_damping_plateau(1.0, -1.0, "smooth", GRID), HypothesisError,
+     "damping requires eps1 > 0 and L > 0"),
+    (lambda: dw.build_damping_plateau(1.0, 1.0, "steep", GRID), HypothesisError,
+     "unknown damping ramp 'steep'"),
+    (lambda: dw.coefficients.multiplier_weight(1.0, 0.0, GRID), GridDomainError,
+     "multiplier weight needs L > 0"),
+    (lambda: dw.polynomial_bump(GRID, 1.0, 0.0), HypothesisError,
+     "polynomial bump needs radius > 0"),
+    (lambda: dw.make_initial_data(GRID, np.zeros(OTHER_GRID.n_nodes), np.zeros(GRID.n_nodes)),
+     GridDomainError, "initial data arrays must conform to the grid"),
+    (lambda: dw.compute_data_norms(dw.make_initial_data(
+        OTHER_GRID, np.zeros(OTHER_GRID.n_nodes), np.zeros(OTHER_GRID.n_nodes)),
+        example1_profile(GRID)), GridDomainError,
+     "initial data does not conform to the profile grid"),
+], ids=["damping_eps1", "damping_L", "damping_ramp", "multiplier_L", "bump_radius",
+        "data_shape", "norms_grid"])
+def test_builder_refusal_is_named(build, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        build()

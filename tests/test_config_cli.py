@@ -137,8 +137,10 @@ class TestConfigParsing:
          lambda s: replace(s, data=replace(s.data, u0=replace(s.data.u0, width=-1.0)))),
         ("[potential] L", lambda s: replace(s, potential=cfg.PotentialSpec(
             "gaussian", V0=0.01, nu=1.0, L=2.0), damping=cfg.DampingSpec("none"))),
+        ("[time] t_end must be positive",
+         lambda s: replace(s, time=replace(s.time, t_end=-1.0))),
     ], ids=["kind", "family", "mode", "ramp", "support_radius", "n_cells", "beta", "cfl",
-            "record_every", "width", "key_outside_variant"])
+            "record_every", "width", "key_outside_variant", "t_end"])
     def test_bad_hand_built_spec_named(self, key, change):
         spec = change(reference_spec(n_cells=600, t_end=1.0))
         for build in (cfg.build_problem, cfg.emit_config):
@@ -385,7 +387,7 @@ class TestCli:
         spec, _raw = cfg.load_config(str(demo_config))
         profile, data = cfg.build_problem(spec)
         lab = runner.execute(cfg.run_config_from_spec(spec, profile, data))
-        fit = dw.fit_decay(lab.records, "l2_u_sq", (5.0, 30.0))
+        fit = dw.fit_decay(lab.result.records, "l2_u_sq", (5.0, 30.0))
         assert float(printed[3]) == fit.exponent
 
     def test_fit_all_nan_column_exits_1(self, tmp_path, capsys):
@@ -543,11 +545,13 @@ class TestCli:
         assert (tmp_path / "sweep.csv").read_text() == (
             "p\\I0,1,1000000000000\n3,bounded,error(ConfigError)\n")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning",
+                                "ignore:overflow encountered in square:RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
     def test_cfl_step_that_rounds_to_0_exits_2(self, command, tmp_path, capsys):
-        # max(V) dx^2 overflows, so the CFL step is 0; the coefficient
-        # builders warn of their own overflows on such a grid
+        # max(V) dx^2 overflows, so the CFL step is 0; of the samplers only
+        # gaussian_bump warns, as x^2 overflows where exp(-x^2 / 2w^2) would
+        # not (a real loss of value)
         config = edited_config(tmp_path, "linear_demo", x_min="-1e160", x_max="1e160",
                                n_cells="4")
         out = tmp_path / "out"

@@ -125,7 +125,7 @@ class TestGk:
         assert value >= 0.0
 
     def test_nonnegative_along_reference_run(self, medium_lab):
-        gk = np.array([r.G_k for r in medium_lab.records])
+        gk = np.array([r.G_k for r in medium_lab.result.records])
         assert gk.min() >= -1e-10 * gk[0]
 
 
@@ -134,7 +134,7 @@ class TestEnergyIdentity:
         grid = coarse_profile.grid
         data = dw.make_initial_data(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes))
         lab = runner.execute(reference_run_config(coarse_profile, data, 2.0))
-        assert max_identity_residual(lab.records) == 0.0
+        assert max_identity_residual(lab.result.records) == 0.0
 
     def test_undamped_drift_refines_second_order(self):
         residuals = {}
@@ -142,10 +142,10 @@ class TestEnergyIdentity:
             grid = dw.Grid(-60.0, 60.0, n)
             profile = dw.make_profile(
                 grid, dw.build_potential_example1(0.01, 2.0, 1.0, grid),
-                np.zeros(grid.n_nodes), 1.0, 0.0, beta=2.0, V0=0.01)
+                np.zeros(grid.n_nodes), 1.0, 0.0)
             data = reference_data(grid)
             lab = runner.execute(reference_run_config(profile, data, 20.0))
-            residuals[n] = max_identity_residual(lab.records)
+            residuals[n] = max_identity_residual(lab.result.records)
         assert residuals[1500] < 5e-3
         assert residuals[1500] / residuals[3000] == pytest.approx(4.0, rel=0.3)
 
@@ -155,16 +155,16 @@ class TestEnergyIdentity:
             profile = example1_profile(dw.Grid(-60.0, 60.0, n))
             data = reference_data(profile.grid)
             lab = runner.execute(reference_run_config(profile, data, 20.0))
-            residuals[n] = max_identity_residual(lab.records)
+            residuals[n] = max_identity_residual(lab.result.records)
         assert residuals[1500] / residuals[3000] == pytest.approx(4.0, rel=0.3)
 
     def test_energy_monotone_at_reference_resolution(self, medium_lab):
-        e = np.array([r.E_u for r in medium_lab.records])
+        e = np.array([r.E_u for r in medium_lab.result.records])
         assert np.max(np.diff(e)) <= 1e-10 * e[0]
 
     def test_dissipation_bounded_by_initial_energy(self, medium_lab):
-        d = np.array([r.dissipation_cum for r in medium_lab.records])
-        e0 = medium_lab.records[0].E_u
+        d = np.array([r.dissipation_cum for r in medium_lab.result.records])
+        e0 = medium_lab.result.records[0].E_u
         assert np.all(np.diff(d) >= 0.0)
         assert d[-1] <= e0
 
@@ -181,11 +181,11 @@ class TestLemma25:
         assert rec.lemma25_residual < 1e-12
 
     def test_residual_small_on_reference_run(self, medium_lab):
-        res = np.array([r.lemma25_residual for r in medium_lab.records])
+        res = np.array([r.lemma25_residual for r in medium_lab.result.records])
         assert res.max() < 1e-3
 
     def test_bound_ratio_below_proof_constant(self, medium_lab):
-        ratio = np.array([r.lemma25_ratio for r in medium_lab.records])
+        ratio = np.array([r.lemma25_ratio for r in medium_lab.result.records])
         assert np.nanmax(ratio) <= 2.0
 
 
@@ -193,12 +193,12 @@ class TestHistory:
     """The totals a state carries are the ones the records report."""
 
     def test_final_state_carries_the_last_records_totals(self, medium_lab):
-        final, last = medium_lab.result.final_state, medium_lab.records[-1]
+        final, last = medium_lab.result.final_state, medium_lab.result.records[-1]
         assert final.t == last.t
         assert (final.dissipation_cum, final.au2_cum) == (last.dissipation_cum, last.au2_cum)
 
     def test_march_without_a_hook_gives_the_same_totals(self, medium_lab):
-        final, last = solver.run(medium_lab.run_config).final_state, medium_lab.records[-1]
+        final, last = solver.run(medium_lab.run_config).final_state, medium_lab.result.records[-1]
         assert (final.dissipation_cum, final.au2_cum) == (last.dissipation_cum, last.au2_cum)
 
     def test_state_without_history_records_nan(self):
@@ -241,12 +241,12 @@ class TestLemma21:
         assert 0.0 < ratio < coarse_mc.V_L / coarse_profile.v_at_origin
 
     def test_every_record_of_reference_run(self, medium_lab):
-        assert all(lemma21_holds(r, medium_lab.mc) for r in medium_lab.records)
+        assert all(lemma21_holds(r, medium_lab.mc) for r in medium_lab.result.records)
 
 
 class TestRunLevelBounds:
     def test_record_invariants(self, medium_lab):
-        for r in medium_lab.records:
+        for r in medium_lab.result.records:
             assert r.E_u >= 0.0
             assert r.l2_local <= r.l2_u**2 + 1e-15
 
@@ -256,8 +256,8 @@ class TestRunLevelBounds:
             profile = example1_profile(dw.Grid(-60.0, 60.0, 2000))
             data = reference_data(profile.grid)
             lab = runner.execute(reference_run_config(profile, data, t_end))
-            cum = cumulative_energy(lab.records)
-            stats[t_end] = cum[-1] / lab.norms.I0**2
+            cum = cumulative_energy(lab.result.records)
+            stats[t_end] = cum[-1] / lab.run_config.norms.I0**2
         assert stats[30.0] <= stats[15.0] * 1.10
 
     def test_lemma23_constant_bounded_and_stable(self):
@@ -266,11 +266,11 @@ class TestRunLevelBounds:
             profile = example1_profile(dw.Grid(-60.0, 60.0, 2000))
             data = reference_data(profile.grid)
             lab = runner.execute(reference_run_config(profile, data, t_end))
-            cum = cumulative_energy(lab.records)
-            gk = np.array([r.G_k for r in lab.records])
+            cum = cumulative_energy(lab.result.records)
+            gk = np.array([r.G_k for r in lab.result.records])
             lhs = gk + lab.mc.eta0 * cum
-            rhs = (lab.norms.h1_norm_u0**2 + lab.norms.l2_norm_u1**2
-                   + np.array([r.au2_cum for r in lab.records]))
+            rhs = (lab.run_config.norms.h1_norm_u0**2 + lab.run_config.norms.l2_norm_u1**2
+                   + np.array([r.au2_cum for r in lab.result.records]))
             cs[t_end] = float(np.max(lhs / rhs))
         assert np.isfinite(cs[30.0])
         assert cs[30.0] <= cs[15.0] * 1.10
@@ -283,8 +283,8 @@ class TestRecorder:
         data = dw.make_initial_data(grid, np.zeros(grid.n_nodes),
                                     dw.gaussian_bump(grid, 1e-3, 1.0))
         lab = runner.execute(reference_run_config(profile, data, 5.0))
-        assert lab.mc is None and lab.norms is None
-        rec = lab.records[-1]
+        assert lab.mc is None and lab.run_config.norms is None
+        rec = lab.result.records[-1]
         assert np.isnan(rec.G_k)
         assert np.isnan(rec.lemma25_ratio)
         assert np.isfinite(rec.E_u)
@@ -304,7 +304,7 @@ class TestRecorder:
             "t", "E_u", "l2_u", "l2_local", "dissipation_cum", "G_k",
             "identity_residual", "lemma25_residual", "lemma25_ratio", "au2_cum",
         )
-        rec = medium_lab.records[0]
+        rec = medium_lab.result.records[0]
         values = rec.csv_values()
         assert len(values) == 10
         assert values[0] == rec.t and values[-1] == rec.au2_cum

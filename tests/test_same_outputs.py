@@ -168,8 +168,22 @@ def test_refused_copies_exit_2_and_leave_no_out(tmp_path):
                      for command in ("validate", "run")}
     for name in same_outputs.REFUSED:
         lines = (out / f"{Path(name).stem}.refused.txt").read_text().splitlines()
-        assert [line.split(";")[0] for line in lines] == [
+        assert [line.split(";")[0] for line in lines[:3]] == [
             "validate: exit 2", "run: exit 2", "run --out left: no"]
         assert "; stdout 'INVALID: " in lines[0].replace('"', "'")
         assert "; stderr 'invalid run configuration: " in lines[1].replace('"', "'")
+        # only gaussian_bump's x^2 overflows on the CFL copy's 1e160 grid
+        assert lines[3:] == ["warnings: " + ("RuntimeWarning: overflow encountered in square"
+                                             if name == "refused_cfl.cfg" else "none")]
     assert not (tmp_path / "out-refused").exists()
+
+
+def test_warning_messages_drop_file_line_and_repeats():
+    stderr = ("/src/a.py:217: RuntimeWarning: overflow encountered in power\n"
+              "  inner = V0 * r**beta\n"
+              "C:/b c.py:3: UserWarning: x: y\n"
+              "/src/a.py:9: RuntimeWarning: overflow encountered in power\n"
+              "invalid run configuration: the CFL step rounds to 0\n")
+    assert same_outputs.warning_messages(stderr) == [
+        "RuntimeWarning: overflow encountered in power", "UserWarning: x: y"]
+    assert same_outputs.warning_messages("INVALID: t_end\n") == []

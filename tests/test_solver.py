@@ -128,6 +128,14 @@ class TestRunControl:
             solver.cfl_timestep(profile, 1.2)
         with pytest.raises(ConfigError):
             solver.cfl_timestep(profile, 0.0)
+        # V negative enough that 1 + max(V) dx^2 / 4 <= 0 (dx = 1)
+        grid = dw.Grid(-10.0, 10.0, 20)
+        zero = dw.make_initial_data(grid, np.zeros(grid.n_nodes), np.zeros(grid.n_nodes))
+        for v, radicand in ((-100.0, "-24"), (-4.0, "0")):
+            negative = dw.make_profile(grid, np.full(grid.n_nodes, v), zero.u0, 1.0, 0.0)
+            with pytest.raises(ConfigError, match=rf"CFL step is undefined: .* = {radicand} <= 0 "
+                                                  rf"with dx = 1 and max V = {v:g}$"):
+                solver.RunConfig(profile=negative, data=zero, t_end=1.0)
 
     def test_records_uniform_cadence(self):
         grid = dw.Grid(-15.0, 15.0, 300)
@@ -168,6 +176,21 @@ class TestRunControl:
         with pytest.raises(ConfigError, match="t_end must be positive and finite"):
             solver.RunConfig(profile=example1_profile(grid),
                              data=reference_data(grid, width=0.5), t_end=t_end)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: {"data": reference_data(dw.Grid(-10.0, 10.0, 100))},
+         "initial data does not conform to the profile grid"),
+        (lambda c: {"record_every": 0}, "record_every must be >= 1"),
+        (lambda c: {"p": 3.0, "data": dw.make_initial_data(
+            c.profile.grid, c.data.u0, c.data.u1, support_radius=np.inf)},
+         "semilinear runs require compactly supported data"),
+    ], ids=["data_off_grid", "record_every", "unbounded_semilinear_data"])
+    def test_config_refusal_is_named(self, edit, message):
+        grid = dw.Grid(-10.0, 10.0, 200)
+        config = solver.RunConfig(profile=example1_profile(grid),
+                                  data=reference_data(grid, width=0.5), t_end=1.0)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            dataclasses.replace(config, **edit(config))
 
     def test_step_count_and_symmetry_are_derived_when_built(self, monkeypatch):
         # run() reads dt, n_steps and mirrored from the config; replace()

@@ -23,7 +23,8 @@ off the core, so no data there can be scaled to a positive I0. Then,
 for each REFUSED copy of linear_demo.cfg, it runs validate and run
 --out into a directory not made yet, and writes <copy stem>.refused.txt:
 the exit statuses, the last line each command printed to stdout and to
-stderr, and whether run left that directory behind.
+stderr, whether run left that directory behind, and the distinct
+warnings both printed (category and message, without file or line).
 It prints one line per output file: "identical" when the bytes agree;
 for a CSV that differs, the column with the largest relative difference
 and the number of cells that differ; for a JSON file (and the JSON
@@ -78,6 +79,10 @@ REFUSED = {
 }
 
 
+# a warning as Python prints it: "<file>:<line>: <category>: <message>"
+WARNING_LINE = re.compile(r"^.+:\d+: (\w*Warning): (.*)$", re.MULTILINE)
+
+
 def sweep_args(checkout: Path) -> list[str]:
     """The benchmark sweep's dampedwave options, from bench/common.py."""
     spec = importlib.util.spec_from_file_location("bench_common", checkout / "bench" / "common.py")
@@ -130,21 +135,30 @@ def probe_refusals(checkout: Path, out_dir: Path) -> dict[str, int]:
     """Run validate, and run with an --out that does not exist yet, on each
     REFUSED copy; exit status by command. Writes <copy stem>.refused.txt
     into out_dir: per command its exit status and the last lines of its
-    stdout and stderr, then whether run left its --out directory."""
+    stdout and stderr, then whether run left its --out directory, then
+    the distinct warnings of both commands in the order first printed."""
     configs = derived_configs(checkout, out_dir.with_name(f"{out_dir.name}-configs"), REFUSED)
     codes = {}
     for path in configs:
         fresh = out_dir.with_name(f"{out_dir.name}-refused") / path.stem
-        lines = []
+        lines, warned = [], {}
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(fresh)]):
             proc = dampedwave(checkout, argv)
             codes[f"{argv[0]} {path.name}"] = proc.returncode
             last = [(text.strip().splitlines() or [""])[-1] for text in (proc.stdout, proc.stderr)]
             lines.append(f"{argv[0]}: exit {proc.returncode}; stdout {last[0]!r}; "
                          f"stderr {last[1]!r}")
+            warned.update(dict.fromkeys(warning_messages(proc.stderr)))
         lines.append(f"run --out left: {'yes' if fresh.exists() else 'no'}")
+        lines.append(f"warnings: {'; '.join(warned) or 'none'}")
         (out_dir / f"{path.stem}.refused.txt").write_text("\n".join(lines) + "\n")
     return codes
+
+
+def warning_messages(stderr: str) -> list[str]:
+    """The distinct "<category>: <message>" of the warnings in stderr, in
+    the order first printed."""
+    return list(dict.fromkeys(f"{m[1]}: {m[2]}" for m in WARNING_LINE.finditer(stderr)))
 
 
 def write_outputs(checkout: Path, out_dir: Path, sweep: list[str]) -> dict[str, int]:
