@@ -405,8 +405,8 @@ def polynomial_bump(
     """Compact C^3 bump: amplitude * (1 - ((x-c)/R)^2)^4 inside."""
     if radius <= 0:
         raise HypothesisError("polynomial bump needs radius > 0")
-    m = np.minimum(np.abs((grid.x - center) / radius), 1.0)  # |s| clipped where the bump is 0
-    return amplitude * np.where(m < 1.0, (1.0 - m * m) ** 4, 0.0)
+    m = np.minimum(np.abs((grid.x - center) / radius), 1.0)  # 1 - m^2 = 0 off the support
+    return amplitude * (1.0 - m * m) ** 4
 
 
 def make_initial_data(
